@@ -11,10 +11,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
 
-from . import ca, dataio, maca
-from .codec import window_patterns
+from . import ca, dataio, ga, maca
+from .codec import DECODE_MODES, window_patterns
 from .pipeline import PipelineConfig, predict_structure
+
+# train flag -> TreeConfig field; each flag's default is the field's
+_TREE_FLAGS = {
+    "--population": "population_size",
+    "--generations": "generations",
+    "--crossover-rate": "crossover_rate",
+    "--mutation-rate": "mutation_rate",
+    "--elitism": "elitism_count",
+    "--max-depth": "max_depth",
+    "--min-samples": "min_samples",
+}
 
 
 class UsageError(Exception):
@@ -46,21 +58,18 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--population", type=int, default=30)
-    p.add_argument("--generations", type=int, default=40)
-    p.add_argument("--crossover-rate", type=float, default=0.9)
-    p.add_argument("--mutation-rate", type=float, default=0.02)
-    p.add_argument("--elitism", type=int, default=2)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-samples", type=int, default=2)
-    p.add_argument("--filter-length", type=int, default=9)
+    for flag, name in _TREE_FLAGS.items():
+        default = getattr(maca.TreeConfig, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
+    p.add_argument("--filter-length", type=int,
+                   default=PipelineConfig.filter_length)
 
     p = sub.add_parser("predict", help="predict structures for FASTA input")
     p.add_argument("--model", required=True)
     p.add_argument("--fasta", required=True)
     p.add_argument("--pipeline", action="store_true",
                    help="use the signal pipeline instead of the tree")
-    p.add_argument("--mode", choices=["bands", "centroid"], default=None,
+    p.add_argument("--mode", choices=DECODE_MODES, default=None,
                    help="band decode mode for --pipeline")
     p.add_argument("--train-data", default=None,
                    help="paired training data (required with --pipeline)")
@@ -124,32 +133,23 @@ def _training_patterns(records, window: int):
     return patterns
 
 
+def _tree_config(args) -> maca.TreeConfig:
+    return maca.TreeConfig(**{name: getattr(args, name)
+                              for name in _TREE_FLAGS.values()})
+
+
 def cmd_train(args) -> int:
     text = _read(args.data)
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)
-    config = maca.TreeConfig(
-        max_depth=args.max_depth,
-        min_samples=args.min_samples,
-        population_size=args.population,
-        generations=args.generations,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        elitism_count=args.elitism,
-    )
+    config = _tree_config(args)
+    ga_config = ga.GaConfig.from_tree(config, args.seed)  # validates early
     tree = maca.build_tree(patterns, config, rng_seed=args.seed)
     model = dataio.ModelFile(
         tree=tree,
         window=args.window,
         pipeline=PipelineConfig(filter_length=args.filter_length),
-        ga_config={
-            "population_size": args.population,
-            "generations": args.generations,
-            "crossover_rate": args.crossover_rate,
-            "mutation_rate": args.mutation_rate,
-            "elitism_count": args.elitism,
-            "rng_seed": args.seed,
-        },
+        ga_config=asdict(ga_config),
         training_fingerprint=dataio.fingerprint(text),
     )
     dataio.save_model(model, args.out)
@@ -166,15 +166,10 @@ def _load_training(model, path, no_verify):
     return dataio.parse_paired(text)
 
 
-def _pipeline_config(model, mode_flag):
-    cfg = model.pipeline
-    if mode_flag is not None:
-        mode = "paper_bands" if mode_flag == "bands" else "nearest_centroid"
-        cfg = PipelineConfig(
-            filter_length=cfg.filter_length, ridge=cfg.ridge,
-            decode_mode=mode, scale_name=cfg.scale_name,
-            kmer_size=cfg.kmer_size)
-    return cfg
+def _pipeline_config(model, mode):
+    if mode is None:
+        return model.pipeline
+    return replace(model.pipeline, decode_mode=mode)
 
 
 def _predict_record(record, model, use_pipeline, training, cfg):
@@ -216,7 +211,7 @@ def cmd_evaluate(args) -> int:
     if args.pipeline:
         train_path = args.train_data or args.data
         training = _load_training(model, train_path, args.no_verify)
-        cfg = _pipeline_config(model, None)
+        cfg = model.pipeline
     rows = []
     for record in records:
         predicted, _ = _predict_record(record, model, args.pipeline,

@@ -11,7 +11,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from . import maca
 from .codec import STRUCTURE_LABELS, check_sequence, check_structure
@@ -183,6 +183,22 @@ class MetricsRow:
     confusion: dict[str, dict[str, int]]  # actual -> predicted -> count
 
 
+def _empty_confusion() -> dict[str, dict[str, int]]:
+    return {a: {p: 0 for p in STRUCTURE_LABELS} for a in STRUCTURE_LABELS}
+
+
+def _score(confusion) -> tuple[float, dict[str, float | None]]:
+    """Q3 over all positions, and per-class accuracy over the positions
+    whose actual label is that class, of one confusion matrix."""
+    per_class: dict[str, float | None] = {}
+    for lab in STRUCTURE_LABELS:
+        support = sum(confusion[lab].values())
+        per_class[lab] = 100.0 * confusion[lab][lab] / support if support else None
+    total = sum(sum(r.values()) for r in confusion.values())
+    matches = sum(confusion[lab][lab] for lab in STRUCTURE_LABELS)
+    return 100.0 * matches / total, per_class
+
+
 def q3(predicted: str, actual: str, record_id: str = "") -> MetricsRow:
     """Per-record Q3: percentage of matching positions, plus per-class
     accuracy over positions whose actual label is that class."""
@@ -191,15 +207,10 @@ def q3(predicted: str, actual: str, record_id: str = "") -> MetricsRow:
     if len(predicted) != len(actual):
         raise ValueError(
             f"length mismatch: predicted {len(predicted)} vs actual {len(actual)}")
-    confusion = {a: {p: 0 for p in STRUCTURE_LABELS} for a in STRUCTURE_LABELS}
+    confusion = _empty_confusion()
     for p, a in zip(predicted, actual):
         confusion[a][p] += 1
-    per_class: dict[str, float | None] = {}
-    for lab in STRUCTURE_LABELS:
-        support = sum(confusion[lab].values())
-        per_class[lab] = 100.0 * confusion[lab][lab] / support if support else None
-    matches = sum(confusion[lab][lab] for lab in STRUCTURE_LABELS)
-    return MetricsRow(record_id, 100.0 * matches / len(actual), per_class, confusion)
+    return MetricsRow(record_id, *_score(confusion), confusion)
 
 
 @dataclass(frozen=True)
@@ -213,37 +224,27 @@ class MetricsReport:
 def aggregate_metrics(rows: list[MetricsRow]) -> MetricsReport:
     if not rows:
         raise ValueError("no metric rows to aggregate")
-    confusion = {a: {p: 0 for p in STRUCTURE_LABELS} for a in STRUCTURE_LABELS}
+    confusion = _empty_confusion()
     for row in rows:
         for a in STRUCTURE_LABELS:
             for p in STRUCTURE_LABELS:
                 confusion[a][p] += row.confusion[a][p]
-    total = sum(sum(r.values()) for r in confusion.values())
-    matches = sum(confusion[lab][lab] for lab in STRUCTURE_LABELS)
-    per_class: dict[str, float | None] = {}
-    for lab in STRUCTURE_LABELS:
-        support = sum(confusion[lab].values())
-        per_class[lab] = 100.0 * confusion[lab][lab] / support if support else None
-    return MetricsReport(tuple(rows), 100.0 * matches / total, per_class, confusion)
+    return MetricsReport(tuple(rows), *_score(confusion), confusion)
 
 
 def _fmt(v: float | None) -> str:
     return "NA" if v is None else f"{v:.2f}"
 
 
+def _tsv_row(name: str, scored) -> str:
+    return "\t".join([name, f"{scored.q3:.2f}",
+                      *(_fmt(scored.per_class[lab]) for lab in STRUCTURE_LABELS)])
+
+
 def metrics_tsv(report: MetricsReport) -> str:
     lines = ["id\tq3\tqH\tqE\tqC"]
-    for row in report.rows:
-        lines.append("\t".join([
-            row.record_id, f"{row.q3:.2f}",
-            _fmt(row.per_class["H"]), _fmt(row.per_class["E"]),
-            _fmt(row.per_class["C"]),
-        ]))
-    lines.append("\t".join([
-        "ALL", f"{report.q3:.2f}",
-        _fmt(report.per_class["H"]), _fmt(report.per_class["E"]),
-        _fmt(report.per_class["C"]),
-    ]))
+    lines.extend(_tsv_row(row.record_id, row) for row in report.rows)
+    lines.append(_tsv_row("ALL", report))
     return "\n".join(lines) + "\n"
 
 
@@ -297,13 +298,7 @@ def save_model(model: ModelFile, path: str) -> None:
         "format_version": model.format_version,
         "window": model.window,
         "tree": maca.tree_to_dict(model.tree),
-        "pipeline": {
-            "filter_length": model.pipeline.filter_length,
-            "ridge": model.pipeline.ridge,
-            "decode_mode": model.pipeline.decode_mode,
-            "scale_name": model.pipeline.scale_name,
-            "kmer_size": model.pipeline.kmer_size,
-        },
+        "pipeline": asdict(model.pipeline),
         "ga_config": model.ga_config,
         "training_fingerprint": model.training_fingerprint,
     }
@@ -318,15 +313,28 @@ def load_model(path: str) -> ModelFile:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ModelFormatError(f"corrupted model file: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError(
+            f"model file holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {version}; "
             f"this build reads version {MODEL_FORMAT_VERSION}")
+    missing = [f.name for f in fields(ModelFile) if f.name not in doc]
+    if missing:
+        raise ModelFormatError(f"model file lacks {', '.join(missing)}")
+    try:
+        tree = maca.tree_from_dict(doc["tree"])
+        pipeline = PipelineConfig(**doc["pipeline"])
+    except KeyError as e:
+        raise ModelFormatError(f"malformed model file: missing key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ModelFormatError(f"malformed model file: {e}") from None
     return ModelFile(
-        tree=maca.tree_from_dict(doc["tree"]),
+        tree=tree,
         window=doc["window"],
-        pipeline=PipelineConfig(**doc["pipeline"]),
+        pipeline=pipeline,
         ga_config=doc["ga_config"],
         training_fingerprint=doc["training_fingerprint"],
         format_version=version,

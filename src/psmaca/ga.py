@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .maca import Bits, DependencyString, distribute, dv_is_valid
+from .maca import (Bits, DependencyString, TreeConfig, distribute, dv_is_valid,
+                   label_counts)
 
 
 @dataclass(frozen=True)
@@ -36,22 +37,17 @@ class Chromosome:
             separators=(",", ":"),
         )
 
-    @classmethod
-    def deserialize(cls, text: str) -> "Chromosome":
-        doc = json.loads(text)
-        return cls(
-            classifier1=DependencyString.from_bit_strings(doc["classifier1"]),
-            classifier2=tuple(int(c) for c in doc["classifier2"]),
-        )
-
 
 @dataclass(frozen=True)
 class GaConfig:
-    population_size: int = 50
-    generations: int = 100
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.02
-    elitism_count: int = 2
+    """One GA run; every field but rng_seed is a TreeConfig field and
+    defaults to its value there."""
+
+    population_size: int = TreeConfig.population_size
+    generations: int = TreeConfig.generations
+    crossover_rate: float = TreeConfig.crossover_rate
+    mutation_rate: float = TreeConfig.mutation_rate
+    elitism_count: int = TreeConfig.elitism_count
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -64,12 +60,18 @@ class GaConfig:
         if not 1 <= self.elitism_count < self.population_size:
             raise ValueError("need 1 <= elitism_count < population_size")
 
+    @classmethod
+    def from_tree(cls, config: TreeConfig, rng_seed: int) -> "GaConfig":
+        """The GA settings of `config`, seeded with `rng_seed`."""
+        return cls(rng_seed=rng_seed, **{
+            f.name: getattr(config, f.name)
+            for f in fields(cls) if f.name != "rng_seed"})
+
 
 @dataclass
 class FitnessHistory:
     best: list[float]
     mean: list[float]
-    best_chromosomes: list[Chromosome]
 
     def to_tsv(self) -> str:
         lines = ["generation\tbest\tmean"]
@@ -107,10 +109,7 @@ def fitness(ch: Chromosome, training) -> float:
     buckets = distribute(ch.classifier1, training)
     correct = 0
     for bucket in buckets.values():
-        counts: dict[str, int] = {}
-        for p in bucket:
-            counts[p.label] = counts.get(p.label, 0) + 1
-        correct += max(counts.values())
+        correct += max(label_counts(bucket).values())
     return correct / len(training)
 
 
@@ -183,7 +182,7 @@ def evolve_maca(training, n: int, m: int,
                   for _ in range(config.population_size)]
     scores = [fitness(ch, training) for ch in population]
 
-    history = FitnessHistory(best=[], mean=[], best_chromosomes=[])
+    history = FitnessHistory(best=[], mean=[])
     best_ch, best_fit = None, -1.0
 
     def tournament() -> Chromosome:
@@ -197,7 +196,6 @@ def evolve_maca(training, n: int, m: int,
             best_ch = population[order[0]]
         history.best.append(best_fit)
         history.mean.append(sum(scores) / len(scores))
-        history.best_chromosomes.append(best_ch)
         if best_fit >= 1.0:  # nothing left to optimize
             return best_ch, history
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 Bits = tuple[int, ...]
 
@@ -84,23 +84,19 @@ def distribute(ds: DependencyString, patterns) -> dict[Bits, list[LabeledPattern
     return buckets
 
 
-def majority_label(patterns) -> str:
-    """Most frequent label; ties broken by the smallest label."""
+def label_counts(patterns) -> dict[str, int]:
+    # a plain dict loop: Counter() costs 2-4x more on the small buckets
+    # deep in a tree, and fitness counts every bucket of every chromosome
     counts: dict[str, int] = {}
     for p in patterns:
         counts[p.label] = counts.get(p.label, 0) + 1
+    return counts
+
+
+def majority_label(patterns) -> str:
+    """Most frequent label; ties broken by the smallest label."""
+    counts = label_counts(patterns)
     return min(counts, key=lambda lab: (-counts[lab], lab))
-
-
-def label_basins(distribution: dict[Bits, list[LabeledPattern]]) -> dict[Bits, str]:
-    """Label each basin with its bucket's majority class."""
-    return {sig: majority_label(bucket) for sig, bucket in distribution.items()}
-
-
-@dataclass(frozen=True)
-class Maca:
-    ds: DependencyString
-    basin_labels: dict[Bits, str]
 
 
 @dataclass(frozen=True)
@@ -163,14 +159,6 @@ def build_tree(training, config: TreeConfig | None = None,
     n = _check_training(training)
     rng = random.Random(rng_seed)
 
-    ga_template = dict(
-        population_size=config.population_size,
-        generations=config.generations,
-        crossover_rate=config.crossover_rate,
-        mutation_rate=config.mutation_rate,
-        elitism_count=config.elitism_count,
-    )
-
     def grow(patterns: list[LabeledPattern], depth: int) -> TreeNode:
         majority = majority_label(patterns)
         classes = {p.label for p in patterns}
@@ -183,7 +171,7 @@ def build_tree(training, config: TreeConfig | None = None,
         buckets = None
         best = None
         for _ in range(config.split_retries):
-            cfg = ga.GaConfig(rng_seed=rng.getrandbits(32), **ga_template)
+            cfg = ga.GaConfig.from_tree(config, rng.getrandbits(32))
             best, _ = ga.evolve_maca(patterns, n, m, cfg)
             candidate = distribute(best.classifier1, patterns)
             if len(candidate) > 1:
@@ -233,19 +221,9 @@ def tree_to_dict(tree: PsmacaTree) -> dict:
             },
         }
 
-    cfg = tree.config
     return {
         "n": tree.n,
-        "config": {
-            "max_depth": cfg.max_depth,
-            "min_samples": cfg.min_samples,
-            "population_size": cfg.population_size,
-            "generations": cfg.generations,
-            "crossover_rate": cfg.crossover_rate,
-            "mutation_rate": cfg.mutation_rate,
-            "elitism_count": cfg.elitism_count,
-            "split_retries": cfg.split_retries,
-        },
+        "config": asdict(tree.config),
         "root": node_to_dict(tree.root),
     }
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
+    DECODE_MODES,
     StructureEncoding,
     check_sequence,
     hydropathy_encode,
@@ -55,6 +56,11 @@ class PipelineConfig:
             raise ValueError("filter_length must be >= 1")
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
+        if self.kmer_size < 1:
+            raise ValueError("kmer_size must be >= 1")
+        if self.decode_mode not in DECODE_MODES:
+            raise ValueError(f"decode_mode must be one of {DECODE_MODES}, "
+                             f"got {self.decode_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
-from psmaca import dataio
+from psmaca import cli, codec, dataio
 from psmaca.cli import run_cli
+from psmaca.maca import TreeConfig
+from psmaca.pipeline import PipelineConfig, predict_structure
 
 
 @pytest.fixture
@@ -78,6 +83,28 @@ class TestTrain:
         m1, m2 = (train(d, data) for d in dirs)
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_flag_defaults_are_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["train", "--data", "d", "--out", "o"])
+        assert cli._tree_config(args) == TreeConfig()
+        assert args.filter_length == PipelineConfig().filter_length
+
+    def test_ga_config_is_tree_config_plus_seed(self, tmp_path, toy_files,
+                                                capsys):
+        _, data, _ = toy_files
+        loaded = dataio.load_model(train(tmp_path, data, capsys))
+        tree_fields = asdict(loaded.tree.config)
+        ga_fields = ("population_size", "generations", "crossover_rate",
+                     "mutation_rate", "elitism_count")
+        assert loaded.ga_config == {
+            **{name: tree_fields[name] for name in ga_fields}, "rng_seed": 11}
+
+
+def edit_model(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
 
 class TestPredict:
     def test_tree_output_round_trips(self, tmp_path, toy_files, capsys):
@@ -128,6 +155,41 @@ class TestPredict:
         bad.write_text("{")
         assert run_cli(["predict", "--model", str(bad),
                         "--fasta", str(fasta)]) == 2
+
+    @pytest.mark.parametrize("mode", codec.DECODE_MODES)
+    def test_mode_sets_the_decode(self, tmp_path, toy_files, capsys, mode):
+        dataset, data, fasta = toy_files
+        model = train(tmp_path, data, capsys)
+        assert run_cli(["predict", "--model", str(model), "--fasta", str(fasta),
+                        "--pipeline", "--train-data", str(data),
+                        "--mode", mode]) == 0
+        [record] = dataio.parse_paired(capsys.readouterr().out)
+        cfg = dataio.load_model(model).pipeline
+        trace = predict_structure(record.sequence, dataset.records, cfg).trace
+        assert record.structure == codec.structure_decode(trace, mode)
+        # the target holds coil, which only nearest_centroid round-trips
+        target = dataset.records[2].structure
+        assert (record.structure == target) == (mode == "nearest_centroid")
+
+    @pytest.mark.parametrize("mode", ["bands", "centroid"])
+    def test_old_mode_names_are_usage_errors(self, capsys, mode):
+        assert run_cli(["predict", "--model", "m", "--fasta", "f", "--pipeline",
+                        "--train-data", "t", "--mode", mode]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc.pop("window"), "lacks window"),
+        (lambda doc: doc["pipeline"].update(kmer_size=0), "kmer_size"),
+        (lambda doc: doc["pipeline"].update(decode_mode="zzz"), "decode_mode"),
+    ], ids=["no-window", "kmer-size-0", "decode-mode"])
+    def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
+                                           edit, problem):
+        _, data, fasta = toy_files
+        model = train(tmp_path, data, capsys)
+        edit_model(model, edit)
+        assert run_cli(["predict", "--model", str(model),
+                        "--fasta", str(fasta)]) == 2
+        assert problem in capsys.readouterr().err
 
 
 class TestEvaluate:

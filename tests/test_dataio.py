@@ -172,6 +172,27 @@ class TestModelFile:
         with pytest.raises(dataio.ModelFormatError, match="99.*1"):
             dataio.load_model(path)
 
+    def test_json_list_is_format_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[]")
+        with pytest.raises(dataio.ModelFormatError, match="JSON list"):
+            dataio.load_model(path)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc.pop("window"), "lacks window"),
+        (lambda doc: doc["pipeline"].update(zzz=1), "zzz"),
+        (lambda doc: doc["tree"]["config"].update(zzz=1), "zzz"),
+        (lambda doc: doc["tree"]["root"].pop("label"), "missing key 'label'"),
+    ], ids=["no-window", "pipeline-key", "tree-config-key", "node-label"])
+    def test_malformed_model_names_the_problem(self, tmp_path, edit, problem):
+        path = tmp_path / "model.json"
+        dataio.save_model(small_model(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(dataio.ModelFormatError, match=problem):
+            dataio.load_model(path)
+
     def test_save_is_deterministic(self, tmp_path):
         model = small_model()
         a, b = tmp_path / "a.json", tmp_path / "b.json"

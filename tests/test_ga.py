@@ -3,7 +3,7 @@ import random
 import pytest
 
 from psmaca import ga
-from psmaca.maca import DependencyString, LabeledPattern, dv_is_valid
+from psmaca.maca import DependencyString, LabeledPattern, TreeConfig, dv_is_valid
 
 
 def check_invariants(ch, n):
@@ -181,6 +181,9 @@ class TestEvolveMaca:
         lines = history.to_tsv().strip().splitlines()
         assert lines[0] == "generation\tbest\tmean"
         assert len(lines) == len(history.best) + 1
+
+    def test_defaults_are_tree_config_defaults(self):
+        assert ga.GaConfig.from_tree(TreeConfig(), 0) == ga.GaConfig()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

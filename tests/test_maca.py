@@ -106,18 +106,17 @@ class TestDistribute:
         assert len(buckets) == 1
 
 
-class TestLabelBasins:
+class TestMajorityLabel:
     def test_majority(self):
-        dist = {(0,): [LabeledPattern((0,), c) for c in "AAB"]}
-        assert maca.label_basins(dist) == {(0,): "A"}
+        assert maca.majority_label(
+            [LabeledPattern((0,), c) for c in "AAB"]) == "A"
 
     def test_tie_breaks_to_smallest(self):
-        dist = {(0,): [LabeledPattern((0,), c) for c in "BA"]}
-        assert maca.label_basins(dist) == {(0,): "A"}
+        assert maca.majority_label(
+            [LabeledPattern((0,), c) for c in "BA"]) == "A"
 
     def test_singleton(self):
-        dist = {(1,): [LabeledPattern((1,), "B")]}
-        assert maca.label_basins(dist) == {(1,): "B"}
+        assert maca.majority_label([LabeledPattern((1,), "B")]) == "B"
 
 
 def parity_dataset(n, mask_bits, count, seed):

@@ -199,3 +199,7 @@ class TestPredictStructure:
             PipelineConfig(filter_length=0)
         with pytest.raises(ValueError):
             PipelineConfig(ridge=-1.0)
+        with pytest.raises(ValueError, match="kmer_size"):
+            PipelineConfig(kmer_size=0)
+        with pytest.raises(ValueError, match="decode_mode"):
+            PipelineConfig(decode_mode="zzz")
