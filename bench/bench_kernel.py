@@ -1,0 +1,82 @@
+"""Layer timings of the MACA signature kernel, measured with pytest-benchmark.
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m pytest bench/bench_kernel.py
+
+It times `ga.fitness` of one chromosome on the first N training windows
+(N = 2400, 300, 34 and 8) and `maca.classify` per window.  The windows are
+the 2,400 width-5 windows (25-bit patterns) of `make_toy_dataset(40, 60,
+seed=1)`, the input of the benchmark's `train` workload at seed 1; the
+classified tree is trained on them with that workload's GA settings.  The
+median and interquartile range of each layer, in seconds, go to
+BENCH_3.json at the repository root, with the Python version, numpy
+version and core count.  The file is not named test_*.py, so the tier-1
+test run does not collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from psmaca import dataio, ga, maca
+from psmaca.codec import window_patterns
+
+OUT = Path(__file__).resolve().parents[1] / "BENCH_3.json"
+WINDOW = 5
+FITNESS_SIZES = (2400, 300, 34, 8)
+
+
+@pytest.fixture(scope="module")
+def windows():
+    return [maca.LabeledPattern(bits, label)
+            for r in dataio.make_toy_dataset(40, 60, seed=1).records
+            for bits, label in zip(window_patterns(r.sequence, WINDOW),
+                                   r.structure)]
+
+
+@pytest.fixture(scope="module")
+def layers():
+    results: dict[str, dict] = {}
+    yield results
+    if results:
+        OUT.write_text(json.dumps({
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cores": os.cpu_count(),
+            "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25",
+            "layers": results,
+        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def record(layers, benchmark, name: str, per: int = 1) -> None:
+    """Keep the median and IQR of one timed layer, divided by `per` items."""
+    if benchmark.stats is None:  # timing disabled
+        return
+    stats = benchmark.stats.stats
+    layers[name] = {"median_s": stats.median / per, "iqr_s": stats.iqr / per,
+                    "rounds": stats.rounds}
+
+
+@pytest.mark.parametrize("size", FITNESS_SIZES)
+def test_fitness(benchmark, windows, layers, size):
+    ch = ga.random_chromosome(len(windows[0].bits), 2, random.Random(0))
+    training = windows[:size]
+    assert 0 < benchmark(ga.fitness, ch, training) <= 1
+    record(layers, benchmark, f"ga.fitness[N={size}]")
+
+
+def test_classify_per_window(benchmark, windows, layers):
+    config = maca.TreeConfig(population_size=10, generations=10)
+    tree = maca.build_tree(windows, config, rng_seed=1)
+    bits = [w.bits for w in windows]
+    labels = benchmark(lambda: [maca.classify(tree, b) for b in bits])
+    assert len(labels) == len(windows)
+    record(layers, benchmark, "maca.classify[per window]", per=len(windows))

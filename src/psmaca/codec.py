@@ -19,6 +19,7 @@ from importlib import resources
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN_RESIDUE = "X"
 PAD_CODE = 20
+RESIDUE_BITS = 5  # bits per residue code, so a window of w residues is 5w bits
 RESIDUE_CODE = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
 
 STRUCTURE_LABELS = "HEC"
@@ -142,7 +143,7 @@ def structure_decode(values, mode: str = "nearest_centroid",
 
 def residue_code_bits(aa: str) -> tuple[int, ...]:
     code = RESIDUE_CODE.get(aa, PAD_CODE)
-    return tuple((code >> (4 - i)) & 1 for i in range(5))
+    return tuple((code >> (RESIDUE_BITS - 1 - i)) & 1 for i in range(RESIDUE_BITS))
 
 
 def window_patterns(seq: str, w: int) -> list[tuple[int, ...]]:

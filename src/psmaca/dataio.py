@@ -14,7 +14,8 @@ import re
 from dataclasses import asdict, dataclass, fields
 
 from . import maca
-from .codec import STRUCTURE_LABELS, check_sequence, check_structure
+from .codec import (RESIDUE_BITS, STRUCTURE_LABELS, check_sequence,
+                    check_structure)
 from .pipeline import PipelineConfig
 
 MODEL_FORMAT_VERSION = 1
@@ -307,11 +308,44 @@ def save_model(model: ModelFile, path: str) -> None:
         fh.write("\n")
 
 
+def _check_tree(tree: maca.PsmacaTree, window) -> None:
+    """Reject a tree that could not classify this model's windows: a window
+    that is not a positive odd int, a tree width other than 5 bits per
+    window residue, a node whose dependency string has another width, a
+    child key that is not an m-bit signature, or a label outside HEC."""
+    if type(window) is not int or window < 1 or window % 2 == 0:
+        raise ModelFormatError(
+            f"model window must be a positive odd integer, got {window!r}")
+    if tree.n != RESIDUE_BITS * window:
+        raise ModelFormatError(
+            f"model window {window} gives {RESIDUE_BITS * window}-bit "
+            f"patterns, but the tree is {tree.n!r} bits wide")
+    labels = tuple(STRUCTURE_LABELS)  # `in` on the string would accept "HE"
+    nodes = [tree.root]
+    while nodes:
+        node = nodes.pop()
+        if node.label not in labels:
+            raise ModelFormatError(
+                f"model tree label {node.label!r} is not one of {STRUCTURE_LABELS}")
+        if node.is_leaf:
+            continue
+        if node.ds.n != tree.n:
+            raise ModelFormatError(
+                f"model tree node's dependency string covers {node.ds.n} "
+                f"bits, not the tree's {tree.n}")
+        for sig, child in node.children.items():
+            if len(sig) != node.ds.m or not set(sig) <= {0, 1}:
+                raise ModelFormatError(
+                    f"model tree child key {''.join(map(str, sig))!r} is not "
+                    f"a {node.ds.m}-bit signature")
+            nodes.append(child)
+
+
 def load_model(path: str) -> ModelFile:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ModelFormatError(f"corrupted model file: {e}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(
@@ -329,8 +363,9 @@ def load_model(path: str) -> ModelFile:
         pipeline = PipelineConfig(**doc["pipeline"])
     except KeyError as e:
         raise ModelFormatError(f"malformed model file: missing key {e}") from None
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError) as e:
         raise ModelFormatError(f"malformed model file: {e}") from None
+    _check_tree(tree, doc["window"])
     return ModelFile(
         tree=tree,
         window=doc["window"],

@@ -3,7 +3,11 @@
 A chromosome pairs a dependency string over n bits (classifier #1, the part
 that actually classifies) with an m-bit dependency vector (classifier #2,
 carried through evolution and serialization but with no assigned role).
-Fitness is training-set accuracy under majority-labeled basins.
+Fitness is training-set accuracy under majority-labeled basins.  It reads
+only classifier #1, so `evolve_maca` memoizes it per run: a dict from
+dependency string to score means each distinct dependency string is scored
+once, however often selection, elitism or a no-op mutation brings it back.
+The memo changes no RNG draw, score or history.
 """
 
 from __future__ import annotations
@@ -178,9 +182,17 @@ def evolve_maca(training, n: int, m: int,
     ever seen plus the per-generation history."""
     training = list(training)
     rng = random.Random(config.rng_seed)
+    memo: dict[DependencyString, float] = {}
+
+    def score(ch: Chromosome) -> float:
+        value = memo.get(ch.classifier1)
+        if value is None:
+            value = memo[ch.classifier1] = fitness(ch, training)
+        return value
+
     population = [random_chromosome(n, m, rng)
                   for _ in range(config.population_size)]
-    scores = [fitness(ch, training) for ch in population]
+    scores = [score(ch) for ch in population]
 
     history = FitnessHistory(best=[], mean=[])
     best_ch, best_fit = None, -1.0
@@ -206,7 +218,7 @@ def evolve_maca(training, n: int, m: int,
                      if rng.random() < config.crossover_rate else p1)
             next_pop.append(mutate(child, config.mutation_rate, rng))
         population = next_pop
-        scores = [fitness(ch, training) for ch in population]
+        scores = [score(ch) for ch in population]
 
     # final generation's population still counts toward best-ever
     top = max(range(len(population)), key=lambda i: scores[i])

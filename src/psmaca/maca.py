@@ -5,6 +5,14 @@ n-bit pattern to an m-bit basin signature: one parity bit per segment.  The
 2^m signatures act as attractor basins; labeling each basin by its majority
 class gives a classifier, and recursive partitioning of impure basins gives
 the tree classifier.
+
+Packed layout: an n-bit pattern is one Python int whose most significant bit
+is tuple bit 0, so pattern (1, 0, 1, 1) packs to 0b1011.  Segment j of a
+dependency string becomes a mask over the same n bits (its own bits in
+place, zeros elsewhere), and signature bit j is the parity of
+`code & masks[j]`.  Patterns are packed once: `LabeledPattern` at
+construction, `classify` once per window.  Only 0/1 bits pack; any other
+value raises ValueError instead of spilling into a neighbouring bit.
 """
 
 from __future__ import annotations
@@ -12,17 +20,34 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 Bits = tuple[int, ...]
+
+# byte value -> ASCII digit for 0 and 1, and "x" (not a binary digit) for
+# every other value, so int(..., 2) rejects it
+_DIGITS = bytes(0x30 + v if v < 2 else 0x78 for v in range(256))
+
+
+def pack(bits) -> int:
+    """The packed int of a 0/1 sequence, tuple bit 0 most significant."""
+    bits = tuple(bits)  # bytes() of a buffer (an array) would copy its memory
+    try:
+        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
+    except (ValueError, TypeError):
+        raise ValueError(f"pattern bits must be 0 or 1, got {bits}") from None
 
 
 def dv_is_valid(bits) -> bool:
     """A dependency vector is valid iff it has at least one 1 bit; an
-    all-zero vector would collapse its two basins into one."""
+    all-zero vector would collapse its two basins into one.  Bits other
+    than 0 and 1 raise ValueError."""
     bits = tuple(bits)
     if len(bits) == 0:
         raise ValueError("dependency vector must be non-empty")
-    return any(b == 1 for b in bits)
+    if not set(bits) <= {0, 1}:
+        raise ValueError(f"dependency vector bits must be 0 or 1, got {bits}")
+    return 1 in bits
 
 
 @dataclass(frozen=True)
@@ -46,6 +71,16 @@ class DependencyString:
     def m(self) -> int:
         return len(self.segments)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One packed mask per segment, over the whole n-bit pattern."""
+        masks = []
+        shift = self.n
+        for seg in self.segments:
+            shift -= len(seg)
+            masks.append(pack(seg) << shift)
+        return tuple(masks)
+
     def bit_strings(self) -> list[str]:
         return ["".join(str(b) for b in seg) for seg in self.segments]
 
@@ -54,33 +89,37 @@ class DependencyString:
         return cls(tuple(tuple(int(c) for c in s) for s in strings))
 
 
+def _signature(masks, code: int) -> Bits:
+    # the one signature kernel: bit j is the parity of code AND mask j
+    return tuple([(code & mask).bit_count() & 1 for mask in masks])
+
+
 def basin_signature(ds: DependencyString, pattern) -> Bits:
     """Signature bit j = parity of (segment j AND the matching pattern slice)."""
     pattern = tuple(pattern)
     if len(pattern) != ds.n:
         raise ValueError(
             f"pattern length {len(pattern)} != dependency string length {ds.n}")
-    sig = []
-    pos = 0
-    for seg in ds.segments:
-        chunk = pattern[pos:pos + len(seg)]
-        sig.append(sum(d & p for d, p in zip(seg, chunk)) & 1)
-        pos += len(seg)
-    return tuple(sig)
+    return _signature(ds.masks, pack(pattern))
 
 
 @dataclass(frozen=True)
 class LabeledPattern:
     bits: Bits
     label: str
+    code: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "code", pack(self.bits))
 
 
 def distribute(ds: DependencyString, patterns) -> dict[Bits, list[LabeledPattern]]:
     """Bucket patterns by basin signature; every pattern lands in exactly
     one bucket."""
+    masks = ds.masks
     buckets: dict[Bits, list[LabeledPattern]] = {}
     for p in patterns:
-        buckets.setdefault(basin_signature(ds, p.bits), []).append(p)
+        buckets.setdefault(_signature(masks, p.code), []).append(p)
     return buckets
 
 
@@ -196,10 +235,10 @@ def classify(tree: PsmacaTree, pattern) -> str:
     pattern = tuple(pattern)
     if len(pattern) != tree.n:
         raise ValueError(f"pattern length {len(pattern)} != tree width {tree.n}")
+    code = pack(pattern)
     node = tree.root
     while not node.is_leaf:
-        sig = basin_signature(node.ds, pattern)
-        child = node.children.get(sig)
+        child = node.children.get(_signature(node.ds.masks, code))
         if child is None:
             return node.label
         node = child

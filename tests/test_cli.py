@@ -192,6 +192,41 @@ class TestPredict:
         assert problem in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda root, doc: doc.update(window="5"), "window"),
+        (lambda root, doc: doc.update(window=5), "bits wide"),
+        (lambda root, doc: first_leaf(root).update(label="Q"),
+         "tree label 'Q'"),
+        (lambda root, doc: root.update(children={
+            key + "0": child for key, child in root["children"].items()}),
+         "child key"),
+        (lambda root, doc: root.update(ds=["2" + root["ds"][0][1:],
+                                           *root["ds"][1:]]),
+         "0 or 1"),
+        (lambda root, doc: root.update(ds=[*root["ds"][:-1],
+                                           root["ds"][-1] + "1"]),
+         "covers"),
+    ], ids=["window-str", "window-width", "q-leaf", "child-key-length",
+            "ds-digit-2", "ds-width"])
+    def test_inconsistent_model_fails_at_load(self, tmp_path, toy_files, capsys,
+                                              edit, problem):
+        _, data, fasta = toy_files
+        model = train(tmp_path, data, capsys)
+        edit_model(model, lambda doc: edit(doc["tree"]["root"], doc))
+        assert "ds" in json.loads(model.read_text())["tree"]["root"]
+        assert run_cli(["predict", "--model", str(model),
+                        "--fasta", str(fasta)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert problem in err
+
+
+def first_leaf(node):
+    while "ds" in node:
+        node = next(iter(node["children"].values()))
+    return node
+
+
 class TestEvaluate:
     def test_pipeline_self_recall_is_perfect(self, tmp_path, toy_files, capsys):
         dataset, data, _ = toy_files

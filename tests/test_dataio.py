@@ -137,8 +137,11 @@ class TestQ3:
 
 
 def small_model():
-    pats = [LabeledPattern((0, 0), "C"), LabeledPattern((1, 1), "H"),
-            LabeledPattern((0, 1), "H"), LabeledPattern((1, 0), "C")]
+    # window 1: one residue, so 5-bit patterns
+    pats = [LabeledPattern((0, 0, 0, 0, 0), "C"),
+            LabeledPattern((1, 1, 0, 0, 0), "H"),
+            LabeledPattern((0, 1, 0, 0, 0), "H"),
+            LabeledPattern((1, 0, 0, 0, 0), "C")]
     tree = maca.build_tree(pats, TreeConfig(population_size=10, generations=10),
                            rng_seed=3)
     return ModelFile(
@@ -191,6 +194,12 @@ class TestModelFile:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(dataio.ModelFormatError, match=problem):
+            dataio.load_model(path)
+
+    def test_deeply_nested_file_is_format_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"tree": ' + "[" * 5000 + "]" * 5000 + "}")
+        with pytest.raises(dataio.ModelFormatError, match="corrupted"):
             dataio.load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from psmaca import ga
+from psmaca import dataio, ga
+from psmaca.codec import window_patterns
 from psmaca.maca import DependencyString, LabeledPattern, TreeConfig, dv_is_valid
 
 
@@ -146,6 +148,59 @@ class TestMutate:
         out = ga.mutate(ch, 1.0, random.Random(5))
         assert out.classifier1.segments == ((1,),)
         assert out.classifier2 == (1,)
+
+
+def toy_windows():
+    """120 three-class windows of width 3 (15-bit patterns)."""
+    return [LabeledPattern(bits, label)
+            for r in dataio.make_toy_dataset(6, 20, seed=7).records
+            for bits, label in zip(window_patterns(r.sequence, 3), r.structure)]
+
+
+# evolve_maca(toy_windows(), 15, 2, memo_ga(seed)) before fitness was
+# memoized: best.serialize(), history.best, history.mean
+UNMEMOIZED_RUNS = {
+    0: ('{"classifier1":["1010010","11000010"],"classifier2":"10"}',
+        [0.4666666666666667, 0.5, 0.5, 0.5, 0.5, 0.525],
+        [0.4302083333333333, 0.44583333333333336, 0.45833333333333337,
+         0.4635416666666667, 0.4625, 0.47083333333333327]),
+    1: ('{"classifier1":["0011101010111","1","1"],"classifier2":"111"}',
+        [0.4666666666666667, 0.4666666666666667, 0.475, 0.475,
+         0.48333333333333334, 0.48333333333333334],
+        [0.4239583333333333, 0.4375, 0.4427083333333333, 0.4520833333333334,
+         0.46562500000000007, 0.46041666666666664]),
+    2: ('{"classifier1":["10110","001","101011","1"],"classifier2":"1111"}',
+        [0.45, 0.4666666666666667, 0.4666666666666667, 0.55, 0.55, 0.55],
+        [0.43437500000000007, 0.446875, 0.4520833333333334,
+         0.4822916666666668, 0.4864583333333333, 0.48125000000000007]),
+}
+
+
+def memo_ga(seed):
+    return ga.GaConfig(population_size=8, generations=6, mutation_rate=0.05,
+                       rng_seed=seed)
+
+
+class TestFitnessMemo:
+    def test_one_fitness_call_per_distinct_dependency_string(self, monkeypatch):
+        pats = toy_windows()
+        calls = Counter()
+        real = ga.fitness
+
+        def counting(ch, training):
+            calls[ch.classifier1] += 1
+            return real(ch, training)
+
+        monkeypatch.setattr(ga, "fitness", counting)
+        ga.evolve_maca(pats, 15, 2, ga.GaConfig(population_size=20,
+                                                generations=30, rng_seed=4))
+        assert calls and set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("seed", sorted(UNMEMOIZED_RUNS))
+    def test_same_run_as_without_the_memo(self, seed):
+        best, history = ga.evolve_maca(toy_windows(), 15, 2, memo_ga(seed))
+        assert (best.serialize(), history.best, history.mean) == \
+            UNMEMOIZED_RUNS[seed]
 
 
 class TestEvolveMaca:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,79 @@ class TestBasinSignature:
                 q = list(p)
                 q[pos] ^= 1
                 assert maca.basin_signature(ds, q) == base
+
+
+def oracle_signature(segments, pattern):
+    """Signature from tuple slices: bit j is the parity of segment j AND
+    the pattern bits it covers."""
+    sig, pos = [], 0
+    for seg in segments:
+        sig.append(sum(d & p for d, p in zip(seg, pattern[pos:pos + len(seg)])) & 1)
+        pos += len(seg)
+    return tuple(sig)
+
+
+@st.composite
+def dependency_strings(draw, max_n=70):
+    n = draw(st.integers(1, max_n))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+    edges = [0, *sorted(cuts), n]
+    segments = []
+    for a, b in zip(edges, edges[1:]):
+        seg = draw(st.lists(st.integers(0, 1), min_size=b - a, max_size=b - a))
+        seg[draw(st.integers(0, b - a - 1))] = 1  # keep the DV nonzero
+        segments.append(tuple(seg))
+    return DependencyString(tuple(segments))
+
+
+class TestPackedKernel:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_signature_matches_tuple_oracle(self, data):
+        # n runs past 64, so the packed kernel has no 64-bit ceiling
+        ds = data.draw(dependency_strings())
+        patterns = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=ds.n, max_size=ds.n)
+            .map(tuple), min_size=1, max_size=8))
+        for p in patterns:
+            assert maca.basin_signature(ds, p) == oracle_signature(ds.segments, p)
+        labeled = [LabeledPattern(p, str(i)) for i, p in enumerate(patterns)]
+        buckets = maca.distribute(ds, labeled)
+        # a partition: every pattern once, in the bucket of its signature
+        assert sorted(q.label for b in buckets.values() for q in b) == \
+            sorted(q.label for q in labeled)
+        for sig, bucket in buckets.items():
+            assert all(oracle_signature(ds.segments, q.bits) == sig
+                       for q in bucket)
+
+    def test_tuple_bit_zero_is_most_significant(self):
+        assert maca.pack((1, 0, 1, 1)) == 0b1011
+        assert LabeledPattern((0, 0, 1), "H").code == 1
+        assert DependencyString(((1, 0), (0, 1, 1))).masks == (0b10000, 0b00011)
+        # an array packs by its values, not by its memory
+        assert maca.pack(np.array([1, 0, 1])) == 0b101
+
+    def test_wide_pattern(self):
+        # only the bit above 64 is set, so a 64-bit kernel would read 0
+        ds = DependencyString(((1,) * 70,))
+        assert maca.basin_signature(ds, (1,) + (0,) * 69) == (1,)
+        assert maca.basin_signature(ds, (1,) * 70) == (0,)
+
+    @pytest.mark.parametrize("bits", [(0, 2), (1, -1), (1, 0.5), ("1", "0")])
+    def test_only_binary_bits_pack(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            maca.pack(bits)
+        with pytest.raises(ValueError, match="0 or 1"):
+            LabeledPattern(bits, "H")
+
+    @pytest.mark.parametrize("segments", [((1, 2),), ((1,), (2,)), ((-1, 1),)])
+    def test_only_binary_segments(self, segments):
+        with pytest.raises(ValueError, match="0 or 1"):
+            DependencyString(segments)
+
+    def test_non_binary_ds_string_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            DependencyString.from_bit_strings(["12", "1"])
 
 
 class TestDistribute:
