@@ -5,12 +5,14 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest bench/bench_kernel.py
 
 It times `ga.fitness` of one chromosome on the first N training windows
-(N = 2400, 300, 34 and 8) and `maca.classify` per window.  The windows are
-the 2,400 width-5 windows (25-bit patterns) of `make_toy_dataset(40, 60,
+(N = 2400, 300, 34 and 8), `maca.classify` per window,
+`codec.window_patterns` per record, and `ca.state_transition_graph` of
+rule 30 at width 8 with each boundary.  The windows are the 2,400 width-5
+windows (25-bit patterns) of the 40 records of `make_toy_dataset(40, 60,
 seed=1)`, the input of the benchmark's `train` workload at seed 1; the
 classified tree is trained on them with that workload's GA settings.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_3.json at the repository root, with the Python version, numpy
+BENCH_4.json at the repository root, with the Python version, numpy
 version and core count.  The file is not named test_*.py, so the tier-1
 test run does not collect it.
 """
@@ -26,18 +28,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psmaca import dataio, ga, maca
+from psmaca import ca, dataio, ga, maca
 from psmaca.codec import window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_3.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_4.json"
 WINDOW = 5
 FITNESS_SIZES = (2400, 300, 34, 8)
 
 
 @pytest.fixture(scope="module")
-def windows():
+def records():
+    return dataio.make_toy_dataset(40, 60, seed=1).records
+
+
+@pytest.fixture(scope="module")
+def windows(records):
     return [maca.LabeledPattern(bits, label)
-            for r in dataio.make_toy_dataset(40, 60, seed=1).records
+            for r in records
             for bits, label in zip(window_patterns(r.sequence, WINDOW),
                                    r.structure)]
 
@@ -80,3 +87,20 @@ def test_classify_per_window(benchmark, windows, layers):
     labels = benchmark(lambda: [maca.classify(tree, b) for b in bits])
     assert len(labels) == len(windows)
     record(layers, benchmark, "maca.classify[per window]", per=len(windows))
+
+
+def test_window_patterns_per_record(benchmark, records, layers):
+    sequences = [r.sequence for r in records]
+    patterns = benchmark(lambda: [window_patterns(s, WINDOW) for s in sequences])
+    assert sum(map(len, patterns)) == 2400
+    record(layers, benchmark, "codec.window_patterns[per record]",
+           per=len(sequences))
+
+
+@pytest.mark.parametrize("boundary", ca.BOUNDARIES)
+def test_state_transition_graph(benchmark, layers, boundary):
+    rule = ca.rule_from_number(30)
+    graph = benchmark(ca.state_transition_graph, rule, 8, boundary)
+    assert len(graph.successor) == 256
+    record(layers, benchmark,
+           f"ca.state_transition_graph[rule 30, n=8, {boundary}]")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-Cells = tuple[int, ...]
+from .maca import Bits as Cells, bit_string, pack, unpack
 
 BOUNDARIES = ("null", "periodic")
 
@@ -39,36 +39,37 @@ def rule_from_number(rule: int) -> RuleTable:
     """
     if not 0 <= rule <= 255:
         raise ValueError(f"rule number must be in [0, 255], got {rule}")
-    return RuleTable(tuple((rule >> b) & 1 for b in range(8)))
+    return RuleTable(unpack(rule, 8)[::-1])
 
 
 def rule_number(table: RuleTable) -> int:
     """Inverse of rule_from_number."""
-    return sum(bit << b for b, bit in enumerate(table.outputs))
+    return pack(table.outputs[::-1])
 
 
-def _check_boundary(boundary: str) -> None:
+def successor(state: int, n: int, rule: RuleTable, boundary: str = "null") -> int:
+    """One synchronous update of a packed n-cell state.  Null boundary reads
+    missing neighbors as 0; periodic wraps."""
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    # ext >> p & 7 is the neighborhood of the cell at state bit p; the end
+    # bits of ext are 0 (null) or the wrapped end cells (periodic)
+    ext = state << 1
+    if boundary == "periodic":
+        ext |= state >> (n - 1) | (state & 1) << (n + 1)
+    outputs, out = rule.outputs, 0
+    for p in range(n):
+        out |= outputs[ext >> p & 7] << p
+    return out
 
 
 def step(cells: Cells, rule: RuleTable, boundary: str = "null") -> Cells:
     """Apply one synchronous update. Null boundary reads missing neighbors
-    as 0; periodic wraps."""
-    _check_boundary(boundary)
+    as 0; periodic wraps.  Cells other than 0/1 raise ValueError."""
     n = len(cells)
     if n == 0:
         raise ValueError("configuration must have at least one cell")
-    out = []
-    for i in range(n):
-        if boundary == "periodic":
-            left = cells[(i - 1) % n]
-            right = cells[(i + 1) % n]
-        else:
-            left = cells[i - 1] if i > 0 else 0
-            right = cells[i + 1] if i < n - 1 else 0
-        out.append(rule.outputs[(left << 2) | (cells[i] << 1) | right])
-    return tuple(out)
+    return unpack(successor(pack(cells), n, rule, boundary), n)
 
 
 def evolve(cells: Cells, rule: RuleTable, steps: int,
@@ -80,18 +81,6 @@ def evolve(cells: Cells, rule: RuleTable, steps: int,
     for _ in range(steps):
         rows.append(step(rows[-1], rule, boundary))
     return rows
-
-
-def cells_to_int(cells: Cells) -> int:
-    """Pack cells into an integer, leftmost cell as the most significant bit."""
-    value = 0
-    for bit in cells:
-        value = (value << 1) | bit
-    return value
-
-
-def int_to_cells(value: int, n: int) -> Cells:
-    return tuple((value >> (n - 1 - i)) & 1 for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -119,11 +108,7 @@ def state_transition_graph(rule: RuleTable, n: int,
     """Enumerate the successor of every n-cell state (n <= 20)."""
     if not 1 <= n <= MAX_STG_WIDTH:
         raise ValueError(f"width must be in [1, {MAX_STG_WIDTH}], got {n}")
-    _check_boundary(boundary)
-    succ = tuple(
-        cells_to_int(step(int_to_cells(s, n), rule, boundary))
-        for s in range(1 << n)
-    )
+    succ = tuple(successor(s, n, rule, boundary) for s in range(1 << n))
     return StateTransitionGraph(n, succ)
 
 
@@ -173,4 +158,4 @@ def attractor_basins(graph: StateTransitionGraph) -> list[AttractorBasin]:
 
 def format_trajectory(rows: Iterable[Cells]) -> str:
     """Render a trajectory as '0'/'1' text rows, one line per step."""
-    return "\n".join("".join(str(b) for b in row) for row in rows)
+    return "\n".join(bit_string(row) for row in rows)

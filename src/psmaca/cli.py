@@ -116,7 +116,7 @@ def cmd_basins(args) -> int:
     rule = ca.rule_from_number(args.rule)
     graph = ca.state_transition_graph(rule, args.width, args.boundary)
     for basin in ca.attractor_basins(graph):
-        cycle = " -> ".join(format(s, f"0{args.width}b")
+        cycle = " -> ".join(maca.bit_string(maca.unpack(s, args.width))
                             for s in basin.attractor_cycle)
         print(f"cycle [{cycle}] basin size {len(basin.members)}")
     return 0

@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .maca import bit_string, parse_bits, unpack
+
 # Canonical residues in alphabetical order; the position is the residue's
 # 5-bit code.  'X' (unknown) and window padding share code 20.
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN_RESIDUE = "X"
-PAD_CODE = 20
 RESIDUE_BITS = 5  # bits per residue code, so a window of w residues is 5w bits
-RESIDUE_CODE = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
+_CODE_TEXT = {aa: bit_string(unpack(code, RESIDUE_BITS))
+              for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
 
 STRUCTURE_LABELS = "HEC"
 
@@ -64,7 +66,7 @@ def check_sequence(seq: str) -> str:
     if not seq:
         raise ValueError("amino-acid sequence must be non-empty")
     for i, aa in enumerate(seq):
-        if aa not in RESIDUE_CODE and aa != UNKNOWN_RESIDUE:
+        if aa not in _CODE_TEXT:
             raise ValueError(f"illegal residue {aa!r} at position {i}")
     return seq
 
@@ -141,23 +143,13 @@ def structure_decode(values, mode: str = "nearest_centroid",
     return "".join(out)
 
 
-def residue_code_bits(aa: str) -> tuple[int, ...]:
-    code = RESIDUE_CODE.get(aa, PAD_CODE)
-    return tuple((code >> (RESIDUE_BITS - 1 - i)) & 1 for i in range(RESIDUE_BITS))
-
-
 def window_patterns(seq: str, w: int) -> list[tuple[int, ...]]:
     """One 5w-bit pattern per residue: 5-bit residue codes over the window
     centered at the residue, terminal overhang padded with code 20."""
     if w < 1 or w % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {w}")
     check_sequence(seq)
-    half = w // 2
-    patterns = []
-    for i in range(len(seq)):
-        bits: list[int] = []
-        for j in range(i - half, i + half + 1):
-            aa = seq[j] if 0 <= j < len(seq) else None
-            bits.extend(residue_code_bits(aa) if aa else residue_code_bits("X"))
-        patterns.append(tuple(bits))
-    return patterns
+    pad = _CODE_TEXT[UNKNOWN_RESIDUE] * (w // 2)
+    # one bit row for the padded sequence; window i is a slice of it
+    row = parse_bits(pad + "".join([_CODE_TEXT[aa] for aa in seq]) + pad)
+    return [row[RESIDUE_BITS * i:RESIDUE_BITS * (i + w)] for i in range(len(seq))]

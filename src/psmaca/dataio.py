@@ -291,12 +291,11 @@ class ModelFile:
     pipeline: PipelineConfig
     ga_config: dict
     training_fingerprint: str
-    format_version: int = MODEL_FORMAT_VERSION
 
 
 def save_model(model: ModelFile, path: str) -> None:
     doc = {
-        "format_version": model.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "window": model.window,
         "tree": maca.tree_to_dict(model.tree),
         "pipeline": asdict(model.pipeline),
@@ -334,9 +333,9 @@ def _check_tree(tree: maca.PsmacaTree, window) -> None:
                 f"model tree node's dependency string covers {node.ds.n} "
                 f"bits, not the tree's {tree.n}")
         for sig, child in node.children.items():
-            if len(sig) != node.ds.m or not set(sig) <= {0, 1}:
+            if len(sig) != node.ds.m:
                 raise ModelFormatError(
-                    f"model tree child key {''.join(map(str, sig))!r} is not "
+                    f"model tree child key {maca.bit_string(sig)!r} is not "
                     f"a {node.ds.m}-bit signature")
             nodes.append(child)
 
@@ -358,6 +357,10 @@ def load_model(path: str) -> ModelFile:
     missing = [f.name for f in fields(ModelFile) if f.name not in doc]
     if missing:
         raise ModelFormatError(f"model file lacks {', '.join(missing)}")
+    for key, kind in (("ga_config", dict), ("training_fingerprint", str)):
+        if not isinstance(doc[key], kind):
+            raise ModelFormatError(f"model {key} must be a {kind.__name__}, "
+                                   f"got {type(doc[key]).__name__}")
     try:
         tree = maca.tree_from_dict(doc["tree"])
         pipeline = PipelineConfig(**doc["pipeline"])
@@ -372,7 +375,6 @@ def load_model(path: str) -> ModelFile:
         pipeline=pipeline,
         ga_config=doc["ga_config"],
         training_fingerprint=doc["training_fingerprint"],
-        format_version=version,
     )
 
 

@@ -16,8 +16,8 @@ import json
 import random
 from dataclasses import dataclass, fields
 
-from .maca import (Bits, DependencyString, TreeConfig, distribute, dv_is_valid,
-                   label_counts)
+from .maca import (Bits, DependencyString, TreeConfig, bit_string, distribute,
+                   dv_is_valid, label_counts, unpack)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Chromosome:
         return json.dumps(
             {
                 "classifier1": self.classifier1.bit_strings(),
-                "classifier2": "".join(str(b) for b in self.classifier2),
+                "classifier2": bit_string(self.classifier2),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -95,8 +95,7 @@ def random_partition(n: int, m: int, rng: random.Random) -> list[int]:
 
 def _random_dv(length: int, rng: random.Random) -> Bits:
     # uniform over the 2^length - 1 nonzero vectors
-    value = rng.randrange(1, 1 << length)
-    return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+    return unpack(rng.randrange(1, 1 << length), length)
 
 
 def random_chromosome(n: int, m: int, rng: random.Random) -> Chromosome:

@@ -6,10 +6,12 @@ n-bit pattern to an m-bit basin signature: one parity bit per segment.  The
 class gives a classifier, and recursive partitioning of impure basins gives
 the tree classifier.
 
-Packed layout: an n-bit pattern is one Python int whose most significant bit
-is tuple bit 0, so pattern (1, 0, 1, 1) packs to 0b1011.  Segment j of a
-dependency string becomes a mask over the same n bits (its own bits in
-place, zeros elsewhere), and signature bit j is the parity of
+Bit layout, for the whole package: an n-bit vector is a 0/1 tuple, packed
+as one int with tuple bit 0 most significant, or written as n ASCII
+'0'/'1' characters; (1, 0, 1, 1) packs to 0b1011 and reads "1011".  Only
+`pack`, `unpack`, `bit_string` and `parse_bits` convert between these.
+Segment j of a dependency string becomes a mask over the same n bits (its
+own bits in place, zeros elsewhere), and signature bit j is the parity of
 `code & masks[j]`.  Patterns are packed once: `LabeledPattern` at
 construction, `classify` once per window.  Only 0/1 bits pack; any other
 value raises ValueError instead of spilling into a neighbouring bit.
@@ -24,18 +26,38 @@ from functools import cached_property
 
 Bits = tuple[int, ...]
 
-# byte value -> ASCII digit for 0 and 1, and "x" (not a binary digit) for
-# every other value, so int(..., 2) rejects it
-_DIGITS = bytes(0x30 + v if v < 2 else 0x78 for v in range(256))
+# byte value -> ASCII digit for 0 and 1, and 0xff (not UTF-8) for every
+# other value, so decode() rejects it
+_DIGITS = bytes(0x30 + v if v < 2 else 0xFF for v in range(256))
+_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_string(bits) -> str:
+    """The '0'/'1' text of a 0/1 sequence, tuple bit 0 first."""
+    bits = tuple(bits)  # bytes() of a buffer (an array) would copy its memory
+    try:
+        return bytes(bits).translate(_DIGITS).decode()
+    except (ValueError, TypeError):
+        raise ValueError(f"bits must be 0 or 1, got {bits}") from None
 
 
 def pack(bits) -> int:
     """The packed int of a 0/1 sequence, tuple bit 0 most significant."""
-    bits = tuple(bits)  # bytes() of a buffer (an array) would copy its memory
-    try:
-        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
-    except (ValueError, TypeError):
-        raise ValueError(f"pattern bits must be 0 or 1, got {bits}") from None
+    return int(bit_string(bits) or "0", 2)
+
+
+def parse_bits(text: str) -> Bits:
+    """The bits of an ASCII '0'/'1' text; any other character raises ValueError."""
+    if not isinstance(text, str) or text.strip("01"):
+        raise ValueError(f"bit text must hold only ASCII 0 or 1, got {text!r}")
+    return tuple(text.encode().translate(_VALUES))
+
+
+def unpack(value: int, n: int) -> Bits:
+    """The n bits of `value`, most significant first: pack's inverse."""
+    if value >> n:
+        raise ValueError(f"{value} is not an unsigned {n}-bit value")
+    return parse_bits(bin(value | 1 << n)[3:])  # 1 << n keeps leading zeros
 
 
 def dv_is_valid(bits) -> bool:
@@ -45,9 +67,7 @@ def dv_is_valid(bits) -> bool:
     bits = tuple(bits)
     if len(bits) == 0:
         raise ValueError("dependency vector must be non-empty")
-    if not set(bits) <= {0, 1}:
-        raise ValueError(f"dependency vector bits must be 0 or 1, got {bits}")
-    return 1 in bits
+    return pack(bits) != 0
 
 
 @dataclass(frozen=True)
@@ -82,11 +102,11 @@ class DependencyString:
         return tuple(masks)
 
     def bit_strings(self) -> list[str]:
-        return ["".join(str(b) for b in seg) for seg in self.segments]
+        return [bit_string(seg) for seg in self.segments]
 
     @classmethod
     def from_bit_strings(cls, strings) -> "DependencyString":
-        return cls(tuple(tuple(int(c) for c in s) for s in strings))
+        return cls(tuple(parse_bits(s) for s in strings))
 
 
 def _signature(masks, code: int) -> Bits:
@@ -255,7 +275,7 @@ def tree_to_dict(tree: PsmacaTree) -> dict:
             "label": node.label,
             "ds": node.ds.bit_strings(),
             "children": {
-                "".join(str(b) for b in sig): node_to_dict(child)
+                bit_string(sig): node_to_dict(child)
                 for sig, child in sorted(node.children.items())
             },
         }
@@ -272,7 +292,7 @@ def tree_from_dict(doc: dict) -> PsmacaTree:
         if "ds" not in d:
             return TreeNode(label=d["label"])
         children = {
-            tuple(int(c) for c in sig): node_from_dict(child)
+            parse_bits(sig): node_from_dict(child)
             for sig, child in d["children"].items()
         }
         return TreeNode(

@@ -61,6 +61,7 @@ class PipelineConfig:
         if self.decode_mode not in DECODE_MODES:
             raise ValueError(f"decode_mode must be one of {DECODE_MODES}, "
                              f"got {self.decode_mode!r}")
+        load_scale(self.scale_name)  # raises ValueError for an unknown scale
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,23 @@
 import pytest
 
 from psmaca import ca
+from psmaca.maca import pack, unpack
+
+
+def per_cell_step(cells, rule, boundary):
+    """The per-cell update loop `ca.step` ran before the packed successor,
+    kept as the oracle."""
+    n = len(cells)
+    out = []
+    for i in range(n):
+        if boundary == "periodic":
+            left = cells[(i - 1) % n]
+            right = cells[(i + 1) % n]
+        else:
+            left = cells[i - 1] if i > 0 else 0
+            right = cells[i + 1] if i < n - 1 else 0
+        out.append(rule.outputs[(left << 2) | (cells[i] << 1) | right])
+    return tuple(out)
 
 
 def brute_force_basins(graph):
@@ -75,6 +92,24 @@ class TestStep:
         assert ca.step((1, 0, 0), rule, "periodic") == (0, 0, 1)
         assert ca.step((1, 0, 0), rule, "null") == (0, 0, 0)
 
+    @pytest.mark.parametrize("boundary", ca.BOUNDARIES)
+    def test_matches_per_cell_loop(self, boundary):
+        # every rule, width and state; the graph uses the same successor
+        for number in range(256):
+            rule = ca.rule_from_number(number)
+            for n in range(1, 9):
+                graph = ca.state_transition_graph(rule, n, boundary)
+                for s in range(1 << n):
+                    expected = per_cell_step(unpack(s, n), rule, boundary)
+                    assert ca.step(unpack(s, n), rule, boundary) == expected
+                    assert graph.successor[s] == pack(expected)
+
+    @pytest.mark.parametrize("cells", [(2,), (0, -1, 0)])
+    def test_non_binary_cell_rejected(self, cells):
+        # the per-cell loop read these as neighborhoods 4 and 7 (-1)
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.step(cells, ca.rule_from_number(30))
+
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
             ca.step((1, 0), ca.rule_from_number(30), "reflect")
@@ -119,10 +154,10 @@ class TestStateTransitionGraph:
         n = 4
         g = ca.state_transition_graph(ca.rule_from_number(90), n, "periodic")
         for s in range(16):
-            cells = ca.int_to_cells(s, n)
+            cells = unpack(s, n)
             expected = tuple(cells[(i - 1) % n] ^ cells[(i + 1) % n]
                              for i in range(n))
-            assert g.successor[s] == ca.cells_to_int(expected)
+            assert g.successor[s] == pack(expected)
 
     def test_width_guard(self):
         rule = ca.rule_from_number(30)

@@ -181,7 +181,11 @@ class TestPredict:
         (lambda doc: doc.pop("window"), "lacks window"),
         (lambda doc: doc["pipeline"].update(kmer_size=0), "kmer_size"),
         (lambda doc: doc["pipeline"].update(decode_mode="zzz"), "decode_mode"),
-    ], ids=["no-window", "kmer-size-0", "decode-mode"])
+        (lambda doc: doc["pipeline"].update(scale_name="zzz"), "scale 'zzz'"),
+        (lambda doc: doc.update(training_fingerprint=5), "training_fingerprint"),
+        (lambda doc: doc.update(ga_config=[]), "ga_config"),
+    ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
+            "fingerprint-int", "ga-config-list"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files
@@ -206,8 +210,9 @@ class TestPredict:
         (lambda root, doc: root.update(ds=[*root["ds"][:-1],
                                            root["ds"][-1] + "1"]),
          "covers"),
+        (lambda root, doc: arabic_indic_digits(root), "0 or 1"),
     ], ids=["window-str", "window-width", "q-leaf", "child-key-length",
-            "ds-digit-2", "ds-width"])
+            "ds-digit-2", "ds-width", "ds-arabic-indic-digits"])
     def test_inconsistent_model_fails_at_load(self, tmp_path, toy_files, capsys,
                                               edit, problem):
         _, data, fasta = toy_files
@@ -219,6 +224,17 @@ class TestPredict:
         out, err = capsys.readouterr()
         assert out == ""
         assert problem in err
+
+
+def arabic_indic_digits(node):
+    """Write every ds string and child key with the digits U+0660/U+0661,
+    which int() reads as 0 and 1."""
+    if "ds" in node:
+        digits = str.maketrans("01", "\u0660\u0661")
+        node["ds"] = [s.translate(digits) for s in node["ds"]]
+        node["children"] = {key.translate(digits): arabic_indic_digits(child)
+                            for key, child in node["children"].items()}
+    return node
 
 
 def first_leaf(node):

@@ -8,6 +8,22 @@ from psmaca import codec
 from psmaca.codec import StructureEncoding
 
 structure_strings = st.text(alphabet="HEC", min_size=1, max_size=40)
+residues = st.text(alphabet=codec.AMINO_ACIDS + "X", max_size=30)
+
+
+def per_residue_windows(seq, w):
+    """The per-window, per-residue encoding `window_patterns` ran before
+    slicing one bit row, kept as the oracle."""
+    half = w // 2
+    patterns = []
+    for i in range(len(seq)):
+        bits = []
+        for j in range(i - half, i + half + 1):
+            aa = seq[j] if 0 <= j < len(seq) else "X"
+            code = codec.AMINO_ACIDS.index(aa) if aa != "X" else 20
+            bits.extend((code >> (4 - k)) & 1 for k in range(5))
+        patterns.append(tuple(bits))
+    return patterns
 
 
 class TestHydropathyScale:
@@ -134,6 +150,12 @@ class TestWindowPatterns:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             codec.window_patterns("ACD", 2)
+
+    @given(st.tuples(residues, residues).map("X".join),
+           st.sampled_from([1, 3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_residue_loop(self, seq, w):
+        assert codec.window_patterns(seq, w) == per_residue_windows(seq, w)
 
     def test_locality(self):
         a = codec.window_patterns("ACDEF", 3)

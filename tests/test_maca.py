@@ -14,6 +14,38 @@ def all_patterns(n):
     return list(itertools.product((0, 1), repeat=n))
 
 
+class TestBitLayout:
+    @given(st.lists(st.integers(0, 1), max_size=70).map(tuple))
+    def test_bits_round_trip(self, bits):
+        assert maca.unpack(maca.pack(bits), len(bits)) == bits
+        assert maca.parse_bits(maca.bit_string(bits)) == bits
+
+    @given(st.integers(0, 70).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_int_round_trip(self, case):
+        n, value = case
+        assert maca.pack(maca.unpack(value, n)) == value
+        assert len(maca.unpack(value, n)) == n
+
+    def test_most_significant_bit_first(self):
+        assert maca.unpack(0b1011, 6) == (0, 0, 1, 0, 1, 1)
+        assert maca.bit_string((0, 0, 1, 0, 1, 1)) == "001011"
+        assert maca.parse_bits("001011") == (0, 0, 1, 0, 1, 1)
+        assert maca.unpack(0, 0) == () and maca.bit_string(()) == ""
+
+    @pytest.mark.parametrize("value, n", [(4, 2), (-1, 3)])
+    def test_unpack_rejects_values_outside_n_bits(self, value, n):
+        with pytest.raises(ValueError, match="2-bit|3-bit"):
+            maca.unpack(value, n)
+
+    @pytest.mark.parametrize("text", ["12", "1 0", "\u0661\u0660", "0\uff11",
+                                      "0b1", None, b"01"])
+    def test_parse_accepts_only_ascii_0_and_1(self, text):
+        # "\u0661" is ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        with pytest.raises(ValueError, match="0 or 1"):
+            maca.parse_bits(text)
+
+
 class TestDvValidity:
     def test_zero_vector_invalid(self):
         assert not maca.dv_is_valid((0, 0, 0, 0))

@@ -203,3 +203,5 @@ class TestPredictStructure:
             PipelineConfig(kmer_size=0)
         with pytest.raises(ValueError, match="decode_mode"):
             PipelineConfig(decode_mode="zzz")
+        with pytest.raises(ValueError, match="scale 'zzz'"):
+            PipelineConfig(scale_name="zzz")
