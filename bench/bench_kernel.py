@@ -6,15 +6,21 @@ Run from the repository root:
 
 It times `ga.fitness` of one chromosome on the first N training windows
 (N = 2400, 300, 34 and 8), `maca.classify` per window,
-`codec.window_patterns` per record, and `ca.state_transition_graph` of
-rule 30 at width 8 with each boundary.  The windows are the 2,400 width-5
-windows (25-bit patterns) of the 40 records of `make_toy_dataset(40, 60,
-seed=1)`, the input of the benchmark's `train` workload at seed 1; the
-classified tree is trained on them with that workload's GA settings.  The
-median and interquartile range of each layer, in seconds, go to
-BENCH_4.json at the repository root, with the Python version, numpy
-version and core count.  The file is not named test_*.py, so the tier-1
-test run does not collect it.
+`codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
+at width 8 with each boundary, `pipeline.select_base` per target and
+`pipeline.deconvolve` (L = 9) on one base.  The windows are the 2,400
+width-5 windows (25-bit patterns) of the 40 records of
+`make_toy_dataset(40, 60, seed=1)`, the input of the benchmark's `train`
+workload at seed 1; the classified tree is trained on them with that
+workload's GA settings.  Base selection runs on the `evaluate_pipeline`
+inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
+against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
+untimed pass over every target, so a k-mer memo is warm.  The
+deconvolved base is the first of those bases (150 residues).  The median
+and interquartile range of each layer, in seconds, go to BENCH_5.json at
+the repository root, with the Python version, numpy version and core
+count.  The file is not named test_*.py, so the tier-1 test run does not
+collect it.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psmaca import ca, dataio, ga, maca
+from psmaca import ca, codec, dataio, ga, maca, pipeline
 from psmaca.codec import window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_4.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_5.json"
 WINDOW = 5
 FITNESS_SIZES = (2400, 300, 34, 8)
+FILTER_LENGTH = 9
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,11 @@ def windows(records):
 
 
 @pytest.fixture(scope="module")
+def bases():
+    return dataio.make_toy_dataset(150, 150, seed=3).records
+
+
+@pytest.fixture(scope="module")
 def layers():
     results: dict[str, dict] = {}
     yield results
@@ -59,6 +71,8 @@ def layers():
             "numpy": np.__version__,
             "cores": os.cpu_count(),
             "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25",
+            "pipeline": "targets make_toy_dataset(100, 300, seed=4), "
+                        "bases make_toy_dataset(150, 150, seed=3)",
             "layers": results,
         }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -104,3 +118,25 @@ def test_state_transition_graph(benchmark, layers, boundary):
     assert len(graph.successor) == 256
     record(layers, benchmark,
            f"ca.state_transition_graph[rule 30, n=8, {boundary}]")
+
+
+def test_select_base_per_target(benchmark, bases, layers):
+    targets = [r.sequence for r in
+               dataio.make_toy_dataset(100, 300, seed=4).records]
+    warm = [pipeline.select_base(t, bases)[0].id for t in targets]
+    chosen = benchmark(lambda: [pipeline.select_base(t, bases)[0].id
+                                for t in targets])
+    assert chosen == warm
+    record(layers, benchmark, "pipeline.select_base[per target]",
+           per=len(targets))
+
+
+def test_deconvolve(benchmark, bases, layers):
+    base = bases[0]
+    output = codec.structure_encode(base.structure)
+    signal = codec.hydropathy_encode(base.sequence, codec.load_scale())
+    response = benchmark(pipeline.deconvolve, output, signal, FILTER_LENGTH,
+                         pipeline.PipelineConfig.ridge)
+    assert len(response.taps) == FILTER_LENGTH
+    record(layers, benchmark,
+           f"pipeline.deconvolve[L={FILTER_LENGTH}, {len(signal)} residues]")

@@ -207,11 +207,15 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     model = dataio.load_model(args.model)
     records = dataio.parse_paired(_read(args.data))
-    training, cfg = None, None
+    training, cfg, route = None, None, ""
     if args.pipeline:
         train_path = args.train_data or args.data
         training = _load_training(model, train_path, args.no_verify)
         cfg = model.pipeline
+        # Q3 says what it measures: recall of the evaluated records, or a
+        # prediction against a separate base set
+        route = (f" (bases from {args.train_data})" if args.train_data
+                 else " (self-recall: each record is its own base)")
     rows = []
     for record in records:
         predicted, _ = _predict_record(record, model, args.pipeline,
@@ -223,7 +227,8 @@ def cmd_evaluate(args) -> int:
         _write(args.json_out, dataio.metrics_json(report))
     if args.comparison:
         _write(args.comparison, dataio.comparison_tsv(args.data, report.q3))
-    print(f"q3 {report.q3:.2f} over {len(rows)} records; report at {args.report}")
+    print(f"q3 {report.q3:.2f} over {len(rows)} records{route}; "
+          f"report at {args.report}")
     return 0
 
 

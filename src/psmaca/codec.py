@@ -11,8 +11,11 @@ strand band.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .maca import bit_string, parse_bits, unpack
 
@@ -28,13 +31,17 @@ STRUCTURE_LABELS = "HEC"
 
 DECODE_MODES = ("nearest_centroid", "paper_bands")
 
+_DATA = resources.files("psmaca") / "data"
+
 
 @dataclass(frozen=True)
 class HydropathyScale:
     name: str
-    values: dict[str, float]
+    values: Mapping[str, float]
 
     def __post_init__(self):
+        # read-only, because load_scale hands one instance to every caller
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         missing = [aa for aa in AMINO_ACIDS if aa not in self.values]
         if missing:
             raise ValueError(f"scale {self.name!r} missing residues {missing}")
@@ -47,12 +54,25 @@ class HydropathyScale:
         return self.values[residue]
 
 
+@lru_cache(maxsize=None)
+def scale_names() -> tuple[str, ...]:
+    """Stems of the bundled data/*.tsv files: the only scale names that load."""
+    return tuple(sorted(f.name[:-len(".tsv")] for f in _DATA.iterdir()
+                        if f.name.endswith(".tsv")))
+
+
 def load_scale(name: str = "kyte_doolittle") -> HydropathyScale:
-    """Load a bundled hydropathy scale TSV (residue letter, value)."""
-    try:
-        text = (resources.files("psmaca") / "data" / f"{name}.tsv").read_text()
-    except FileNotFoundError:
-        raise ValueError(f"unknown hydropathy scale {name!r}") from None
+    """Load a bundled hydropathy scale TSV (residue letter, value).  Only
+    the names in scale_names() load; each is read once per process."""
+    if name not in scale_names():
+        raise ValueError(f"unknown hydropathy scale {name!r}; "
+                         f"bundled scales: {', '.join(scale_names())}")
+    return _read_scale(name)
+
+
+@lru_cache(maxsize=None)
+def _read_scale(name: str) -> HydropathyScale:
+    text = (_DATA / f"{name}.tsv").read_text()
     values = {}
     for line in text.splitlines():
         if not line.strip():

@@ -9,8 +9,10 @@ target's hydropathy signal, and band-decode the result.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,16 +80,24 @@ def kmer_counts(seq: str, k: int) -> Counter:
     return Counter(seq[i:i + k] for i in range(len(seq) - k + 1))
 
 
+@lru_cache(maxsize=None)
+def _kmer_vector(seq: str, k: int) -> tuple[dict[str, int], int]:
+    """k-mer counts of a checked sequence and their squared norm, computed
+    once per (sequence, k) per process.  Keys are interned, so the k-mers
+    shared by many cached vectors are stored once."""
+    counts = {sys.intern(kmer): n
+              for kmer, n in kmer_counts(check_sequence(seq), k).items()}
+    return counts, sum(v * v for v in counts.values())
+
+
 def similarity(a: str, b: str, k: int = 3) -> float:
     """Cosine similarity of k-mer count vectors, in [0, 1]."""
-    ca, cb = kmer_counts(check_sequence(a), k), kmer_counts(check_sequence(b), k)
+    (ca, na), (cb, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
     dot = sum(ca[kmer] * cb[kmer] for kmer in ca.keys() & cb.keys())
     if dot == 0:
         return 0.0
     # integer product under one sqrt keeps similarity(x, x) exactly 1.0
-    norm = math.sqrt(sum(v * v for v in ca.values())
-                     * sum(v * v for v in cb.values()))
-    return min(dot / norm, 1.0)
+    return min(dot / math.sqrt(na * nb), 1.0)
 
 
 def select_base(target: str, training, k: int = 3):

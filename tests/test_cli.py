@@ -226,6 +226,39 @@ class TestPredict:
         assert problem in err
 
 
+class TestScaleName:
+    """A model's scale_name must be a bundled scale: a path, absolute or
+    relative, to a valid scale file elsewhere is a data error."""
+
+    @pytest.fixture
+    def outside_scale(self, tmp_path):
+        path = tmp_path / "outside" / "scale.tsv"
+        path.parent.mkdir()
+        path.write_text("".join(f"{aa}\t1.0\n" for aa in codec.AMINO_ACIDS))
+        return path
+
+    @pytest.mark.parametrize("name", ["absolute", "absolute-tsv", "relative"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_path_is_data_error(self, tmp_path, toy_files, capsys,
+                                outside_scale, name, command):
+        _, data, fasta = toy_files
+        model = train(tmp_path, data, capsys)
+        scale_name = {"absolute": str(outside_scale.with_suffix("")),
+                      "absolute-tsv": str(outside_scale),
+                      "relative": "../data/kyte_doolittle"}[name]
+        edit_model(model, lambda doc: doc["pipeline"].update(
+            scale_name=scale_name))
+        argv = {"predict": ["predict", "--fasta", str(fasta)],
+                "evaluate": ["evaluate", "--data", str(data), "--report",
+                             str(tmp_path / "report.tsv")]}[command]
+        assert run_cli([*argv, "--model", str(model), "--pipeline",
+                        "--train-data", str(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown hydropathy scale {scale_name!r}" in err
+        assert not (tmp_path / "report.tsv").exists()
+
+
 def arabic_indic_digits(node):
     """Write every ds string and child key with the digits U+0660/U+0661,
     which int() reads as 0 and 1."""
@@ -258,6 +291,26 @@ class TestEvaluate:
         assert lines[-1].split("\t")[:2] == ["ALL", "100.00"]
         assert "PSMACA\t100.00" in cmp_out.read_text()
         assert '"q3": 100.0' in json_out.read_text()
+        assert capsys.readouterr().out == (
+            "q3 100.00 over 6 records (self-recall: each record is its own "
+            f"base); report at {report}\n")
+
+    def test_pipeline_names_the_base_file(self, tmp_path, toy_files, capsys):
+        dataset, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        targets = tmp_path / "targets.txt"
+        targets.write_text(dataio.dataset_to_paired_text(
+            dataio.make_impulse_dataset(4, 12, seed=9)))
+        report = tmp_path / "report.tsv"
+        assert run_cli(["evaluate", "--model", str(model), "--data",
+                        str(targets), "--report", str(report), "--pipeline",
+                        "--train-data", str(data)]) == 0
+        out = capsys.readouterr().out
+        assert f"over 4 records (bases from {data}); report at {report}\n" in out
+        assert "self-recall" not in out
+        # the report itself does not name the route
+        rows = report.read_text().strip().splitlines()
+        assert rows[0] == "id\tq3\tqH\tqE\tqC" and len(rows) == 6
 
     def test_tree_evaluation_runs(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files

@@ -37,6 +37,23 @@ class TestHydropathyScale:
         with pytest.raises(ValueError):
             codec.load_scale("no_such_scale")
 
+    def test_only_bundled_names_load(self, tmp_path):
+        path = tmp_path / "scale.tsv"
+        path.write_text("".join(f"{aa}\t1.0\n" for aa in codec.AMINO_ACIDS))
+        for name in (str(path.with_suffix("")), str(path),
+                     "../data/kyte_doolittle", "data/kyte_doolittle",
+                     "kyte_doolittle.tsv", "", None, ["kyte_doolittle"]):
+            with pytest.raises(ValueError, match="unknown hydropathy scale"):
+                codec.load_scale(name)
+        assert codec.scale_names() == ("kyte_doolittle",)
+
+    def test_scale_read_once_and_read_only(self):
+        scale = codec.load_scale()
+        assert codec.load_scale("kyte_doolittle") is scale
+        with pytest.raises(TypeError):
+            scale.values["I"] = 0.0
+        assert codec.load_scale()["I"] == 4.5
+
     def test_x_maps_to_zero(self):
         assert codec.hydropathy_encode("XXX") == [0.0, 0.0, 0.0]
 

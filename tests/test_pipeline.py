@@ -1,16 +1,66 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psmaca import pipeline
+from psmaca.codec import AMINO_ACIDS, check_sequence
 from psmaca.dataio import ProteinRecord, make_impulse_dataset
 from psmaca.pipeline import PipelineConfig, ResponseFilter
 
 
 def random_sequence(rng, length):
     return "".join(rng.choice("ACDEFGHIKLMNPQRSTVWY") for _ in range(length))
+
+
+def recount_similarity(a, b, k=3):
+    """`similarity` as it ran before the k-mer vector memo, recounting both
+    sequences on every call; kept as the oracle."""
+    ca = pipeline.kmer_counts(check_sequence(a), k)
+    cb = pipeline.kmer_counts(check_sequence(b), k)
+    dot = sum(ca[kmer] * cb[kmer] for kmer in ca.keys() & cb.keys())
+    if dot == 0:
+        return 0.0
+    norm = math.sqrt(sum(v * v for v in ca.values())
+                     * sum(v * v for v in cb.values()))
+    return min(dot / norm, 1.0)
+
+
+def recount_select_base(target, training, k=3):
+    """`select_base` over `recount_similarity`; kept as the oracle."""
+    candidates = [r for r in training if r.structure is not None]
+    if not candidates:
+        raise ValueError("training set has no records with structures")
+    best, best_score = None, -1.0
+    for record in sorted(candidates, key=lambda r: r.id):
+        if len(record.sequence) < k:
+            continue
+        score = recount_similarity(target, record.sequence, k)
+        if score > best_score:
+            best, best_score = record, score
+    if best is None:
+        raise ValueError(f"no training sequence is at least {k} residues long")
+    return best, best_score
+
+
+# a small alphabet makes shared k-mers, equal scores and repeats common
+memo_sequences = st.text(alphabet="ACW", min_size=1, max_size=12)
+
+
+@st.composite
+def training_sets(draw):
+    """Records drawn from a few sequences, so duplicate sequences under
+    different ids (equal-score ties) and sequences shorter than k occur."""
+    pool = draw(st.lists(memo_sequences, min_size=1, max_size=5))
+    ids = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
+                        min_size=1, max_size=8, unique=True))
+    return [ProteinRecord(i, seq, "C" * len(seq))
+            for i, seq in zip(ids, draw(st.lists(
+                st.sampled_from(pool), min_size=len(ids), max_size=len(ids))))]
 
 
 class TestSimilarity:
@@ -40,6 +90,67 @@ class TestSimilarity:
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
             pipeline.similarity("AC", "ACDEF", 3)
+
+
+class TestKmerMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(a=memo_sequences, b=memo_sequences, k=st.integers(1, 4))
+    def test_similarity_matches_recount(self, a, b, k):
+        if min(len(a), len(b)) < k:
+            with pytest.raises(ValueError, match="shorter than k-mer size"):
+                pipeline.similarity(a, b, k)
+            return
+        assert pipeline.similarity(a, b, k) == recount_similarity(a, b, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(training=training_sets(), target=memo_sequences,
+           k=st.integers(1, 4))
+    def test_select_base_matches_recount(self, training, target, k):
+        try:
+            expected = recount_select_base(target, training, k)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                pipeline.select_base(target, training, k)
+            return
+        base, score = pipeline.select_base(target, training, k)
+        assert (base.id, score) == (expected[0].id, expected[1])
+
+    def test_one_count_per_distinct_sequence(self, monkeypatch):
+        dataset = make_impulse_dataset(10, 9, seed=7)
+        rng = random.Random(8)
+        targets = [random_sequence(rng, 12) for _ in range(5)]
+        pipeline._kmer_vector.cache_clear()
+        calls = Counter()
+        real = pipeline.kmer_counts
+
+        def counting(seq, k):
+            calls[seq, k] += 1
+            return real(seq, k)
+
+        monkeypatch.setattr(pipeline, "kmer_counts", counting)
+        for _ in range(2):
+            for target in targets:
+                pipeline.predict_structure(target, dataset.records)
+        distinct = {(s, 3) for s in targets + [r.sequence for r in dataset.records]}
+        assert set(calls) == distinct
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("a, b, k, problem", [
+        ("ACZDE", "ACDEF", 3, "illegal residue 'Z'"),
+        ("ACDEF", "AC", 3, "shorter than k-mer size 3"),
+    ], ids=["illegal-residue", "shorter-than-k"])
+    def test_errors_are_not_cached(self, a, b, k, problem):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=problem):
+                pipeline.similarity(a, b, k)
+
+    def test_returned_counts_are_not_shared(self):
+        a, b = "ACDEFGACD", "ACDWWW"
+        before = pipeline.similarity(a, b)
+        counts = pipeline.kmer_counts(a, 3)
+        counts["ACD"] += 100
+        counts["WWW"] = 7
+        assert pipeline.similarity(a, b) == before == recount_similarity(a, b)
 
 
 class TestSelectBase:
@@ -194,7 +305,7 @@ class TestPredictStructure:
                                             dataset.records, cfg)
         assert set(result.predicted) <= set("HEC")
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             PipelineConfig(filter_length=0)
         with pytest.raises(ValueError):
@@ -205,3 +316,9 @@ class TestPredictStructure:
             PipelineConfig(decode_mode="zzz")
         with pytest.raises(ValueError, match="scale 'zzz'"):
             PipelineConfig(scale_name="zzz")
+        # a valid scale file outside the bundled set does not load
+        outside = tmp_path / "scale.tsv"
+        outside.write_text("".join(f"{aa}\t1.0\n" for aa in AMINO_ACIDS))
+        for name in (str(outside.with_suffix("")), "../data/kyte_doolittle"):
+            with pytest.raises(ValueError, match="unknown hydropathy scale"):
+                PipelineConfig(scale_name=name)
