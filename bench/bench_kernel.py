@@ -17,7 +17,7 @@ inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
 against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
 untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues).  The median
-and interquartile range of each layer, in seconds, go to BENCH_5.json at
+and interquartile range of each layer, in seconds, go to BENCH_6.json at
 the repository root, with the Python version, numpy version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
@@ -35,10 +35,11 @@ import numpy as np
 import pytest
 
 from psmaca import ca, codec, dataio, ga, maca, pipeline
-from psmaca.codec import window_patterns
+from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_5.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_6.json"
 WINDOW = 5
+N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
 FILTER_LENGTH = 9
 
@@ -50,9 +51,9 @@ def records():
 
 @pytest.fixture(scope="module")
 def windows(records):
-    return [maca.LabeledPattern(bits, label)
+    return [maca.LabeledPattern(code, label)
             for r in records
-            for bits, label in zip(window_patterns(r.sequence, WINDOW),
+            for code, label in zip(window_patterns(r.sequence, WINDOW),
                                    r.structure)]
 
 
@@ -88,7 +89,7 @@ def record(layers, benchmark, name: str, per: int = 1) -> None:
 
 @pytest.mark.parametrize("size", FITNESS_SIZES)
 def test_fitness(benchmark, windows, layers, size):
-    ch = ga.random_chromosome(len(windows[0].bits), 2, random.Random(0))
+    ch = ga.random_chromosome(N_BITS, 2, random.Random(0))
     training = windows[:size]
     assert 0 < benchmark(ga.fitness, ch, training) <= 1
     record(layers, benchmark, f"ga.fitness[N={size}]")
@@ -96,9 +97,9 @@ def test_fitness(benchmark, windows, layers, size):
 
 def test_classify_per_window(benchmark, windows, layers):
     config = maca.TreeConfig(population_size=10, generations=10)
-    tree = maca.build_tree(windows, config, rng_seed=1)
-    bits = [w.bits for w in windows]
-    labels = benchmark(lambda: [maca.classify(tree, b) for b in bits])
+    tree = maca.build_tree(windows, N_BITS, config, rng_seed=1)
+    codes = [w.code for w in windows]
+    labels = benchmark(lambda: [maca.classify(tree, c) for c in codes])
     assert len(labels) == len(windows)
     record(layers, benchmark, "maca.classify[per window]", per=len(windows))
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import ca, dataio, ga, maca
-from .codec import DECODE_MODES, window_patterns
+from .codec import DECODE_MODES, RESIDUE_BITS, window_patterns
 from .pipeline import PipelineConfig, predict_structure
 
 # train flag -> TreeConfig field; each flag's default is the field's
@@ -127,9 +127,9 @@ def _training_patterns(records, window: int):
     for record in records:
         if record.structure is None:
             raise dataio.ParseError(f"record {record.id!r} has no structure")
-        for bits, label in zip(window_patterns(record.sequence, window),
+        for code, label in zip(window_patterns(record.sequence, window),
                                record.structure):
-            patterns.append(maca.LabeledPattern(bits, label))
+            patterns.append(maca.LabeledPattern(code, label))
     return patterns
 
 
@@ -144,7 +144,8 @@ def cmd_train(args) -> int:
     patterns = _training_patterns(records, args.window)
     config = _tree_config(args)
     ga_config = ga.GaConfig.from_tree(config, args.seed)  # validates early
-    tree = maca.build_tree(patterns, config, rng_seed=args.seed)
+    tree = maca.build_tree(patterns, RESIDUE_BITS * args.window, config,
+                           rng_seed=args.seed)
     model = dataio.ModelFile(
         tree=tree,
         window=args.window,
@@ -179,18 +180,27 @@ def _predict_record(record, model, use_pipeline, training, cfg):
                  f"similarity={result.similarity_score:.4f}"]
         return result.predicted, notes
     predicted = "".join(
-        maca.classify(model.tree, bits)
-        for bits in window_patterns(record.sequence, model.window))
+        maca.classify(model.tree, code)
+        for code in window_patterns(record.sequence, model.window))
     return predicted, ["method: tree"]
 
 
+def _check_route_flags(args) -> None:
+    # flags that only the signal route reads would be ignored by the tree
+    for flag, value in (("--mode", getattr(args, "mode", None)),
+                        ("--train-data", args.train_data)):
+        if value is not None and not args.pipeline:
+            raise UsageError(f"{flag} requires --pipeline")
+
+
 def cmd_predict(args) -> int:
+    _check_route_flags(args)
+    if args.pipeline and args.train_data is None:
+        raise UsageError("--pipeline requires --train-data")
     model = dataio.load_model(args.model)
     records = dataio.parse_fasta(_read(args.fasta))
     training, cfg = None, None
     if args.pipeline:
-        if args.train_data is None:
-            raise UsageError("--pipeline requires --train-data")
         training = _load_training(model, args.train_data, args.no_verify)
         cfg = _pipeline_config(model, args.mode)
     blocks = []
@@ -205,6 +215,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_route_flags(args)
     model = dataio.load_model(args.model)
     records = dataio.parse_paired(_read(args.data))
     training, cfg, route = None, None, ""

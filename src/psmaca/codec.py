@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
-from .maca import bit_string, parse_bits, unpack
+from .maca import bit_string, unpack
 
 # Canonical residues in alphabetical order; the position is the residue's
 # 5-bit code.  'X' (unknown) and window padding share code 20.
@@ -28,6 +28,10 @@ _CODE_TEXT = {aa: bit_string(unpack(code, RESIDUE_BITS))
               for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
 
 STRUCTURE_LABELS = "HEC"
+# the published structure codes; coil (800) sits on the strand band's top
+HELIX_VALUE, STRAND_VALUE, COIL_VALUE = 200.0, 600.0, 800.0
+_STRUCTURE_VALUE = {"H": HELIX_VALUE, "E": STRAND_VALUE, "C": COIL_VALUE}
+_CENTROIDS = sorted((v, lab) for lab, v in _STRUCTURE_VALUE.items())
 
 DECODE_MODES = ("nearest_centroid", "paper_bands")
 
@@ -106,70 +110,47 @@ def hydropathy_encode(seq: str, scale: HydropathyScale | None = None) -> list[fl
     return [scale[aa] for aa in check_sequence(seq)]
 
 
-@dataclass(frozen=True)
-class StructureEncoding:
-    helix_value: float = 200.0
-    strand_value: float = 600.0
-    coil_value: float = 800.0
-
-    def __post_init__(self):
-        if len({self.helix_value, self.strand_value, self.coil_value}) != 3:
-            raise ValueError("structure code values must be distinct")
-
-    def value_of(self, label: str) -> float:
-        return {"H": self.helix_value,
-                "E": self.strand_value,
-                "C": self.coil_value}[label]
+def structure_encode(s: str) -> list[float]:
+    return [_STRUCTURE_VALUE[lab] for lab in check_structure(s)]
 
 
-def structure_encode(s: str, enc: StructureEncoding | None = None) -> list[float]:
-    enc = enc or StructureEncoding()
-    return [enc.value_of(lab) for lab in check_structure(s)]
-
-
-def structure_decode(values, mode: str = "nearest_centroid",
-                     enc: StructureEncoding | None = None) -> str:
+def structure_decode(values, mode: str = "nearest_centroid") -> str:
     """Decode a numeric trace back to H/E/C.
 
-    paper_bands: v in [0, helix] -> H, v in [strand, coil] -> E, else C.
+    paper_bands: v in [0, 200] -> H, v in [600, 800] -> E, else C.
     nearest_centroid: label of the closest code value, ties to the lower one.
     """
-    enc = enc or StructureEncoding()
     values = list(values)
     if not values:
         raise ValueError("signal must be non-empty")
     if mode not in DECODE_MODES:
         raise ValueError(f"mode must be one of {DECODE_MODES}, got {mode!r}")
-    centroids = sorted(
-        [(enc.helix_value, "H"), (enc.strand_value, "E"), (enc.coil_value, "C")]
-    )
     out = []
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"non-finite trace value {v!r}")
         if mode == "paper_bands":
-            # strand band top stays at the coil code only while coil sits
-            # above strand, as in the published 200/600/800 assignment
-            strand_top = max(enc.strand_value, enc.coil_value)
-            if 0 <= v <= enc.helix_value:
+            if 0 <= v <= HELIX_VALUE:
                 out.append("H")
-            elif enc.strand_value <= v <= strand_top:
+            elif STRAND_VALUE <= v <= COIL_VALUE:
                 out.append("E")
             else:
                 out.append("C")
         else:
-            _, label = min(centroids, key=lambda c: (abs(v - c[0]), c[0]))
+            _, label = min(_CENTROIDS, key=lambda c: (abs(v - c[0]), c[0]))
             out.append(label)
     return "".join(out)
 
 
-def window_patterns(seq: str, w: int) -> list[tuple[int, ...]]:
-    """One 5w-bit pattern per residue: 5-bit residue codes over the window
-    centered at the residue, terminal overhang padded with code 20."""
+def window_patterns(seq: str, w: int) -> list[int]:
+    """One 5w-bit pattern code per residue: the 5-bit residue codes over the
+    window centered at the residue, first residue most significant, with
+    terminal overhang padded with code 20."""
     if w < 1 or w % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {w}")
     check_sequence(seq)
     pad = _CODE_TEXT[UNKNOWN_RESIDUE] * (w // 2)
-    # one bit row for the padded sequence; window i is a slice of it
-    row = parse_bits(pad + "".join([_CODE_TEXT[aa] for aa in seq]) + pad)
-    return [row[RESIDUE_BITS * i:RESIDUE_BITS * (i + w)] for i in range(len(seq))]
+    # one '0'/'1' text row for the padded sequence; window i is a slice of it
+    row = pad + "".join([_CODE_TEXT[aa] for aa in seq]) + pad
+    return [int(row[RESIDUE_BITS * i:RESIDUE_BITS * (i + w)], 2)
+            for i in range(len(seq))]

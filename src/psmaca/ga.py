@@ -77,12 +77,6 @@ class FitnessHistory:
     best: list[float]
     mean: list[float]
 
-    def to_tsv(self) -> str:
-        lines = ["generation\tbest\tmean"]
-        for g, (b, m) in enumerate(zip(self.best, self.mean)):
-            lines.append(f"{g}\t{b:.6f}\t{m:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 def random_partition(n: int, m: int, rng: random.Random) -> list[int]:
     """m positive parts summing to n; uniform over compositions."""

@@ -6,15 +6,17 @@ n-bit pattern to an m-bit basin signature: one parity bit per segment.  The
 class gives a classifier, and recursive partitioning of impure basins gives
 the tree classifier.
 
-Bit layout, for the whole package: an n-bit vector is a 0/1 tuple, packed
-as one int with tuple bit 0 most significant, or written as n ASCII
-'0'/'1' characters; (1, 0, 1, 1) packs to 0b1011 and reads "1011".  Only
-`pack`, `unpack`, `bit_string` and `parse_bits` convert between these.
-Segment j of a dependency string becomes a mask over the same n bits (its
-own bits in place, zeros elsewhere), and signature bit j is the parity of
-`code & masks[j]`.  Patterns are packed once: `LabeledPattern` at
-construction, `classify` once per window.  Only 0/1 bits pack; any other
-value raises ValueError instead of spilling into a neighbouring bit.
+Bit layout, for the whole package: a pattern is one n-bit int from
+`codec.window_patterns` on; a bucket, a fitness and a tree walk read only
+that int.  Tuples remain for dependency-string segments, signatures and CA
+cells: an n-bit 0/1 tuple packs to an int with tuple bit 0 most
+significant, or is written as n ASCII '0'/'1' characters; (1, 0, 1, 1)
+packs to 0b1011 and reads "1011".  Only `pack`, `unpack`, `bit_string` and
+`parse_bits` convert between these.  Segment j of a dependency string
+becomes a mask over the n pattern bits (its own bits in place, zeros
+elsewhere), and signature bit j is the parity of `code & masks[j]`.  Only
+0/1 bits pack; any other value raises ValueError instead of spilling into
+a neighbouring bit.
 """
 
 from __future__ import annotations
@@ -114,23 +116,21 @@ def _signature(masks, code: int) -> Bits:
     return tuple([(code & mask).bit_count() & 1 for mask in masks])
 
 
-def basin_signature(ds: DependencyString, pattern) -> Bits:
-    """Signature bit j = parity of (segment j AND the matching pattern slice)."""
-    pattern = tuple(pattern)
-    if len(pattern) != ds.n:
-        raise ValueError(
-            f"pattern length {len(pattern)} != dependency string length {ds.n}")
-    return _signature(ds.masks, pack(pattern))
+def _check_code(code: int, n: int) -> None:
+    if code >> n:  # also nonzero for every negative code
+        raise ValueError(f"pattern {code} is not an unsigned {n}-bit code")
+
+
+def basin_signature(ds: DependencyString, code: int) -> Bits:
+    """Signature bit j = parity of (segment j AND the matching pattern bits)."""
+    _check_code(code, ds.n)
+    return _signature(ds.masks, code)
 
 
 @dataclass(frozen=True)
 class LabeledPattern:
-    bits: Bits
+    code: int
     label: str
-    code: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "code", pack(self.bits))
 
 
 def distribute(ds: DependencyString, patterns) -> dict[Bits, list[LabeledPattern]]:
@@ -185,6 +185,14 @@ class TreeConfig:
     # GA restarts at a node whose best split leaves everything in one basin
     split_retries: int = 5
 
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be >= 1")
+        if self.split_retries < 1:
+            raise ValueError("split_retries must be >= 1")
+
 
 @dataclass(frozen=True)
 class PsmacaTree:
@@ -193,19 +201,9 @@ class PsmacaTree:
     config: TreeConfig
 
 
-def _check_training(training: list[LabeledPattern]) -> int:
-    if not training:
-        raise ValueError("training set must be non-empty")
-    n = len(training[0].bits)
-    for p in training:
-        if len(p.bits) != n:
-            raise ValueError("training patterns must share one length")
-    return n
-
-
-def build_tree(training, config: TreeConfig | None = None,
+def build_tree(training, n: int, config: TreeConfig | None = None,
                rng_seed: int = 0) -> PsmacaTree:
-    """Recursively partition the training set.
+    """Recursively partition the training set of n-bit patterns.
 
     At each impure node a GA evolves a dependency string with
     m = ceil(log2 K') segments for the node's K' classes; pure buckets
@@ -215,7 +213,10 @@ def build_tree(training, config: TreeConfig | None = None,
 
     config = config or TreeConfig()
     training = list(training)
-    n = _check_training(training)
+    if not training:
+        raise ValueError("training set must be non-empty")
+    for p in training:
+        _check_code(p.code, n)
     rng = random.Random(rng_seed)
 
     def grow(patterns: list[LabeledPattern], depth: int) -> TreeNode:
@@ -249,13 +250,11 @@ def build_tree(training, config: TreeConfig | None = None,
     return PsmacaTree(root=grow(training, 0), n=n, config=config)
 
 
-def classify(tree: PsmacaTree, pattern) -> str:
-    """Walk signatures from the root to a leaf.  An unseen signature at an
-    internal node falls back to that node's majority label."""
-    pattern = tuple(pattern)
-    if len(pattern) != tree.n:
-        raise ValueError(f"pattern length {len(pattern)} != tree width {tree.n}")
-    code = pack(pattern)
+def classify(tree: PsmacaTree, code: int) -> str:
+    """Walk signatures of an n-bit pattern code from the root to a leaf.
+    An unseen signature at an internal node falls back to that node's
+    majority label."""
+    _check_code(code, tree.n)
     node = tree.root
     while not node.is_leaf:
         child = node.children.get(_signature(node.ds.masks, code))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .codec import (
     DECODE_MODES,
-    StructureEncoding,
     check_sequence,
     hydropathy_encode,
     load_scale,
@@ -165,15 +164,14 @@ def predict_structure(target: str, training,
     cfg = cfg or PipelineConfig()
     check_sequence(target)
     scale = load_scale(cfg.scale_name)
-    enc = StructureEncoding()
 
     base, score = select_base(target, training, cfg.kmer_size)
     input_base = hydropathy_encode(base.sequence, scale)
-    output_base = structure_encode(base.structure, enc)
+    output_base = structure_encode(base.structure)
     response = deconvolve(output_base, input_base, cfg.filter_length, cfg.ridge)
 
     trace = convolve(hydropathy_encode(target, scale), response)
-    predicted = structure_decode(trace, cfg.decode_mode, enc)
+    predicted = structure_decode(trace, cfg.decode_mode)
     return PredictionResult(
         predicted=predicted,
         trace=tuple(trace),

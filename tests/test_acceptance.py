@@ -1,7 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS line (visible with `pytest -s tests/test_acceptance.py`)."""
 
-import itertools
 import random
 import time
 
@@ -77,8 +76,8 @@ def test_criterion_3_equal_split():
         value = rng.randrange(1, 1 << length)
         dv = tuple((value >> i) & 1 for i in range(length))
         ds = DependencyString((dv,))
-        ones = sum(maca.basin_signature(ds, p) == (1,)
-                   for p in itertools.product((0, 1), repeat=length))
+        ones = sum(maca.basin_signature(ds, code) == (1,)
+                   for code in range(1 << length))
         assert ones == 1 << (length - 1)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -97,9 +96,9 @@ def test_criterion_4_tree_purity():
         for _ in range(40):
             p = tuple(rng.randint(0, 1) for _ in range(n))
             parity = sum(a & b for a, b in zip(p, mask)) & 1
-            patterns.append(LabeledPattern(p, str(parity)))
-        tree = maca.build_tree(patterns, config, rng_seed=case)
-        assert all(maca.classify(tree, p.bits) == p.label for p in patterns), case
+            patterns.append(LabeledPattern(maca.pack(p), str(parity)))
+        tree = maca.build_tree(patterns, n, config, rng_seed=case)
+        assert all(maca.classify(tree, p.code) == p.label for p in patterns), case
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(f"4 tree purity on 200 separable sets ({elapsed:.1f}s)")
@@ -110,7 +109,7 @@ def test_criterion_5_ga_monotone_and_deterministic():
     patterns = []
     for _ in range(30):
         p = tuple(rng.randint(0, 1) for _ in range(6))
-        patterns.append(LabeledPattern(p, str(p[0] ^ p[3])))
+        patterns.append(LabeledPattern(maca.pack(p), str(p[0] ^ p[3])))
     for seed in range(50):
         cfg = ga.GaConfig(population_size=12, generations=12, rng_seed=seed)
         best1, h1 = ga.evolve_maca(patterns, 6, 2, cfg)

@@ -99,6 +99,18 @@ class TestTrain:
         assert loaded.ga_config == {
             **{name: tree_fields[name] for name in ga_fields}, "rng_seed": 11}
 
+    @pytest.mark.parametrize("flags", [
+        ("--max-depth", "-3"), ("--min-samples", "0"), ("--min-samples", "-1"),
+    ], ids=["max-depth-negative", "min-samples-0", "min-samples-negative"])
+    def test_nonsense_tree_config_is_data_error(self, tmp_path, toy_files,
+                                                capsys, flags):
+        _, data, _ = toy_files
+        model = tmp_path / "model.json"
+        assert run_cli(["train", "--data", str(data), "--out", str(model),
+                        *flags]) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not model.exists()
+
 
 def edit_model(path, edit):
     doc = json.loads(path.read_text())
@@ -134,6 +146,21 @@ class TestPredict:
         model = train(tmp_path, data, capsys)
         assert run_cli(["predict", "--model", str(model), "--fasta", str(fasta),
                         "--pipeline"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--mode", "paper_bands"), ("--mode", "nearest_centroid"),
+        ("--train-data", "DATA"),
+    ], ids=["mode-paper-bands", "mode-nearest-centroid", "train-data"])
+    def test_route_flag_requires_pipeline(self, tmp_path, toy_files, capsys,
+                                          flags):
+        _, data, fasta = toy_files
+        model = train(tmp_path, data, capsys)
+        flags = [str(data) if f == "DATA" else f for f in flags]
+        assert run_cli(["predict", "--model", str(model), "--fasta",
+                        str(fasta), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flags[0]} requires --pipeline" in err
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, toy_files, capsys):
         dataset, data, fasta = toy_files
@@ -184,8 +211,9 @@ class TestPredict:
         (lambda doc: doc["pipeline"].update(scale_name="zzz"), "scale 'zzz'"),
         (lambda doc: doc.update(training_fingerprint=5), "training_fingerprint"),
         (lambda doc: doc.update(ga_config=[]), "ga_config"),
+        (lambda doc: doc["tree"]["config"].update(max_depth=-3), "max_depth"),
     ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
-            "fingerprint-int", "ga-config-list"])
+            "fingerprint-int", "ga-config-list", "max-depth-negative"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files
@@ -311,6 +339,16 @@ class TestEvaluate:
         # the report itself does not name the route
         rows = report.read_text().strip().splitlines()
         assert rows[0] == "id\tq3\tqH\tqE\tqC" and len(rows) == 6
+
+    def test_train_data_requires_pipeline(self, tmp_path, toy_files, capsys):
+        _, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        report = tmp_path / "report.tsv"
+        assert run_cli(["evaluate", "--model", str(model), "--data", str(data),
+                        "--report", str(report), "--train-data",
+                        str(data)]) == 1
+        assert "--train-data requires --pipeline" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_tree_evaluation_runs(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files

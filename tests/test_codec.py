@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmaca import codec
-from psmaca.codec import StructureEncoding
+from psmaca import codec, maca
 
 structure_strings = st.text(alphabet="HEC", min_size=1, max_size=40)
 residues = st.text(alphabet=codec.AMINO_ACIDS + "X", max_size=30)
@@ -87,14 +86,6 @@ class TestStructureEncode:
         with pytest.raises(ValueError):
             codec.structure_encode("HQC")
 
-    def test_custom_encoding(self):
-        enc = StructureEncoding(100.0, 300.0, 500.0)
-        assert codec.structure_encode("HEC", enc) == [100.0, 300.0, 500.0]
-
-    def test_degenerate_encoding_rejected(self):
-        with pytest.raises(ValueError):
-            StructureEncoding(200.0, 200.0, 800.0)
-
 
 class TestStructureDecode:
     @pytest.mark.parametrize("value,label", [(100, "H"), (700, "E"), (400, "C"),
@@ -129,14 +120,6 @@ class TestStructureDecode:
     def test_nearest_centroid_round_trip(self, s):
         assert codec.structure_decode(codec.structure_encode(s)) == s
 
-    @given(structure_strings)
-    @settings(max_examples=100, deadline=None)
-    def test_paper_bands_round_trip_with_coil_at_400(self, s):
-        # with coil moved out of the strand band the literal bands are exact
-        enc = StructureEncoding(coil_value=400.0)
-        encoded = codec.structure_encode(s, enc)
-        assert codec.structure_decode(encoded, "paper_bands", enc) == s
-
     def test_paper_bands_round_trip_breaks_on_coil(self):
         assert codec.structure_decode(codec.structure_encode("C"),
                                       "paper_bands") == "E"
@@ -144,25 +127,25 @@ class TestStructureDecode:
 
 class TestWindowPatterns:
     def test_single_alanine(self):
-        assert codec.window_patterns("A", 1) == [(0, 0, 0, 0, 0)]
+        assert codec.window_patterns("A", 1) == [0b00000]
 
     def test_single_cysteine(self):
-        assert codec.window_patterns("C", 1) == [(0, 0, 0, 0, 1)]
+        assert codec.window_patterns("C", 1) == [0b00001]
 
     def test_pattern_count_and_width(self):
         pats = codec.window_patterns("MFRTKR", 3)
         assert len(pats) == 6
-        assert all(len(p) == 15 for p in pats)
+        assert all(0 <= p < 1 << 15 for p in pats)
 
     def test_terminal_padding(self):
         pad = (1, 0, 1, 0, 0)  # code 20
-        first = codec.window_patterns("AC", 3)[0]
+        first = maca.unpack(codec.window_patterns("AC", 3)[0], 15)
         assert first[:5] == pad
         assert first[5:10] == (0, 0, 0, 0, 0)  # A
         assert first[10:] == (0, 0, 0, 0, 1)  # C
 
     def test_x_uses_pad_code(self):
-        assert codec.window_patterns("X", 1) == [(1, 0, 1, 0, 0)]
+        assert codec.window_patterns("X", 1) == [0b10100]
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
@@ -172,7 +155,8 @@ class TestWindowPatterns:
            st.sampled_from([1, 3, 5, 7]))
     @settings(max_examples=200, deadline=None)
     def test_matches_per_residue_loop(self, seq, w):
-        assert codec.window_patterns(seq, w) == per_residue_windows(seq, w)
+        assert codec.window_patterns(seq, w) == \
+            [maca.pack(p) for p in per_residue_windows(seq, w)]
 
     def test_locality(self):
         a = codec.window_patterns("ACDEF", 3)

@@ -138,11 +138,12 @@ class TestQ3:
 
 def small_model():
     # window 1: one residue, so 5-bit patterns
-    pats = [LabeledPattern((0, 0, 0, 0, 0), "C"),
-            LabeledPattern((1, 1, 0, 0, 0), "H"),
-            LabeledPattern((0, 1, 0, 0, 0), "H"),
-            LabeledPattern((1, 0, 0, 0, 0), "C")]
-    tree = maca.build_tree(pats, TreeConfig(population_size=10, generations=10),
+    pats = [LabeledPattern(0b00000, "C"),
+            LabeledPattern(0b11000, "H"),
+            LabeledPattern(0b01000, "H"),
+            LabeledPattern(0b10000, "C")]
+    tree = maca.build_tree(pats, 5,
+                           TreeConfig(population_size=10, generations=10),
                            rng_seed=3)
     return ModelFile(
         tree=tree, window=1, pipeline=PipelineConfig(),

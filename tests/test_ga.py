@@ -5,7 +5,8 @@ import pytest
 
 from psmaca import dataio, ga
 from psmaca.codec import window_patterns
-from psmaca.maca import DependencyString, LabeledPattern, TreeConfig, dv_is_valid
+from psmaca.maca import (DependencyString, LabeledPattern, TreeConfig,
+                         dv_is_valid, pack)
 
 
 def check_invariants(ch, n):
@@ -20,7 +21,8 @@ def parity_patterns(n, mask, count, seed):
     pats = []
     for _ in range(count):
         p = tuple(rng.randint(0, 1) for _ in range(n))
-        pats.append(LabeledPattern(p, str(sum(a & b for a, b in zip(p, mask)) & 1)))
+        pats.append(LabeledPattern(pack(p),
+                                   str(sum(a & b for a, b in zip(p, mask)) & 1)))
     return pats
 
 
@@ -72,7 +74,7 @@ class TestRandomChromosome:
 
 class TestFitness:
     def test_single_class_always_perfect(self):
-        pats = [LabeledPattern((i & 1, (i >> 1) & 1), "A") for i in range(4)]
+        pats = [LabeledPattern(code, "A") for code in range(1 << 2)]
         for seed in range(5):
             ch = ga.random_chromosome(2, 1, random.Random(seed))
             assert ga.fitness(ch, pats) == 1.0
@@ -84,7 +86,7 @@ class TestFitness:
         assert ga.fitness(ch, pats) == 1.0
 
     def test_conflicting_duplicates(self):
-        pats = [LabeledPattern((1, 0), "A"), LabeledPattern((1, 0), "B")]
+        pats = [LabeledPattern(0b10, "A"), LabeledPattern(0b10, "B")]
         ch = ga.Chromosome(DependencyString(((1, 1),)), (1,))
         assert ga.fitness(ch, pats) == 0.5
 
@@ -152,9 +154,9 @@ class TestMutate:
 
 def toy_windows():
     """120 three-class windows of width 3 (15-bit patterns)."""
-    return [LabeledPattern(bits, label)
+    return [LabeledPattern(code, label)
             for r in dataio.make_toy_dataset(6, 20, seed=7).records
-            for bits, label in zip(window_patterns(r.sequence, 3), r.structure)]
+            for code, label in zip(window_patterns(r.sequence, 3), r.structure)]
 
 
 # evolve_maca(toy_windows(), 15, 2, memo_ga(seed)) before fitness was
@@ -228,14 +230,6 @@ class TestEvolveMaca:
         assert best1.serialize() == best2.serialize()
         assert h1.best == h2.best
         assert h1.mean == h2.mean
-
-    def test_history_tsv(self):
-        pats = parity_patterns(4, (1, 0, 0, 0), 10, seed=6)
-        cfg = ga.GaConfig(population_size=6, generations=3, rng_seed=0)
-        _, history = ga.evolve_maca(pats, 4, 1, cfg)
-        lines = history.to_tsv().strip().splitlines()
-        assert lines[0] == "generation\tbest\tmean"
-        assert len(lines) == len(history.best) + 1
 
     def test_defaults_are_tree_config_defaults(self):
         assert ga.GaConfig.from_tree(TreeConfig(), 0) == ga.GaConfig()
