@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
-from . import ca, dataio, ga, maca
+from . import ca, dataio, maca
 from .codec import DECODE_MODES, RESIDUE_BITS, window_patterns
 from .pipeline import PipelineConfig, predict_structure
 
-# train flag -> TreeConfig field; each flag's default is the field's
-_TREE_FLAGS = {
+# train flag -> TreeConfig field; each flag's default is the field's.  The
+# GA fields, with --seed, are also the model's ga_config block.
+_GA_FLAGS = {
     "--population": "population_size",
     "--generations": "generations",
     "--crossover-rate": "crossover_rate",
     "--mutation-rate": "mutation_rate",
     "--elitism": "elitism_count",
-    "--max-depth": "max_depth",
-    "--min-samples": "min_samples",
 }
+_TREE_FLAGS = {**_GA_FLAGS, "--max-depth": "max_depth",
+               "--min-samples": "min_samples"}
 
 
 class UsageError(Exception):
@@ -143,14 +144,14 @@ def cmd_train(args) -> int:
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)
     config = _tree_config(args)
-    ga_config = ga.GaConfig.from_tree(config, args.seed)  # validates early
     tree = maca.build_tree(patterns, RESIDUE_BITS * args.window, config,
                            rng_seed=args.seed)
     model = dataio.ModelFile(
         tree=tree,
         window=args.window,
         pipeline=PipelineConfig(filter_length=args.filter_length),
-        ga_config=asdict(ga_config),
+        ga_config={**{name: getattr(config, name)
+                      for name in _GA_FLAGS.values()}, "rng_seed": args.seed},
         training_fingerprint=dataio.fingerprint(text),
     )
     dataio.save_model(model, args.out)
@@ -187,9 +188,10 @@ def _predict_record(record, model, use_pipeline, training, cfg):
 
 def _check_route_flags(args) -> None:
     # flags that only the signal route reads would be ignored by the tree
-    for flag, value in (("--mode", getattr(args, "mode", None)),
-                        ("--train-data", args.train_data)):
-        if value is not None and not args.pipeline:
+    for flag, given in (("--mode", getattr(args, "mode", None) is not None),
+                        ("--train-data", args.train_data is not None),
+                        ("--no-verify", args.no_verify)):
+        if given and not args.pipeline:
             raise UsageError(f"{flag} requires --pipeline")
 
 

@@ -309,12 +309,15 @@ def save_model(model: ModelFile, path: str) -> None:
 
 def _check_tree(tree: maca.PsmacaTree, window) -> None:
     """Reject a tree that could not classify this model's windows: a window
-    that is not a positive odd int, a tree width other than 5 bits per
-    window residue, a node whose dependency string has another width, a
-    child key that is not an m-bit signature, or a label outside HEC."""
+    that is not a positive odd int, a tree width that is not the int 5 *
+    window, a node whose dependency string has another width, a child key
+    that is not an m-bit signature, or a label outside HEC."""
     if type(window) is not int or window < 1 or window % 2 == 0:
         raise ModelFormatError(
             f"model window must be a positive odd integer, got {window!r}")
+    if type(tree.n) is not int:
+        raise ModelFormatError(
+            f"model tree n must be an integer, got {tree.n!r}")
     if tree.n != RESIDUE_BITS * window:
         raise ModelFormatError(
             f"model window {window} gives {RESIDUE_BITS * window}-bit "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .maca import (Bits, DependencyString, TreeConfig, bit_string, distribute,
                    dv_is_valid, label_counts, unpack)
@@ -40,36 +40,6 @@ class Chromosome:
             sort_keys=True,
             separators=(",", ":"),
         )
-
-
-@dataclass(frozen=True)
-class GaConfig:
-    """One GA run; every field but rng_seed is a TreeConfig field and
-    defaults to its value there."""
-
-    population_size: int = TreeConfig.population_size
-    generations: int = TreeConfig.generations
-    crossover_rate: float = TreeConfig.crossover_rate
-    mutation_rate: float = TreeConfig.mutation_rate
-    elitism_count: int = TreeConfig.elitism_count
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if not 0 <= self.crossover_rate <= 1 or not 0 <= self.mutation_rate <= 1:
-            raise ValueError("rates must lie in [0, 1]")
-        if not 1 <= self.elitism_count < self.population_size:
-            raise ValueError("need 1 <= elitism_count < population_size")
-
-    @classmethod
-    def from_tree(cls, config: TreeConfig, rng_seed: int) -> "GaConfig":
-        """The GA settings of `config`, seeded with `rng_seed`."""
-        return cls(rng_seed=rng_seed, **{
-            f.name: getattr(config, f.name)
-            for f in fields(cls) if f.name != "rng_seed"})
 
 
 @dataclass
@@ -129,9 +99,7 @@ def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     gap = remaining - used
     middle = [_random_dv(gap, rng)] if gap > 0 else []
 
-    segments = tuple(prefix + middle + suffix)
-    if not segments:
-        segments = (_random_dv(n, rng),)
+    segments = tuple(prefix + middle + suffix)  # covers n >= 1 bits
     return Chromosome(DependencyString(segments), _random_dv(len(segments), rng))
 
 
@@ -169,12 +137,12 @@ def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
     return Chromosome(DependencyString(tuple(segments)), classifier2)
 
 
-def evolve_maca(training, n: int, m: int,
-                config: GaConfig) -> tuple[Chromosome, FitnessHistory]:
-    """Tournament(2) selection with elitism; returns the best individual
-    ever seen plus the per-generation history."""
+def evolve_maca(training, n: int, m: int, config: TreeConfig,
+                rng_seed: int = 0) -> tuple[Chromosome, FitnessHistory]:
+    """Tournament(2) selection with elitism under `config`'s GA settings;
+    returns the best individual ever seen plus the per-generation history."""
     training = list(training)
-    rng = random.Random(config.rng_seed)
+    rng = random.Random(rng_seed)
     memo: dict[DependencyString, float] = {}
 
     def score(ch: Chromosome) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 Bits = tuple[int, ...]
@@ -175,6 +175,9 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class TreeConfig:
+    """Tree settings; `population_size` to `elitism_count` set the GA run at
+    each impure node."""
+
     max_depth: int = 8
     min_samples: int = 2
     population_size: int = 30
@@ -186,12 +189,27 @@ class TreeConfig:
     split_retries: int = 5
 
     def __post_init__(self):
+        # exact types: a bool is no int, and a rate may also be an int
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if type(value) not in (int, kind):
+                raise ValueError(
+                    f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
         if self.split_retries < 1:
             raise ValueError("split_retries must be >= 1")
+        if self.population_size < 2:
+            raise ValueError("population_size must be >= 2")
+        if self.generations < 1:
+            raise ValueError("generations must be >= 1")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 1 <= self.elitism_count < self.population_size:
+            raise ValueError("need 1 <= elitism_count < population_size")
 
 
 @dataclass(frozen=True)
@@ -231,8 +249,8 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
         buckets = None
         best = None
         for _ in range(config.split_retries):
-            cfg = ga.GaConfig.from_tree(config, rng.getrandbits(32))
-            best, _ = ga.evolve_maca(patterns, n, m, cfg)
+            best, _ = ga.evolve_maca(patterns, n, m, config,
+                                     rng.getrandbits(32))
             candidate = distribute(best.classifier1, patterns)
             if len(candidate) > 1:
                 buckets = candidate

@@ -53,10 +53,16 @@ class PipelineConfig:
     kmer_size: int = 3
 
     def __post_init__(self):
+        for name in ("filter_length", "kmer_size"):
+            if type(getattr(self, name)) is not int:  # a bool is refused too
+                raise ValueError(f"{name} must be an int, "
+                                 f"got {getattr(self, name)!r}")
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if type(self.ridge) not in (int, float) or not (
+                math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be a finite number >= 0, "
+                             f"got {self.ridge!r}")
         if self.kmer_size < 1:
             raise ValueError("kmer_size must be >= 1")
         if self.decode_mode not in DECODE_MODES:

@@ -111,9 +111,9 @@ def test_criterion_5_ga_monotone_and_deterministic():
         p = tuple(rng.randint(0, 1) for _ in range(6))
         patterns.append(LabeledPattern(maca.pack(p), str(p[0] ^ p[3])))
     for seed in range(50):
-        cfg = ga.GaConfig(population_size=12, generations=12, rng_seed=seed)
-        best1, h1 = ga.evolve_maca(patterns, 6, 2, cfg)
-        best2, h2 = ga.evolve_maca(patterns, 6, 2, cfg)
+        cfg = TreeConfig(population_size=12, generations=12)
+        best1, h1 = ga.evolve_maca(patterns, 6, 2, cfg, seed)
+        best2, h2 = ga.evolve_maca(patterns, 6, 2, cfg, seed)
         assert all(a <= b for a, b in zip(h1.best, h1.best[1:])), seed
         assert best1.serialize() == best2.serialize(), seed
         assert (h1.best, h1.mean) == (h2.best, h2.mean), seed

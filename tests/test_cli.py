@@ -149,8 +149,9 @@ class TestPredict:
 
     @pytest.mark.parametrize("flags", [
         ("--mode", "paper_bands"), ("--mode", "nearest_centroid"),
-        ("--train-data", "DATA"),
-    ], ids=["mode-paper-bands", "mode-nearest-centroid", "train-data"])
+        ("--train-data", "DATA"), ("--no-verify",),
+    ], ids=["mode-paper-bands", "mode-nearest-centroid", "train-data",
+            "no-verify"])
     def test_route_flag_requires_pipeline(self, tmp_path, toy_files, capsys,
                                           flags):
         _, data, fasta = toy_files
@@ -212,8 +213,25 @@ class TestPredict:
         (lambda doc: doc.update(training_fingerprint=5), "training_fingerprint"),
         (lambda doc: doc.update(ga_config=[]), "ga_config"),
         (lambda doc: doc["tree"]["config"].update(max_depth=-3), "max_depth"),
+        (lambda doc: doc["tree"]["config"].update(population_size=1),
+         "population_size"),
+        (lambda doc: doc["tree"]["config"].update(population_size="10"),
+         "population_size"),
+        (lambda doc: doc["tree"]["config"].update(mutation_rate=1.5),
+         "mutation_rate"),
+        (lambda doc: doc["pipeline"].update(filter_length=9.5),
+         "filter_length"),
+        (lambda doc: doc["pipeline"].update(filter_length=True),
+         "filter_length"),
+        (lambda doc: doc["pipeline"].update(kmer_size=2.5), "kmer_size"),
+        (lambda doc: doc["pipeline"].update(ridge=float("nan")), "ridge"),
+        (lambda doc: doc["pipeline"].update(ridge=True), "ridge"),
+        (lambda doc: doc["tree"].update(n=15.0), "tree n"),
     ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
-            "fingerprint-int", "ga-config-list", "max-depth-negative"])
+            "fingerprint-int", "ga-config-list", "max-depth-negative",
+            "population-size-1", "population-size-str", "mutation-rate-1.5",
+            "filter-length-float", "filter-length-bool", "kmer-size-float",
+            "ridge-nan", "ridge-bool", "tree-n-float"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files
@@ -344,11 +362,11 @@ class TestEvaluate:
         _, data, _ = toy_files
         model = train(tmp_path, data, capsys)
         report = tmp_path / "report.tsv"
-        assert run_cli(["evaluate", "--model", str(model), "--data", str(data),
-                        "--report", str(report), "--train-data",
-                        str(data)]) == 1
-        assert "--train-data requires --pipeline" in capsys.readouterr().err
-        assert not report.exists()
+        for flags in (["--train-data", str(data)], ["--no-verify"]):
+            assert run_cli(["evaluate", "--model", str(model), "--data",
+                            str(data), "--report", str(report), *flags]) == 1
+            assert f"{flags[0]} requires --pipeline" in capsys.readouterr().err
+            assert not report.exists()
 
     def test_tree_evaluation_runs(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files

@@ -159,7 +159,7 @@ def toy_windows():
             for code, label in zip(window_patterns(r.sequence, 3), r.structure)]
 
 
-# evolve_maca(toy_windows(), 15, 2, memo_ga(seed)) before fitness was
+# evolve_maca(toy_windows(), 15, 2, MEMO_GA, seed) before fitness was
 # memoized: best.serialize(), history.best, history.mean
 UNMEMOIZED_RUNS = {
     0: ('{"classifier1":["1010010","11000010"],"classifier2":"10"}',
@@ -178,9 +178,7 @@ UNMEMOIZED_RUNS = {
 }
 
 
-def memo_ga(seed):
-    return ga.GaConfig(population_size=8, generations=6, mutation_rate=0.05,
-                       rng_seed=seed)
+MEMO_GA = TreeConfig(population_size=8, generations=6, mutation_rate=0.05)
 
 
 class TestFitnessMemo:
@@ -194,13 +192,13 @@ class TestFitnessMemo:
             return real(ch, training)
 
         monkeypatch.setattr(ga, "fitness", counting)
-        ga.evolve_maca(pats, 15, 2, ga.GaConfig(population_size=20,
-                                                generations=30, rng_seed=4))
+        ga.evolve_maca(pats, 15, 2,
+                       TreeConfig(population_size=20, generations=30), 4)
         assert calls and set(calls.values()) == {1}
 
     @pytest.mark.parametrize("seed", sorted(UNMEMOIZED_RUNS))
     def test_same_run_as_without_the_memo(self, seed):
-        best, history = ga.evolve_maca(toy_windows(), 15, 2, memo_ga(seed))
+        best, history = ga.evolve_maca(toy_windows(), 15, 2, MEMO_GA, seed)
         assert (best.serialize(), history.best, history.mean) == \
             UNMEMOIZED_RUNS[seed]
 
@@ -209,35 +207,24 @@ class TestEvolveMaca:
     def test_perfect_chromosome_reaches_one(self):
         mask = (1, 1, 0, 0)
         pats = parity_patterns(4, mask, 30, seed=3)
-        cfg = ga.GaConfig(population_size=40, generations=10, rng_seed=1)
-        best, history = ga.evolve_maca(pats, 4, 1, cfg)
+        cfg = TreeConfig(population_size=40, generations=10)
+        best, history = ga.evolve_maca(pats, 4, 1, cfg, 1)
         assert history.best[-1] == 1.0
         assert ga.fitness(best, pats) == 1.0
 
     def test_best_fitness_non_decreasing(self):
         pats = parity_patterns(6, (0, 1, 0, 1, 0, 0), 40, seed=4)
         for seed in range(10):
-            cfg = ga.GaConfig(population_size=12, generations=15, rng_seed=seed)
-            _, history = ga.evolve_maca(pats, 6, 2, cfg)
+            cfg = TreeConfig(population_size=12, generations=15)
+            _, history = ga.evolve_maca(pats, 6, 2, cfg, seed)
             assert all(b1 <= b2 for b1, b2 in zip(history.best, history.best[1:]))
             assert all(0.0 <= v <= 1.0 for v in history.best + history.mean)
 
     def test_seed_determinism(self):
         pats = parity_patterns(5, (1, 0, 0, 1, 0), 25, seed=5)
-        cfg = ga.GaConfig(population_size=10, generations=8, rng_seed=123)
-        best1, h1 = ga.evolve_maca(pats, 5, 2, cfg)
-        best2, h2 = ga.evolve_maca(pats, 5, 2, cfg)
+        cfg = TreeConfig(population_size=10, generations=8)
+        best1, h1 = ga.evolve_maca(pats, 5, 2, cfg, 123)
+        best2, h2 = ga.evolve_maca(pats, 5, 2, cfg, 123)
         assert best1.serialize() == best2.serialize()
         assert h1.best == h2.best
         assert h1.mean == h2.mean
-
-    def test_defaults_are_tree_config_defaults(self):
-        assert ga.GaConfig.from_tree(TreeConfig(), 0) == ga.GaConfig()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ga.GaConfig(population_size=1)
-        with pytest.raises(ValueError):
-            ga.GaConfig(elitism_count=50, population_size=50)
-        with pytest.raises(ValueError):
-            ga.GaConfig(mutation_rate=1.5)

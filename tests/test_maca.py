@@ -279,14 +279,19 @@ class TestBuildTree:
 class TestTreeConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_depth", -1), ("min_samples", 0), ("min_samples", -1),
-        ("split_retries", 0),
+        ("split_retries", 0), ("population_size", 1), ("elitism_count", 30),
+        ("elitism_count", 0), ("mutation_rate", 1.5), ("crossover_rate", -0.1),
+        ("generations", 0), ("population_size", "10"), ("generations", 2.5),
+        ("max_depth", True), ("mutation_rate", "0.1"),
     ])
     def test_nonsense_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TreeConfig(**{field: value})
 
     def test_smallest_values_accepted(self):
-        TreeConfig(max_depth=0, min_samples=1, split_retries=1)
+        TreeConfig(max_depth=0, min_samples=1, split_retries=1,
+                   population_size=2, generations=1, elitism_count=1,
+                   crossover_rate=0, mutation_rate=1)
 
 
 class TestClassify:
