@@ -138,7 +138,7 @@ def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
 
 
 def evolve_maca(training, n: int, m: int, config: TreeConfig,
-                rng_seed: int = 0) -> tuple[Chromosome, FitnessHistory]:
+                rng_seed: int) -> tuple[Chromosome, FitnessHistory]:
     """Tournament(2) selection with elitism under `config`'s GA settings;
     returns the best individual ever seen plus the per-generation history."""
     training = list(training)

@@ -54,9 +54,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("filter_length", "kmer_size"):
-            if type(getattr(self, name)) is not int:  # a bool is refused too
-                raise ValueError(f"{name} must be an int, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is refused too
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
         if type(self.ridge) not in (int, float) or not (
