@@ -5,7 +5,10 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest bench/bench_kernel.py
 
 It times `ga.fitness` of one chromosome on the first N training windows
-(N = 2400, 300, 34 and 8), `maca.classify` per window,
+(N = 2400, 300, 34 and 8), `ga.mutate` and `ga.crossover` per call on a
+seeded population of 30 chromosomes (n = 25, m = 2 and 4, the default
+mutation rate), `dataio.load_model` of the model the benchmark's
+`predict_tree` workload reads, `maca.classify` per window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
 at width 8 with each boundary, `pipeline.select_base` per target and
 `pipeline.deconvolve` (L = 9) on one base.  The windows are the 2,400
@@ -17,7 +20,7 @@ inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
 against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
 untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues).  The median
-and interquartile range of each layer, in seconds, go to BENCH_6.json at
+and interquartile range of each layer, in seconds, go to BENCH_8.json at
 the repository root, with the Python version, numpy version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
@@ -34,13 +37,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psmaca import ca, codec, dataio, ga, maca, pipeline
+from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_6.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_8.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
+POPULATION = 30
 FILTER_LENGTH = 9
 
 
@@ -93,6 +97,46 @@ def test_fitness(benchmark, windows, layers, size):
     training = windows[:size]
     assert 0 < benchmark(ga.fitness, ch, training) <= 1
     record(layers, benchmark, f"ga.fitness[N={size}]")
+
+
+def population(m: int) -> list[ga.Chromosome]:
+    rng = random.Random(m)
+    return [ga.random_chromosome(N_BITS, m, rng) for _ in range(POPULATION)]
+
+
+@pytest.mark.parametrize("m", (2, 4))
+def test_mutate(benchmark, layers, m):
+    pop = population(m)
+    rate = maca.TreeConfig.mutation_rate
+    children = benchmark(
+        lambda: [ga.mutate(ch, rate, random.Random(1)) for ch in pop])
+    assert all(ch.classifier1.n == N_BITS for ch in children)
+    record(layers, benchmark, f"ga.mutate[n={N_BITS}, m={m}]", per=POPULATION)
+
+
+@pytest.mark.parametrize("m", (2, 4))
+def test_crossover(benchmark, layers, m):
+    pop = population(m)
+    pairs = list(zip(pop, pop[1:] + pop[:1]))
+    children = benchmark(
+        lambda: [ga.crossover(a, b, random.Random(1)) for a, b in pairs])
+    assert all(ch.classifier1.n == N_BITS for ch in children)
+    record(layers, benchmark, f"ga.crossover[n={N_BITS}, m={m}]",
+           per=len(pairs))
+
+
+def test_load_model(benchmark, layers, tmp_path):
+    # the predict_tree workload's model: make_toy_dataset(10, 60, seed=0)
+    # trained with seed 0 at its GA settings
+    data, model = tmp_path / "train.txt", tmp_path / "model.json"
+    data.write_text(dataio.dataset_to_paired_text(
+        dataio.make_toy_dataset(10, 60, seed=0)))
+    assert cli.run_cli(["train", "--data", str(data), "--out", str(model),
+                        "--seed", "0", "--population", "10",
+                        "--generations", "10", "--max-depth", "8"]) == 0
+    loaded = benchmark(dataio.load_model, str(model))
+    assert loaded.window == WINDOW
+    record(layers, benchmark, "dataio.load_model[predict_tree model]")
 
 
 def test_classify_per_window(benchmark, windows, layers):

@@ -17,17 +17,16 @@ from . import ca, dataio, maca
 from .codec import DECODE_MODES, RESIDUE_BITS, window_patterns
 from .pipeline import PipelineConfig, predict_structure
 
-# train flag -> TreeConfig field; each flag's default is the field's.  The
-# GA fields, with --seed, are also the model's ga_config block.
-_GA_FLAGS = {
+# train flag -> TreeConfig field; each flag's default is the field's
+_TREE_FLAGS = {
     "--population": "population_size",
     "--generations": "generations",
     "--crossover-rate": "crossover_rate",
     "--mutation-rate": "mutation_rate",
     "--elitism": "elitism_count",
+    "--max-depth": "max_depth",
+    "--min-samples": "min_samples",
 }
-_TREE_FLAGS = {**_GA_FLAGS, "--max-depth": "max_depth",
-               "--min-samples": "min_samples"}
 
 
 class UsageError(Exception):
@@ -143,15 +142,13 @@ def cmd_train(args) -> int:
     text = _read(args.data)
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)
-    config = _tree_config(args)
-    tree = maca.build_tree(patterns, RESIDUE_BITS * args.window, config,
-                           rng_seed=args.seed)
+    tree = maca.build_tree(patterns, RESIDUE_BITS * args.window,
+                           _tree_config(args), rng_seed=args.seed)
     model = dataio.ModelFile(
         tree=tree,
         window=args.window,
         pipeline=PipelineConfig(filter_length=args.filter_length),
-        ga_config={**{name: getattr(config, name)
-                      for name in _GA_FLAGS.values()}, "rng_seed": args.seed},
+        seed=args.seed,
         training_fingerprint=dataio.fingerprint(text),
     )
     dataio.save_model(model, args.out)

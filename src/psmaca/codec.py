@@ -17,14 +17,12 @@ from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
-from .maca import bit_string, unpack
-
 # Canonical residues in alphabetical order; the position is the residue's
 # 5-bit code.  'X' (unknown) and window padding share code 20.
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN_RESIDUE = "X"
 RESIDUE_BITS = 5  # bits per residue code, so a window of w residues is 5w bits
-_CODE_TEXT = {aa: bit_string(unpack(code, RESIDUE_BITS))
+_CODE_TEXT = {aa: format(code, f"0{RESIDUE_BITS}b")
               for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
 
 STRUCTURE_LABELS = "HEC"

@@ -289,58 +289,99 @@ class ModelFile:
     tree: maca.PsmacaTree
     window: int
     pipeline: PipelineConfig
-    ga_config: dict
+    seed: int  # the rng_seed the tree was built with
     training_fingerprint: str
+
+
+# the GA settings of tree.config that the ga_config block echoes
+_GA_FIELDS = ("population_size", "generations", "crossover_rate",
+              "mutation_rate", "elitism_count")
+_LABELS = tuple(STRUCTURE_LABELS)  # `in` on the string would accept "HE"
+
+
+def tree_to_dict(tree: maca.PsmacaTree) -> dict:
+    """JSON-ready form of a tree; a child key is its signature's m digits."""
+
+    def node_to_dict(node: maca.TreeNode) -> dict:
+        if node.is_leaf:
+            return {"label": node.label}
+        return {"label": node.label, "ds": node.ds.bit_strings(),
+                "children": {format(sig, f"0{node.ds.m}b"): node_to_dict(child)
+                             for sig, child in node.children.items()}}
+
+    return {"n": tree.n, "config": asdict(tree.config),
+            "root": node_to_dict(tree.root)}
+
+
+def _check_keys(doc, keys: set, where: str) -> None:
+    """Reject a JSON value that is not an object with exactly `keys`."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(
+            f"{where} must be an object, got {type(doc).__name__}")
+    if doc.keys() != keys:
+        for problem, names in (("lacks", keys - doc.keys()),
+                               ("has unknown key", doc.keys() - keys)):
+            if names:
+                raise ModelFormatError(
+                    f"{where} {problem} {', '.join(sorted(names))}")
+
+
+def _config(cls, doc, where: str):
+    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    return cls(**doc)
+
+
+def _node_from_dict(doc, n: int) -> maca.TreeNode:
+    # recursive: JSON nesting caps a tree's depth at half the recursion limit
+    leaf = isinstance(doc, dict) and "ds" not in doc
+    _check_keys(doc, {"label"} if leaf else {"label", "ds", "children"},
+                "model tree node")
+    if doc["label"] not in _LABELS:
+        raise ModelFormatError(f"model tree label {doc['label']!r} is not "
+                               f"one of {STRUCTURE_LABELS}")
+    if leaf:
+        return maca.TreeNode(doc["label"])
+    if type(doc["ds"]) is not list or type(doc["children"]) is not dict:
+        raise ModelFormatError(
+            "model tree node needs a ds list and a children object")
+    ds = maca.DependencyString.from_bit_strings(doc["ds"])
+    if ds.n != n:
+        raise ModelFormatError(f"model tree node's dependency string covers "
+                               f"{ds.n} bits, not the tree's {n}")
+    children = {}
+    for sig, child in doc["children"].items():
+        if len(sig) != ds.m or sig.strip("01"):
+            raise ModelFormatError(
+                f"model tree child key {sig!r} is not a {ds.m}-bit signature")
+        children[int(sig, 2)] = _node_from_dict(child, n)
+    return maca.TreeNode(doc["label"], ds, children)
+
+
+def tree_from_dict(doc, window: int) -> maca.PsmacaTree:
+    """Decode and check a model's tree in one walk, for 5 * window bits."""
+    _check_keys(doc, {"n", "config", "root"}, "model tree")
+    n = doc["n"]
+    if type(n) is not int or n != RESIDUE_BITS * window:
+        raise ModelFormatError(
+            f"model tree n is {n!r}, but window {window} makes patterns "
+            f"{RESIDUE_BITS * window} bits wide")
+    config = _config(maca.TreeConfig, doc["config"], "model tree.config")
+    return maca.PsmacaTree(_node_from_dict(doc["root"], n), n, config)
 
 
 def save_model(model: ModelFile, path: str) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "window": model.window,
-        "tree": maca.tree_to_dict(model.tree),
+        "tree": tree_to_dict(model.tree),
         "pipeline": asdict(model.pipeline),
-        "ga_config": model.ga_config,
+        "ga_config": {**{name: getattr(model.tree.config, name)
+                         for name in _GA_FIELDS}, "rng_seed": model.seed},
         "training_fingerprint": model.training_fingerprint,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _check_tree(tree: maca.PsmacaTree, window) -> None:
-    """Reject a tree that could not classify this model's windows: a window
-    that is not a positive odd int, a tree width that is not the int 5 *
-    window, a node whose dependency string has another width, a child key
-    that is not an m-bit signature, or a label outside HEC."""
-    if type(window) is not int or window < 1 or window % 2 == 0:
-        raise ModelFormatError(
-            f"model window must be a positive odd integer, got {window!r}")
-    if type(tree.n) is not int:
-        raise ModelFormatError(
-            f"model tree n must be an integer, got {tree.n!r}")
-    if tree.n != RESIDUE_BITS * window:
-        raise ModelFormatError(
-            f"model window {window} gives {RESIDUE_BITS * window}-bit "
-            f"patterns, but the tree is {tree.n!r} bits wide")
-    labels = tuple(STRUCTURE_LABELS)  # `in` on the string would accept "HE"
-    nodes = [tree.root]
-    while nodes:
-        node = nodes.pop()
-        if node.label not in labels:
-            raise ModelFormatError(
-                f"model tree label {node.label!r} is not one of {STRUCTURE_LABELS}")
-        if node.is_leaf:
-            continue
-        if node.ds.n != tree.n:
-            raise ModelFormatError(
-                f"model tree node's dependency string covers {node.ds.n} "
-                f"bits, not the tree's {tree.n}")
-        for sig, child in node.children.items():
-            if len(sig) != node.ds.m:
-                raise ModelFormatError(
-                    f"model tree child key {maca.bit_string(sig)!r} is not "
-                    f"a {node.ds.m}-bit signature")
-            nodes.append(child)
 
 
 def load_model(path: str) -> ModelFile:
@@ -357,28 +398,33 @@ def load_model(path: str) -> ModelFile:
         raise ModelFormatError(
             f"unsupported model format version {version}; "
             f"this build reads version {MODEL_FORMAT_VERSION}")
-    missing = [f.name for f in fields(ModelFile) if f.name not in doc]
-    if missing:
-        raise ModelFormatError(f"model file lacks {', '.join(missing)}")
-    for key, kind in (("ga_config", dict), ("training_fingerprint", str)):
-        if not isinstance(doc[key], kind):
-            raise ModelFormatError(f"model {key} must be a {kind.__name__}, "
-                                   f"got {type(doc[key]).__name__}")
+    _check_keys(doc, {"format_version", "window", "tree", "pipeline",
+                      "ga_config", "training_fingerprint"}, "model file")
+    window = doc["window"]
+    if type(window) is not int or window < 1 or window % 2 == 0:
+        raise ModelFormatError(
+            f"model window must be a positive odd integer, got {window!r}")
+    fingerprint = doc["training_fingerprint"]
+    if not isinstance(fingerprint, str):
+        raise ModelFormatError("model training_fingerprint must be a str, "
+                               f"got {type(fingerprint).__name__}")
     try:
-        tree = maca.tree_from_dict(doc["tree"])
-        pipeline = PipelineConfig(**doc["pipeline"])
-    except KeyError as e:
-        raise ModelFormatError(f"malformed model file: missing key {e}") from None
-    except (TypeError, AttributeError, ValueError) as e:
+        tree = tree_from_dict(doc["tree"], window)
+        pipeline = _config(PipelineConfig, doc["pipeline"], "model pipeline")
+    except ValueError as e:
         raise ModelFormatError(f"malformed model file: {e}") from None
-    _check_tree(tree, doc["window"])
-    return ModelFile(
-        tree=tree,
-        window=doc["window"],
-        pipeline=pipeline,
-        ga_config=doc["ga_config"],
-        training_fingerprint=doc["training_fingerprint"],
-    )
+    echo = doc["ga_config"]
+    _check_keys(echo, {*_GA_FIELDS, "rng_seed"}, "model ga_config")
+    seed = echo["rng_seed"]
+    if type(seed) is not int:
+        raise ModelFormatError(
+            f"model ga_config rng_seed must be an integer, got {seed!r}")
+    for name in _GA_FIELDS:
+        if echo[name] != getattr(tree.config, name):
+            raise ModelFormatError(
+                f"model ga_config {name} differs from tree.config's")
+    return ModelFile(tree=tree, window=window, pipeline=pipeline, seed=seed,
+                     training_fingerprint=fingerprint)
 
 
 def make_toy_dataset(n_records: int = 8, length: int = 9,

@@ -16,26 +16,23 @@ import json
 import random
 from dataclasses import dataclass
 
-from .maca import (Bits, DependencyString, TreeConfig, bit_string, distribute,
-                   dv_is_valid, label_counts, unpack)
+from .maca import DependencyString, TreeConfig, distribute, label_counts
 
 
 @dataclass(frozen=True)
 class Chromosome:
     classifier1: DependencyString
-    classifier2: Bits
+    classifier2: int
 
     def __post_init__(self):
-        if len(self.classifier2) != self.classifier1.m:
-            raise ValueError("classifier2 length must equal classifier1's m")
-        if not dv_is_valid(self.classifier2):
-            raise ValueError("classifier2 must be a valid dependency vector")
+        if not 0 < self.classifier2 < 1 << self.classifier1.m:
+            raise ValueError("classifier2 must be a nonzero m-bit vector")
 
     def serialize(self) -> str:
         return json.dumps(
             {
                 "classifier1": self.classifier1.bit_strings(),
-                "classifier2": bit_string(self.classifier2),
+                "classifier2": f"{self.classifier2:0{self.classifier1.m}b}",
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -57,15 +54,12 @@ def random_partition(n: int, m: int, rng: random.Random) -> list[int]:
     return [b - a for a, b in zip(edges, edges[1:])]
 
 
-def _random_dv(length: int, rng: random.Random) -> Bits:
-    # uniform over the 2^length - 1 nonzero vectors
-    return unpack(rng.randrange(1, 1 << length), length)
-
-
 def random_chromosome(n: int, m: int, rng: random.Random) -> Chromosome:
-    parts = random_partition(n, m, rng)
-    segments = tuple(_random_dv(p, rng) for p in parts)
-    return Chromosome(DependencyString(segments), _random_dv(m, rng))
+    widths = tuple(random_partition(n, m, rng))
+    bits = 0
+    for width in widths:
+        bits = bits << width | rng.randrange(1, 1 << width)
+    return Chromosome(DependencyString(bits, widths), rng.randrange(1, 1 << m))
 
 
 def fitness(ch: Chromosome, training) -> float:
@@ -83,34 +77,39 @@ def fitness(ch: Chromosome, training) -> float:
 def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     """Recombine at segment boundaries: a prefix of a's segments plus a
     suffix of b's, with the straddling gap re-randomized to a fresh DV."""
-    n = a.classifier1.n
-    if b.classifier1.n != n:
+    ds_a, ds_b = a.classifier1, b.classifier1
+    if ds_b.n != ds_a.n:
         raise ValueError("parents must cover the same pattern length")
-    prefix = list(a.classifier1.segments[:rng.randrange(a.classifier1.m + 1)])
-    remaining = n - sum(len(s) for s in prefix)
-
-    suffix: list[Bits] = []
-    used = 0
-    for seg in reversed(b.classifier1.segments):
-        if used + len(seg) > remaining:
-            break
-        suffix.insert(0, seg)
-        used += len(seg)
-    gap = remaining - used
-    middle = [_random_dv(gap, rng)] if gap > 0 else []
-
-    segments = tuple(prefix + middle + suffix)  # covers n >= 1 bits
-    return Chromosome(DependencyString(segments), _random_dv(len(segments), rng))
-
-
-def _flip_bits(bits: Bits, rate: float, rng: random.Random) -> list[int]:
-    return [b ^ 1 if rng.random() < rate else b for b in bits]
+    k = rng.randrange(ds_a.m + 1)
+    low = ds_a.n - sum(ds_a.widths[:k])  # the bits below a's prefix
+    j, tail = ds_b.m, 0  # b's segments j.. fit in the low `tail` bits
+    while j and tail + ds_b.widths[j - 1] <= low:
+        j -= 1
+        tail += ds_b.widths[j]
+    bits = ds_a.bits >> low << low | ds_b.bits & ((1 << tail) - 1)
+    widths = ds_a.widths[:k] + ds_b.widths[j:]
+    gap = low - tail
+    if gap:  # a fresh DV fills the bits between prefix and suffix
+        bits |= rng.randrange(1, 1 << gap) << tail
+        widths = ds_a.widths[:k] + (gap,) + ds_b.widths[j:]
+    return Chromosome(DependencyString(bits, widths),
+                      rng.randrange(1, 1 << len(widths)))
 
 
-def _repair(bits: list[int], rng: random.Random) -> Bits:
-    if not any(bits):
-        bits[rng.randrange(len(bits))] = 1
-    return tuple(bits)
+def _repair(bits: int, low: int, width: int, rng: random.Random) -> int:
+    # set one random bit (draw 0 is the top one) of an all-zero segment
+    if bits >> low & ((1 << width) - 1):
+        return bits
+    return bits | 1 << (low + width - 1 - rng.randrange(width))
+
+
+def _mutate_segment(bits: int, low: int, width: int, rate: float,
+                    rng: random.Random) -> int:
+    # flip each bit of bits[low:low + width] at `rate`, top bit first
+    for i in reversed(range(low, low + width)):
+        if rng.random() < rate:
+            bits ^= 1 << i
+    return _repair(bits, low, width, rng)
 
 
 def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
@@ -118,23 +117,26 @@ def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
     probability `rate`) a +-1 shift of one segment boundary."""
     if not 0 <= rate <= 1:
         raise ValueError("mutation rate must lie in [0, 1]")
-    segments = [_repair(_flip_bits(seg, rate, rng), rng)
-                for seg in ch.classifier1.segments]
+    ds = ch.classifier1
+    bits, widths, low = ds.bits, list(ds.widths), ds.n
+    for width in widths:
+        low -= width
+        bits = _mutate_segment(bits, low, width, rate, rng)
 
-    if len(segments) >= 2 and rng.random() < rate:
-        i = rng.randrange(len(segments) - 1)  # boundary between i and i+1
-        left, right = list(segments[i]), list(segments[i + 1])
-        if rng.random() < 0.5:
-            if len(left) >= 2:  # move the boundary left
-                right.insert(0, left.pop())
-        else:
-            if len(right) >= 2:  # move the boundary right
-                left.append(right.pop(0))
-        segments[i] = _repair(left, rng)
-        segments[i + 1] = _repair(right, rng)
+    if len(widths) >= 2 and rng.random() < rate:
+        i = rng.randrange(len(widths) - 1)  # boundary between i and i+1
+        # segment i gives its last bit (the boundary moves left), or
+        # segment i+1 its first; a 1-bit segment gives none
+        giver = i if rng.random() < 0.5 else i + 1
+        if widths[giver] >= 2:
+            widths[giver] -= 1
+            widths[2 * i + 1 - giver] += 1
+        low = ds.n - sum(widths[:i + 2])  # the bottom of segment i+1
+        bits = _repair(bits, low + widths[i + 1], widths[i], rng)
+        bits = _repair(bits, low, widths[i + 1], rng)
 
-    classifier2 = _repair(_flip_bits(ch.classifier2, rate, rng), rng)
-    return Chromosome(DependencyString(tuple(segments)), classifier2)
+    classifier2 = _mutate_segment(ch.classifier2, 0, ds.m, rate, rng)
+    return Chromosome(DependencyString(bits, tuple(widths)), classifier2)
 
 
 def evolve_maca(training, n: int, m: int, config: TreeConfig,

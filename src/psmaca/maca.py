@@ -6,25 +6,24 @@ n-bit pattern to an m-bit basin signature: one parity bit per segment.  The
 class gives a classifier, and recursive partitioning of impure basins gives
 the tree classifier.
 
-Bit layout, for the whole package: a pattern is one n-bit int from
-`codec.window_patterns` on; a bucket, a fitness and a tree walk read only
-that int.  Tuples remain for dependency-string segments, signatures and CA
-cells: an n-bit 0/1 tuple packs to an int with tuple bit 0 most
-significant, or is written as n ASCII '0'/'1' characters; (1, 0, 1, 1)
-packs to 0b1011 and reads "1011".  Only `pack`, `unpack`, `bit_string` and
-`parse_bits` convert between these.  Segment j of a dependency string
-becomes a mask over the n pattern bits (its own bits in place, zeros
-elsewhere), and signature bit j is the parity of `code & masks[j]`.  Only
-0/1 bits pack; any other value raises ValueError instead of spilling into
-a neighbouring bit.
+Bit layout, for the whole package: a pattern, a dependency string and a
+basin signature are each one int, most significant bit first.  A
+dependency string is its segments' n-bit concatenation, segment 0 on top,
+plus each segment's width; segment j, in place, is mask j, and signature
+bit j, from the top, is the parity of `code & masks[j]`.  As text, an
+m-bit value is m ASCII '0'/'1' characters.  Tuples remain only for CA
+cells: `pack`, `unpack`, `bit_string` and `parse_bits` convert a 0/1
+tuple, bit 0 most significant; any value but 0/1 raises ValueError
+instead of spilling into a neighbouring bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import islice
 
 Bits = tuple[int, ...]
 
@@ -48,80 +47,81 @@ def pack(bits) -> int:
     return int(bit_string(bits) or "0", 2)
 
 
-def parse_bits(text: str) -> Bits:
-    """The bits of an ASCII '0'/'1' text; any other character raises ValueError."""
+def _check_text(text) -> str:
     if not isinstance(text, str) or text.strip("01"):
         raise ValueError(f"bit text must hold only ASCII 0 or 1, got {text!r}")
-    return tuple(text.encode().translate(_VALUES))
+    return text
 
 
-def unpack(value: int, n: int) -> Bits:
-    """The n bits of `value`, most significant first: pack's inverse."""
-    if value >> n:
-        raise ValueError(f"{value} is not an unsigned {n}-bit value")
-    return parse_bits(bin(value | 1 << n)[3:])  # 1 << n keeps leading zeros
-
-
-def dv_is_valid(bits) -> bool:
-    """A dependency vector is valid iff it has at least one 1 bit; an
-    all-zero vector would collapse its two basins into one.  Bits other
-    than 0 and 1 raise ValueError."""
-    bits = tuple(bits)
-    if len(bits) == 0:
-        raise ValueError("dependency vector must be non-empty")
-    return pack(bits) != 0
-
-
-@dataclass(frozen=True)
-class DependencyString:
-    """Ordered nonzero dependency vectors covering an n-bit pattern."""
-
-    segments: tuple[Bits, ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("dependency string needs at least one segment")
-        for seg in self.segments:
-            if not dv_is_valid(seg):
-                raise ValueError(f"invalid (all-zero) dependency vector {seg}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(s) for s in self.segments)
-
-    @property
-    def m(self) -> int:
-        return len(self.segments)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """One packed mask per segment, over the whole n-bit pattern."""
-        masks = []
-        shift = self.n
-        for seg in self.segments:
-            shift -= len(seg)
-            masks.append(pack(seg) << shift)
-        return tuple(masks)
-
-    def bit_strings(self) -> list[str]:
-        return [bit_string(seg) for seg in self.segments]
-
-    @classmethod
-    def from_bit_strings(cls, strings) -> "DependencyString":
-        return cls(tuple(parse_bits(s) for s in strings))
-
-
-def _signature(masks, code: int) -> Bits:
-    # the one signature kernel: bit j is the parity of code AND mask j
-    return tuple([(code & mask).bit_count() & 1 for mask in masks])
+def parse_bits(text: str) -> Bits:
+    """The bits of an ASCII '0'/'1' text; any other character raises ValueError."""
+    return tuple(_check_text(text).encode().translate(_VALUES))
 
 
 def _check_code(code: int, n: int) -> None:
     if code >> n:  # also nonzero for every negative code
-        raise ValueError(f"pattern {code} is not an unsigned {n}-bit code")
+        raise ValueError(f"{code} is not an unsigned {n}-bit value")
 
 
-def basin_signature(ds: DependencyString, code: int) -> Bits:
+def unpack(value: int, n: int) -> Bits:
+    """The n bits of `value`, most significant first: pack's inverse."""
+    _check_code(value, n)
+    return parse_bits(bin(value | 1 << n)[3:])  # 1 << n keeps leading zeros
+
+
+@dataclass(frozen=True)
+class DependencyString:
+    """Ordered nonzero dependency vectors covering an n-bit pattern: `bits`
+    is their n-bit concatenation, segment 0 most significant, and `widths`
+    holds one width per segment."""
+
+    bits: int
+    widths: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.widths:
+            raise ValueError("dependency string needs at least one segment")
+        _check_code(self.bits, self.n)
+        if not all(self.masks):
+            raise ValueError(f"all-zero segment in {self.bit_strings()}")
+
+    @property
+    def n(self) -> int:
+        return sum(self.widths)
+
+    @property
+    def m(self) -> int:
+        return len(self.widths)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One mask per segment, over the whole n-bit pattern."""
+        masks, low = [], self.n
+        for width in self.widths:
+            low -= width
+            masks.append(self.bits & ((1 << width) - 1) << low)
+        return tuple(masks)
+
+    def bit_strings(self) -> list[str]:
+        """The '0'/'1' text of each segment, segment 0 first."""
+        digits = iter(format(self.bits, f"0{self.n}b"))
+        return ["".join(islice(digits, width)) for width in self.widths]
+
+    @classmethod
+    def from_bit_strings(cls, strings) -> "DependencyString":
+        strings = [_check_text(s) for s in strings]
+        return cls(int("".join(strings) or "0", 2), tuple(map(len, strings)))
+
+
+def _signature(masks, code: int) -> int:
+    # the one signature kernel: bit j is the parity of code AND mask j
+    sig = 0
+    for mask in masks:
+        sig = sig << 1 | (code & mask).bit_count() & 1
+    return sig
+
+
+def basin_signature(ds: DependencyString, code: int) -> int:
     """Signature bit j = parity of (segment j AND the matching pattern bits)."""
     _check_code(code, ds.n)
     return _signature(ds.masks, code)
@@ -133,11 +133,11 @@ class LabeledPattern:
     label: str
 
 
-def distribute(ds: DependencyString, patterns) -> dict[Bits, list[LabeledPattern]]:
+def distribute(ds: DependencyString, patterns) -> dict[int, list[LabeledPattern]]:
     """Bucket patterns by basin signature; every pattern lands in exactly
     one bucket."""
     masks = ds.masks
-    buckets: dict[Bits, list[LabeledPattern]] = {}
+    buckets: dict[int, list[LabeledPattern]] = {}
     for p in patterns:
         buckets.setdefault(_signature(masks, p.code), []).append(p)
     return buckets
@@ -166,7 +166,7 @@ class TreeNode:
 
     label: str
     ds: DependencyString | None = None
-    children: dict[Bits, "TreeNode"] = field(default_factory=dict)
+    children: dict[int, "TreeNode"] = field(default_factory=dict)
 
     @property
     def is_leaf(self) -> bool:
@@ -246,16 +246,13 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
             return TreeNode(label=majority)
 
         m = min(max(1, math.ceil(math.log2(len(classes)))), n)
-        buckets = None
-        best = None
         for _ in range(config.split_retries):
             best, _ = ga.evolve_maca(patterns, n, m, config,
                                      rng.getrandbits(32))
-            candidate = distribute(best.classifier1, patterns)
-            if len(candidate) > 1:
-                buckets = candidate
+            buckets = distribute(best.classifier1, patterns)
+            if len(buckets) > 1:
                 break
-        if buckets is None:
+        else:
             # no chromosome separated this bucket at all
             return TreeNode(label=majority)
 
@@ -280,46 +277,3 @@ def classify(tree: PsmacaTree, code: int) -> str:
             return node.label
         node = child
     return node.label
-
-
-def tree_to_dict(tree: PsmacaTree) -> dict:
-    """JSON-ready form of a tree (see harness docs for the model schema)."""
-
-    def node_to_dict(node: TreeNode) -> dict:
-        if node.is_leaf:
-            return {"label": node.label}
-        return {
-            "label": node.label,
-            "ds": node.ds.bit_strings(),
-            "children": {
-                bit_string(sig): node_to_dict(child)
-                for sig, child in sorted(node.children.items())
-            },
-        }
-
-    return {
-        "n": tree.n,
-        "config": asdict(tree.config),
-        "root": node_to_dict(tree.root),
-    }
-
-
-def tree_from_dict(doc: dict) -> PsmacaTree:
-    def node_from_dict(d: dict) -> TreeNode:
-        if "ds" not in d:
-            return TreeNode(label=d["label"])
-        children = {
-            parse_bits(sig): node_from_dict(child)
-            for sig, child in d["children"].items()
-        }
-        return TreeNode(
-            label=d["label"],
-            ds=DependencyString.from_bit_strings(d["ds"]),
-            children=children,
-        )
-
-    return PsmacaTree(
-        root=node_from_dict(doc["root"]),
-        n=doc["n"],
-        config=TreeConfig(**doc["config"]),
-    )

@@ -75,8 +75,8 @@ def test_criterion_3_equal_split():
         length = rng.randint(1, 12)
         value = rng.randrange(1, 1 << length)
         dv = tuple((value >> i) & 1 for i in range(length))
-        ds = DependencyString((dv,))
-        ones = sum(maca.basin_signature(ds, code) == (1,)
+        ds = DependencyString(maca.pack(dv), (length,))
+        ones = sum(maca.basin_signature(ds, code) == 1
                    for code in range(1 << length))
         assert ones == 1 << (length - 1)
     elapsed = time.monotonic() - start

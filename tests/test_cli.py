@@ -92,12 +92,14 @@ class TestTrain:
     def test_ga_config_is_tree_config_plus_seed(self, tmp_path, toy_files,
                                                 capsys):
         _, data, _ = toy_files
-        loaded = dataio.load_model(train(tmp_path, data, capsys))
+        model = train(tmp_path, data, capsys)
+        loaded = dataio.load_model(model)
         tree_fields = asdict(loaded.tree.config)
         ga_fields = ("population_size", "generations", "crossover_rate",
                      "mutation_rate", "elitism_count")
-        assert loaded.ga_config == {
+        assert json.loads(model.read_text())["ga_config"] == {
             **{name: tree_fields[name] for name in ga_fields}, "rng_seed": 11}
+        assert loaded.seed == 11
 
     @pytest.mark.parametrize("flags", [
         ("--max-depth", "-3"), ("--min-samples", "0"), ("--min-samples", "-1"),
@@ -227,11 +229,31 @@ class TestPredict:
         (lambda doc: doc["pipeline"].update(ridge=float("nan")), "ridge"),
         (lambda doc: doc["pipeline"].update(ridge=True), "ridge"),
         (lambda doc: doc["tree"].update(n=15.0), "tree n"),
+        (lambda doc: doc["tree"]["config"].pop("generations"),
+         "tree.config lacks generations"),
+        (lambda doc: doc["pipeline"].pop("ridge"), "pipeline lacks ridge"),
+        (lambda doc: doc.update(zzz=1), "file has unknown key zzz"),
+        (lambda doc: doc["tree"].update(zzz=1), "tree has unknown key zzz"),
+        (lambda doc: first_leaf(doc["tree"]["root"]).update(children={}),
+         "node has unknown key children"),
+        (lambda doc: doc["tree"]["root"].update(
+            ds="".join(doc["tree"]["root"]["ds"])), "ds list"),
+        (lambda doc: doc["tree"]["root"].update(children=[]),
+         "children object"),
+        (lambda doc: doc.update(ga_config={}), "ga_config lacks"),
+        (lambda doc: doc["ga_config"].update(population_size=1),
+         "ga_config population_size"),
+        (lambda doc: doc["ga_config"].update(rng_seed="0"),
+         "ga_config rng_seed"),
     ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
             "fingerprint-int", "ga-config-list", "max-depth-negative",
             "population-size-1", "population-size-str", "mutation-rate-1.5",
             "filter-length-float", "filter-length-bool", "kmer-size-float",
-            "ridge-nan", "ridge-bool", "tree-n-float"])
+            "ridge-nan", "ridge-bool", "tree-n-float", "no-generations",
+            "no-ridge", "unknown-top-level-key", "unknown-tree-key",
+            "leaf-with-children", "ds-bare-string", "children-list",
+            "ga-config-empty", "ga-config-population-size-1",
+            "rng-seed-str"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files

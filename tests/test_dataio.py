@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -147,7 +148,22 @@ def small_model():
                            rng_seed=3)
     return ModelFile(
         tree=tree, window=1, pipeline=PipelineConfig(),
-        ga_config={"rng_seed": 3}, training_fingerprint=dataio.fingerprint("x"))
+        seed=3, training_fingerprint=dataio.fingerprint("x"))
+
+
+class TestTreeSerialization:
+    def test_round_trip(self):
+        # window 1: 5-bit patterns, labeled by the parity of the top two bits
+        rng = random.Random(11)
+        pats = [LabeledPattern(code, "HE"[(code >> 3).bit_count() & 1])
+                for code in (rng.randrange(1 << 5) for _ in range(40))]
+        tree = maca.build_tree(pats, 5, TreeConfig(population_size=20,
+                                                   generations=25), rng_seed=11)
+        assert not tree.root.is_leaf
+        rebuilt = dataio.tree_from_dict(dataio.tree_to_dict(tree), window=1)
+        assert dataio.tree_to_dict(rebuilt) == dataio.tree_to_dict(tree)
+        for p in pats:
+            assert maca.classify(rebuilt, p.code) == maca.classify(tree, p.code)
 
 
 class TestModelFile:
@@ -156,7 +172,8 @@ class TestModelFile:
         path = tmp_path / "model.json"
         dataio.save_model(model, path)
         loaded = dataio.load_model(path)
-        assert maca.tree_to_dict(loaded.tree) == maca.tree_to_dict(model.tree)
+        assert dataio.tree_to_dict(loaded.tree) == \
+            dataio.tree_to_dict(model.tree)
         assert loaded.pipeline == model.pipeline
         assert loaded.training_fingerprint == model.training_fingerprint
 
@@ -186,7 +203,7 @@ class TestModelFile:
         (lambda doc: doc.pop("window"), "lacks window"),
         (lambda doc: doc["pipeline"].update(zzz=1), "zzz"),
         (lambda doc: doc["tree"]["config"].update(zzz=1), "zzz"),
-        (lambda doc: doc["tree"]["root"].pop("label"), "missing key 'label'"),
+        (lambda doc: doc["tree"]["root"].pop("label"), "node lacks label"),
     ], ids=["no-window", "pipeline-key", "tree-config-key", "node-label"])
     def test_malformed_model_names_the_problem(self, tmp_path, edit, problem):
         path = tmp_path / "model.json"

@@ -5,15 +5,13 @@ import pytest
 
 from psmaca import dataio, ga
 from psmaca.codec import window_patterns
-from psmaca.maca import (DependencyString, LabeledPattern, TreeConfig,
-                         dv_is_valid, pack)
+from psmaca.maca import DependencyString, LabeledPattern, TreeConfig, pack
 
 
 def check_invariants(ch, n):
     assert ch.classifier1.n == n
-    assert all(dv_is_valid(seg) for seg in ch.classifier1.segments)
-    assert len(ch.classifier2) == ch.classifier1.m
-    assert dv_is_valid(ch.classifier2)
+    assert all("1" in seg for seg in ch.classifier1.bit_strings())
+    assert 0 < ch.classifier2 < 1 << ch.classifier1.m
 
 
 def parity_patterns(n, mask, count, seed):
@@ -56,8 +54,8 @@ class TestRandomPartition:
 class TestRandomChromosome:
     def test_minimal(self):
         ch = ga.random_chromosome(1, 1, random.Random(0))
-        assert ch.classifier1.segments == ((1,),)
-        assert ch.classifier2 == (1,)
+        assert ch.classifier1 == DependencyString(1, (1,))
+        assert ch.classifier2 == 1
 
     def test_invariants_over_many_draws(self):
         rng = random.Random(3)
@@ -82,12 +80,12 @@ class TestFitness:
     def test_matching_dv_is_perfect(self):
         mask = (1, 0, 1, 0)
         pats = parity_patterns(4, mask, 40, seed=1)
-        ch = ga.Chromosome(DependencyString((mask,)), (1,))
+        ch = ga.Chromosome(DependencyString(pack(mask), (4,)), 1)
         assert ga.fitness(ch, pats) == 1.0
 
     def test_conflicting_duplicates(self):
         pats = [LabeledPattern(0b10, "A"), LabeledPattern(0b10, "B")]
-        ch = ga.Chromosome(DependencyString(((1, 1),)), (1,))
+        ch = ga.Chromosome(DependencyString(0b11, (2,)), 1)
         assert ga.fitness(ch, pats) == 0.5
 
     def test_permutation_invariance(self):
@@ -146,10 +144,10 @@ class TestMutate:
             check_invariants(ga.mutate(ch, 0.8, rng), n)
 
     def test_single_bit_segment_repairs_to_one(self):
-        ch = ga.Chromosome(DependencyString(((1,),)), (1,))
+        ch = ga.Chromosome(DependencyString(1, (1,)), 1)
         out = ga.mutate(ch, 1.0, random.Random(5))
-        assert out.classifier1.segments == ((1,),)
-        assert out.classifier2 == (1,)
+        assert out.classifier1 == DependencyString(1, (1,))
+        assert out.classifier2 == 1
 
 
 def toy_windows():
@@ -175,6 +173,67 @@ UNMEMOIZED_RUNS = {
         [0.45, 0.4666666666666667, 0.4666666666666667, 0.55, 0.55, 0.55],
         [0.43437500000000007, 0.446875, 0.4520833333333334,
          0.4822916666666668, 0.4864583333333333, 0.48125000000000007]),
+}
+
+
+# evolve_maca(toy_windows(), 15, 4, HIGH_MUTATION_GA, seed) before the
+# operators worked on ints: best.serialize(), history.best, history.mean.
+# At these rates boundary shifts, zero-segment repairs and crossover gaps
+# run often.
+HIGH_MUTATION_GA = TreeConfig(population_size=20, generations=30,
+                              mutation_rate=0.5, crossover_rate=0.7)
+HIGH_MUTATION_RUNS = {
+    0: ('{"classifier1":["1","1","1","10","01","1","01","11","1","1","1"],'
+        '"classifier2":"01110100000"}',
+        [0.5916666666666667, 0.6333333333333333, 0.7083333333333334,
+         0.8416666666666667, 0.8666666666666667, 0.9333333333333333,
+         0.9333333333333333, 0.9333333333333333, 0.9416666666666667,
+         0.9416666666666667, 0.9416666666666667, 0.9416666666666667, 0.95,
+         0.9833333333333333, 0.9833333333333333, 0.9833333333333333,
+         0.9833333333333333, 0.9833333333333333, 0.9916666666666667,
+         0.9916666666666667, 0.9916666666666667, 0.9916666666666667,
+         0.9916666666666667, 1.0],
+        [0.5141666666666668, 0.5279166666666667, 0.5908333333333333,
+         0.6766666666666666, 0.7391666666666665, 0.8008333333333333,
+         0.8400000000000001, 0.8666666666666666, 0.8916666666666668,
+         0.8891666666666665, 0.901666666666667, 0.9183333333333332,
+         0.9058333333333332, 0.9183333333333333, 0.91375, 0.9433333333333334,
+         0.945, 0.9487499999999999, 0.9520833333333334, 0.9574999999999998,
+         0.9549999999999998, 0.9566666666666667, 0.9591666666666665,
+         0.9591666666666667]),
+    1: ('{"classifier1":["101","1","1","10","1","1","01","1","1","1","1"],'
+        '"classifier2":"10110111010"}',
+        [0.575, 0.6083333333333333, 0.6166666666666667, 0.7083333333333334,
+         0.7166666666666667, 0.725, 0.725, 0.85, 0.8583333333333333,
+         0.8583333333333333, 0.875, 0.9583333333333334, 0.9583333333333334,
+         0.9666666666666667, 0.9666666666666667, 0.975, 0.9833333333333333,
+         0.9833333333333333, 0.9833333333333333, 0.9833333333333333,
+         0.9916666666666667, 0.9916666666666667, 0.9916666666666667,
+         0.9916666666666667, 1.0],
+        [0.5129166666666667, 0.5366666666666666, 0.5591666666666667, 0.595,
+         0.6404166666666666, 0.6641666666666667, 0.6770833333333334,
+         0.7008333333333333, 0.7295833333333331, 0.7529166666666667,
+         0.7954166666666668, 0.8258333333333334, 0.8637500000000001,
+         0.8916666666666664, 0.8979166666666668, 0.9208333333333334,
+         0.9470833333333332, 0.95375, 0.9570833333333333, 0.9570833333333331,
+         0.9595833333333331, 0.9637500000000001, 0.9695833333333332,
+         0.9783333333333335, 0.9737499999999999]),
+    2: ('{"classifier1":["011","1","1","1","1","1","01","1","1","1","1","1"],'
+        '"classifier2":"010001100001"}',
+        [0.575, 0.5916666666666667, 0.6333333333333333, 0.6833333333333333,
+         0.6833333333333333, 0.7333333333333333, 0.775, 0.7833333333333333,
+         0.8833333333333333, 0.8833333333333333, 0.8833333333333333,
+         0.9083333333333333, 0.9166666666666666, 0.925, 0.9416666666666667,
+         0.9416666666666667, 0.9666666666666667, 0.975, 0.975,
+         0.9916666666666667, 0.9916666666666667, 0.9916666666666667, 1.0],
+        [0.5233333333333333, 0.5362500000000001, 0.5504166666666667,
+         0.5816666666666667, 0.6020833333333333, 0.635, 0.6854166666666668,
+         0.6962499999999999, 0.7258333333333333, 0.7616666666666666,
+         0.7791666666666666, 0.8249999999999998, 0.8354166666666668,
+         0.8645833333333333, 0.8808333333333336, 0.9100000000000001,
+         0.9108333333333334, 0.9245833333333335, 0.9237500000000001,
+         0.9383333333333332, 0.9537500000000001, 0.9666666666666666,
+         0.9695833333333335]),
 }
 
 
@@ -228,3 +287,10 @@ class TestEvolveMaca:
         assert best1.serialize() == best2.serialize()
         assert h1.best == h2.best
         assert h1.mean == h2.mean
+
+    @pytest.mark.parametrize("seed", sorted(HIGH_MUTATION_RUNS))
+    def test_same_run_at_high_mutation(self, seed):
+        best, history = ga.evolve_maca(toy_windows(), 15, 4,
+                                       HIGH_MUTATION_GA, seed)
+        assert (best.serialize(), history.best, history.mean) == \
+            HIGH_MUTATION_RUNS[seed]

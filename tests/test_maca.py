@@ -47,37 +47,40 @@ class TestBitLayout:
 
 class TestDvValidity:
     def test_zero_vector_invalid(self):
-        assert not maca.dv_is_valid((0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            DependencyString(0b0000, (4,))
 
     def test_single_one_valid(self):
-        assert maca.dv_is_valid((1, 0, 0, 0))
-        assert maca.dv_is_valid((1, 0, 1, 1))
+        assert DependencyString(0b1000, (4,)).bit_strings() == ["1000"]
+        assert DependencyString(0b1011, (4,)).bit_strings() == ["1011"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            maca.dv_is_valid(())
+            DependencyString(0, (0,))
+        with pytest.raises(ValueError):
+            DependencyString(0, ())
 
     def test_zero_segment_rejected_in_ds(self):
         with pytest.raises(ValueError):
-            DependencyString(((1, 0), (0, 0)))
+            DependencyString(0b1000, (2, 2))
 
 
 class TestBasinSignature:
     def test_single_bit(self):
-        ds = DependencyString(((1,),))
-        assert maca.basin_signature(ds, 0) == (0,)
-        assert maca.basin_signature(ds, 1) == (1,)
+        ds = DependencyString(1, (1,))
+        assert maca.basin_signature(ds, 0) == 0
+        assert maca.basin_signature(ds, 1) == 1
 
     def test_hand_computed(self):
-        ds = DependencyString(((1, 1), (1, 0)))
-        assert maca.basin_signature(ds, maca.pack((1, 1, 0, 1))) == (0, 0)
+        ds = DependencyString(0b11_10, (2, 2))
+        assert maca.basin_signature(ds, maca.pack((1, 1, 0, 1))) == 0b00
 
     def test_zero_pattern_gives_zero_signature(self):
-        ds = DependencyString(((1, 0, 1), (1, 1)))
-        assert maca.basin_signature(ds, 0) == (0, 0)
+        ds = DependencyString(0b101_11, (3, 2))
+        assert maca.basin_signature(ds, 0) == 0b00
 
     def test_length_mismatch(self):
-        ds = DependencyString(((1, 1),))
+        ds = DependencyString(0b11, (2,))
         with pytest.raises(ValueError):
             maca.basin_signature(ds, 0b101)
 
@@ -87,14 +90,14 @@ class TestBasinSignature:
         """Any single nonzero DV splits {0,1}^L exactly in half."""
         value = 1 + value % ((1 << length) - 1)
         dv = tuple((value >> i) & 1 for i in range(length))
-        ds = DependencyString((dv,))
-        ones = sum(maca.basin_signature(ds, p) == (1,)
+        ds = DependencyString(maca.pack(dv), (length,))
+        ones = sum(maca.basin_signature(ds, p) == 1
                    for p in all_patterns(length))
         assert ones == 1 << (length - 1)
 
     def test_signature_locality(self):
         # flipping a bit not covered by the DV never changes the signature
-        ds = DependencyString(((1, 0, 1), (0, 1)))
+        ds = DependencyString(0b101_01, (3, 2))
         rng = random.Random(4)
         for _ in range(50):
             p = [rng.randint(0, 1) for _ in range(5)]
@@ -117,6 +120,8 @@ def oracle_signature(segments, pattern):
 
 @st.composite
 def dependency_strings(draw, max_n=70):
+    """A dependency string and its segments as 0/1 tuples, the oracle's
+    form."""
     n = draw(st.integers(1, max_n))
     cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
     edges = [0, *sorted(cuts), n]
@@ -125,7 +130,8 @@ def dependency_strings(draw, max_n=70):
         seg = draw(st.lists(st.integers(0, 1), min_size=b - a, max_size=b - a))
         seg[draw(st.integers(0, b - a - 1))] = 1  # keep the DV nonzero
         segments.append(tuple(seg))
-    return DependencyString(tuple(segments))
+    return (DependencyString(maca.pack(sum(segments, ())),
+                             tuple(map(len, segments))), segments)
 
 
 class TestPackedKernel:
@@ -133,13 +139,13 @@ class TestPackedKernel:
     @settings(max_examples=200, deadline=None)
     def test_signature_matches_tuple_oracle(self, data):
         # n runs past 64, so the packed kernel has no 64-bit ceiling
-        ds = data.draw(dependency_strings())
+        ds, segments = data.draw(dependency_strings())
         patterns = data.draw(st.lists(
             st.lists(st.integers(0, 1), min_size=ds.n, max_size=ds.n)
             .map(tuple), min_size=1, max_size=8))
         for p in patterns:
             assert maca.basin_signature(ds, maca.pack(p)) == \
-                oracle_signature(ds.segments, p)
+                maca.pack(oracle_signature(segments, p))
         labeled = [LabeledPattern(maca.pack(p), str(i))
                    for i, p in enumerate(patterns)]
         buckets = maca.distribute(ds, labeled)
@@ -147,32 +153,46 @@ class TestPackedKernel:
         assert sorted(q.label for b in buckets.values() for q in b) == \
             sorted(q.label for q in labeled)
         for sig, bucket in buckets.items():
-            assert all(oracle_signature(ds.segments,
-                                        maca.unpack(q.code, ds.n)) == sig
-                       for q in bucket)
+            assert all(oracle_signature(segments, maca.unpack(q.code, ds.n))
+                       == maca.unpack(sig, ds.m) for q in bucket)
+
+    @given(dependency_strings())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_strings_round_trip(self, case):
+        # n runs past 63, where the digits no longer fit one machine word
+        ds, segments = case
+        assert ds.bit_strings() == [maca.bit_string(s) for s in segments]
+        assert DependencyString.from_bit_strings(ds.bit_strings()) == ds
+
+    def test_leading_zero_segments_round_trip(self):
+        ds = DependencyString(0b001_01_0001, (3, 2, 4))
+        assert ds.bit_strings() == ["001", "01", "0001"]
+        assert DependencyString.from_bit_strings(["001", "01", "0001"]) == ds
 
     def test_tuple_bit_zero_is_most_significant(self):
         assert maca.pack((1, 0, 1, 1)) == 0b1011
         assert maca.unpack(1, 3) == (0, 0, 1)
-        assert DependencyString(((1, 0), (0, 1, 1))).masks == (0b10000, 0b00011)
+        assert DependencyString(0b10_011, (2, 3)).masks == (0b10000, 0b00011)
         # an array packs by its values, not by its memory
         assert maca.pack(np.array([1, 0, 1])) == 0b101
 
     def test_wide_pattern(self):
         # only the bit above 64 is set, so a 64-bit kernel would read 0
-        ds = DependencyString(((1,) * 70,))
-        assert maca.basin_signature(ds, 1 << 69) == (1,)
-        assert maca.basin_signature(ds, (1 << 70) - 1) == (0,)
+        ds = DependencyString((1 << 70) - 1, (70,))
+        assert maca.basin_signature(ds, 1 << 69) == 1
+        assert maca.basin_signature(ds, (1 << 70) - 1) == 0
 
     @pytest.mark.parametrize("bits", [(0, 2), (1, -1), (1, 0.5), ("1", "0")])
     def test_only_binary_bits_pack(self, bits):
         with pytest.raises(ValueError, match="0 or 1"):
             maca.pack(bits)
 
-    @pytest.mark.parametrize("segments", [((1, 2),), ((1,), (2,)), ((-1, 1),)])
+    @pytest.mark.parametrize("segments", [(0b111, (2,)), (0b100, (1, 1)),
+                                          (-1, (2,))])
     def test_only_binary_segments(self, segments):
-        with pytest.raises(ValueError, match="0 or 1"):
-            DependencyString(segments)
+        # bits past the segments' n would spill into no segment at all
+        with pytest.raises(ValueError, match="unsigned 2-bit"):
+            DependencyString(*segments)
 
     def test_non_binary_ds_string_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -181,16 +201,16 @@ class TestPackedKernel:
 
 class TestDistribute:
     def test_empty(self):
-        ds = DependencyString(((1,),))
+        ds = DependencyString(1, (1,))
         assert maca.distribute(ds, []) == {}
 
     @pytest.mark.parametrize("segments", [
-        ((1, 0), (0, 1, 1)),
-        ((1,), (1, 1), (1, 0, 1)),
-        ((1, 1, 1, 1),),
+        (0b10_011, (2, 3)),
+        (0b1_11_101, (1, 2, 3)),
+        (0b1111, (4,)),
     ])
     def test_full_space_bucket_sizes(self, segments):
-        ds = DependencyString(segments)
+        ds = DependencyString(*segments)
         pats = [LabeledPattern(p, "x") for p in all_patterns(ds.n)]
         buckets = maca.distribute(ds, pats)
         assert len(buckets) == 1 << ds.m
@@ -198,13 +218,13 @@ class TestDistribute:
 
     def test_partition_no_loss(self):
         rng = random.Random(0)
-        ds = DependencyString(((1, 0, 1), (1, 1)))
+        ds = DependencyString(0b101_11, (3, 2))
         pats = [LabeledPattern(rng.randrange(1 << 5), "x") for _ in range(100)]
         buckets = maca.distribute(ds, pats)
         assert sum(len(b) for b in buckets.values()) == 100
 
     def test_identical_patterns_share_bucket(self):
-        ds = DependencyString(((1, 1),))
+        ds = DependencyString(0b11, (2,))
         a = LabeledPattern(0b10, "A")
         b = LabeledPattern(0b10, "B")
         buckets = maca.distribute(ds, [a, b])
@@ -305,28 +325,18 @@ class TestClassify:
             maca.classify(tree, 0b1010)
 
     def test_unseen_signature_falls_back_to_majority(self):
-        ds = DependencyString(((1,), (1,)))
+        ds = DependencyString(0b1_1, (1, 1))
         node = maca.TreeNode(label="A", ds=ds,
-                             children={(0, 0): maca.TreeNode(label="B")})
+                             children={0b00: maca.TreeNode(label="B")})
         tree = maca.PsmacaTree(node, n=2, config=SMALL_GA)
         assert maca.classify(tree, 0b00) == "B"
-        assert maca.classify(tree, 0b10) == "A"  # signature (1,0) unseen
+        assert maca.classify(tree, 0b10) == "A"  # signature 0b10 unseen
 
     def test_deterministic(self):
         pats = parity_dataset(5, (0, 1, 1, 0, 0), 30, seed=7)
         tree = maca.build_tree(pats, 5, SMALL_GA, rng_seed=7)
         for p in pats[:10]:
             assert maca.classify(tree, p.code) == maca.classify(tree, p.code)
-
-
-class TestTreeSerialization:
-    def test_round_trip(self):
-        pats = parity_dataset(6, (1, 1, 0, 0, 0, 0), 40, seed=11)
-        tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=11)
-        rebuilt = maca.tree_from_dict(maca.tree_to_dict(tree))
-        assert maca.tree_to_dict(rebuilt) == maca.tree_to_dict(tree)
-        for p in pats:
-            assert maca.classify(rebuilt, p.code) == maca.classify(tree, p.code)
 
 
 class TestCodeWidth:
@@ -338,7 +348,7 @@ class TestCodeWidth:
     @pytest.mark.parametrize("entry", ["build_tree", "classify",
                                        "basin_signature"])
     def test_rejected(self, entry, code):
-        ds = DependencyString(((1, 0), (1,)))
+        ds = DependencyString(0b10_1, (2, 1))
         tree = maca.PsmacaTree(maca.TreeNode(label="C"), n=3, config=SMALL_GA)
         call = {
             "build_tree": lambda: maca.build_tree(
