@@ -89,14 +89,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise dataio.ParseError(f"cannot read {path}: {e.strerror}") from None
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -125,8 +117,6 @@ def cmd_basins(args) -> int:
 def _training_patterns(records, window: int):
     patterns = []
     for record in records:
-        if record.structure is None:
-            raise dataio.ParseError(f"record {record.id!r} has no structure")
         for code, label in zip(window_patterns(record.sequence, window),
                                record.structure):
             patterns.append(maca.LabeledPattern(code, label))
@@ -139,15 +129,17 @@ def _tree_config(args) -> maca.TreeConfig:
 
 
 def cmd_train(args) -> int:
-    text = _read(args.data)
+    config = _tree_config(args)
+    pipeline = PipelineConfig(filter_length=args.filter_length)
+    text = dataio.read_text(args.data)
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)
-    tree = maca.build_tree(patterns, RESIDUE_BITS * args.window,
-                           _tree_config(args), rng_seed=args.seed)
+    tree = maca.build_tree(patterns, RESIDUE_BITS * args.window, config,
+                           rng_seed=args.seed)
     model = dataio.ModelFile(
         tree=tree,
         window=args.window,
-        pipeline=PipelineConfig(filter_length=args.filter_length),
+        pipeline=pipeline,
         seed=args.seed,
         training_fingerprint=dataio.fingerprint(text),
     )
@@ -157,7 +149,7 @@ def cmd_train(args) -> int:
 
 
 def _load_training(model, path, no_verify):
-    text = _read(path)
+    text = dataio.read_text(path)
     if not no_verify and dataio.fingerprint(text) != model.training_fingerprint:
         raise dataio.ParseError(
             f"training data {path} does not match the model's fingerprint "
@@ -197,7 +189,7 @@ def cmd_predict(args) -> int:
     if args.pipeline and args.train_data is None:
         raise UsageError("--pipeline requires --train-data")
     model = dataio.load_model(args.model)
-    records = dataio.parse_fasta(_read(args.fasta))
+    records = dataio.parse_fasta(dataio.read_text(args.fasta))
     training, cfg = None, None
     if args.pipeline:
         training = _load_training(model, args.train_data, args.no_verify)
@@ -216,7 +208,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     _check_route_flags(args)
     model = dataio.load_model(args.model)
-    records = dataio.parse_paired(_read(args.data))
+    records = dataio.parse_paired(dataio.read_text(args.data))
     training, cfg, route = None, None, ""
     if args.pipeline:
         train_path = args.train_data or args.data

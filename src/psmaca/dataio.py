@@ -38,8 +38,8 @@ class ProteinRecord:
             check_structure(self.structure)
             if len(self.structure) != len(self.sequence):
                 raise ValueError(
-                    f"record {self.id!r}: structure length "
-                    f"{len(self.structure)} != sequence length {len(self.sequence)}")
+                    f"structure length {len(self.structure)} != "
+                    f"sequence length {len(self.sequence)}")
 
 
 @dataclass(frozen=True)
@@ -53,109 +53,85 @@ class Dataset:
             raise ValueError("dataset ids must be unique")
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; failing to read or decode it is a ParseError
+    that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 text "
+                         f"({e.reason} at byte {e.start})") from None
+
+
+def _lines(text: str) -> list[tuple[int, str]]:
+    """The stripped, non-blank lines of text, each with its line number."""
+    if not text.strip():
+        raise ParseError("empty input")
+    return [(no, line.strip()) for no, line in enumerate(text.splitlines(), 1)
+            if line.strip()]
+
+
+def _join(lines: list[str]) -> str:
+    return "".join("".join(lines).split()).upper()
+
+
+def _read_records(lines: list[tuple[int, str]], build) -> list[ProteinRecord]:
+    """Split numbered lines at '>' header lines and make one record of each
+    with build(id, body lines).  The id is the header's first word."""
+    if not lines:
+        raise ParseError("no records found")
+    if not lines[0][1].startswith(">"):
+        raise ParseError(f"expected a '>' header on line {lines[0][0]}, "
+                         f"got {lines[0][1]!r}")
+    starts = [i for i, (_, line) in enumerate(lines) if line.startswith(">")]
+    records, seen = [], set()
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        line_no, header = lines[start]
+        words = header[1:].split()
+        if not words:
+            raise ParseError(f"missing record id on line {line_no}")
+        rec_id = words[0]
+        if rec_id in seen:
+            raise ParseError(f"duplicate id {rec_id!r} on line {line_no}")
+        seen.add(rec_id)
+        body = [line for _, line in lines[start + 1:end]]
+        try:
+            records.append(build(rec_id, body))
+        except ValueError as e:
+            raise ParseError(f"record {rec_id!r} (line {line_no}): {e}") from None
+    return records
+
+
 def parse_fasta(text: str) -> list[ProteinRecord]:
     """Parse FASTA text: '>' headers delimit records, sequence lines are
     concatenated and uppercased, whitespace ignored."""
-    if not text.strip():
-        raise ParseError("empty FASTA input")
-    records: list[ProteinRecord] = []
-    seen: set[str] = set()
-    current_id: str | None = None
-    chunks: list[str] = []
-
-    def flush(line_no: int):
-        if current_id is None:
-            return
-        seq = "".join(chunks)
-        if not seq:
-            raise ParseError(f"record {current_id!r} has no sequence (line {line_no})")
-        try:
-            records.append(ProteinRecord(current_id, seq))
-        except ValueError as e:
-            raise ParseError(f"record {current_id!r}: {e}") from None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush(line_no)
-            current_id = line[1:].split()[0] if line[1:].split() else ""
-            if not current_id:
-                raise ParseError(f"missing record id on line {line_no}")
-            if current_id in seen:
-                raise ParseError(f"duplicate id {current_id!r} on line {line_no}")
-            seen.add(current_id)
-            chunks = []
-        else:
-            if current_id is None:
-                raise ParseError(f"sequence before first header on line {line_no}")
-            chunks.append("".join(line.split()).upper())
-    flush(len(text.splitlines()))
-    if not records:
-        raise ParseError("no FASTA records found")
-    return records
+    return _read_records(_lines(text),
+                         lambda rec_id, body: ProteinRecord(rec_id, _join(body)))
 
 
 _SEQ_HEADER = re.compile(r"^Amino Acids:\s*$", re.IGNORECASE)
 _STRUCT_HEADER = re.compile(r"^(Predicted )?Structure:\s*$", re.IGNORECASE)
 
 
+def _paired_record(rec_id: str, body: list[str]) -> ProteinRecord:
+    if not body or not _SEQ_HEADER.match(body[0]):
+        raise ParseError("expected an 'Amino Acids:' header after the id line")
+    cut = next((i for i, line in enumerate(body) if _STRUCT_HEADER.match(line)),
+               None)
+    if cut is None:
+        raise ParseError("no structure block")
+    return ProteinRecord(rec_id, _join(body[1:cut]), _join(body[cut + 1:]))
+
+
 def parse_paired(text: str) -> list[ProteinRecord]:
     """Parse repeated blocks: '>' id line, an 'Amino Acids:' block, then a
     'Structure:' (or 'Predicted Structure:') block of H/E/C lines.
     Lines starting with '#' are annotations and are ignored."""
-    if not text.strip():
-        raise ParseError("empty paired-format input")
-    records: list[ProteinRecord] = []
-    seen: set[str] = set()
-    lines = [l.strip() for l in text.splitlines()]
-    i = 0
-
-    def skip_blank(i: int) -> int:
-        while i < len(lines) and (not lines[i] or lines[i].startswith("#")):
-            i += 1
-        return i
-
-    while True:
-        i = skip_blank(i)
-        if i >= len(lines):
-            break
-        if not lines[i].startswith(">"):
-            raise ParseError(f"expected '>' id line at line {i + 1}, got {lines[i]!r}")
-        rec_id = lines[i][1:].strip()
-        if not rec_id:
-            raise ParseError(f"missing record id on line {i + 1}")
-        if rec_id in seen:
-            raise ParseError(f"duplicate id {rec_id!r} on line {i + 1}")
-        seen.add(rec_id)
-        i = skip_blank(i + 1)
-        if i >= len(lines) or not _SEQ_HEADER.match(lines[i]):
-            raise ParseError(f"expected 'Amino Acids:' header at line {i + 1}")
-        i += 1
-        seq_parts: list[str] = []
-        while i < len(lines) and not _STRUCT_HEADER.match(lines[i]):
-            if lines[i].startswith(">"):
-                raise ParseError(f"record {rec_id!r} has no structure block")
-            if lines[i] and not lines[i].startswith("#"):
-                seq_parts.append("".join(lines[i].split()).upper())
-            i += 1
-        if i >= len(lines):
-            raise ParseError(f"record {rec_id!r} has no structure block")
-        i += 1
-        struct_parts: list[str] = []
-        while i < len(lines) and not lines[i].startswith(">"):
-            if lines[i] and not lines[i].startswith("#"):
-                struct_parts.append("".join(lines[i].split()).upper())
-            i += 1
-        try:
-            records.append(ProteinRecord(rec_id, "".join(seq_parts),
-                                         "".join(struct_parts)))
-        except ValueError as e:
-            raise ParseError(str(e)) from None
-    if not records:
-        raise ParseError("no paired records found")
-    return records
+    lines = [(no, line) for no, line in _lines(text) if not line.startswith("#")]
+    return _read_records(lines, _paired_record)
 
 
 def _wrap(s: str) -> str:
@@ -385,11 +361,10 @@ def save_model(model: ModelFile, path: str) -> None:
 
 
 def load_model(path: str) -> ModelFile:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ModelFormatError(f"corrupted model file: {e}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ModelFormatError(f"corrupted model file: {e}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(
             f"model file holds a JSON {type(doc).__name__}, not an object")
@@ -427,6 +402,15 @@ def load_model(path: str) -> ModelFile:
                      training_fingerprint=fingerprint)
 
 
+def _label_runs(length: int, rng: random.Random) -> str:
+    """`length` H/E/C labels in runs of 2-4, closer to real secondary
+    structure than independent draws."""
+    labels = ""
+    while len(labels) < length:
+        labels += rng.choice("HEC") * rng.randint(2, 4)
+    return labels[:length]
+
+
 def make_toy_dataset(n_records: int = 8, length: int = 9,
                      seed: int = 0) -> Dataset:
     """Seeded synthetic sequence/structure pairs.
@@ -447,11 +431,8 @@ def make_toy_dataset(n_records: int = 8, length: int = 9,
             if seq not in seen_seqs:
                 seen_seqs.add(seq)
                 break
-        # runs of 2-4 equal labels, closer to real secondary structure
-        labels = []
-        while len(labels) < length:
-            labels.extend(rng.choice("HEC") * rng.randint(2, 4))
-        records.append(ProteinRecord(f"toy{i:02d}", seq, "".join(labels[:length])))
+        records.append(ProteinRecord(f"toy{i:02d}", seq,
+                                     _label_runs(length, rng)))
     return Dataset(tuple(records), name=f"toy-{n_records}x{length}-seed{seed}")
 
 
@@ -467,11 +448,8 @@ def make_impulse_dataset(n_records: int = 8, length: int = 9,
     heads = rng.sample("ACDEFGHIKLMNPQRSTVWY", n_records)
     records = []
     for i, head in enumerate(heads):
-        labels = []
-        while len(labels) < length:
-            labels.extend(rng.choice("HEC") * rng.randint(2, 4))
         records.append(ProteinRecord(
-            f"imp{i:02d}", head + "X" * (length - 1), "".join(labels[:length])))
+            f"imp{i:02d}", head + "X" * (length - 1), _label_runs(length, rng)))
     return Dataset(tuple(records), name=f"impulse-{n_records}x{length}-seed{seed}")
 
 

@@ -2,7 +2,7 @@
 
 A chromosome pairs a dependency string over n bits (classifier #1, the part
 that actually classifies) with an m-bit dependency vector (classifier #2,
-carried through evolution and serialization but with no assigned role).
+carried through evolution but with no assigned role).
 Fitness is training-set accuracy under majority-labeled basins.  It reads
 only classifier #1, so `evolve_maca` memoizes it per run: a dict from
 dependency string to score means each distinct dependency string is scored
@@ -12,7 +12,6 @@ The memo changes no RNG draw, score or history.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -27,16 +26,6 @@ class Chromosome:
     def __post_init__(self):
         if not 0 < self.classifier2 < 1 << self.classifier1.m:
             raise ValueError("classifier2 must be a nonzero m-bit vector")
-
-    def serialize(self) -> str:
-        return json.dumps(
-            {
-                "classifier1": self.classifier1.bit_strings(),
-                "classifier2": f"{self.classifier2:0{self.classifier1.m}b}",
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
 
 @dataclass

@@ -161,8 +161,8 @@ def majority_label(patterns) -> str:
 @dataclass(frozen=True)
 class TreeNode:
     """Internal nodes carry a dependency string and children keyed by
-    signature; leaves carry only a label.  `majority` is the fallback for
-    signatures never seen in training."""
+    signature; leaves carry only a label.  An internal node's `label` is
+    the fallback for signatures never seen in training."""
 
     label: str
     ds: DependencyString | None = None

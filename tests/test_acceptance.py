@@ -115,7 +115,7 @@ def test_criterion_5_ga_monotone_and_deterministic():
         best1, h1 = ga.evolve_maca(patterns, 6, 2, cfg, seed)
         best2, h2 = ga.evolve_maca(patterns, 6, 2, cfg, seed)
         assert all(a <= b for a, b in zip(h1.best, h1.best[1:])), seed
-        assert best1.serialize() == best2.serialize(), seed
+        assert best1 == best2, seed
         assert (h1.best, h1.mean) == (h2.best, h2.mean), seed
     report("5 GA monotonicity and determinism over 50 seeds")
 

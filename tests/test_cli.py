@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from psmaca import cli, codec, dataio
+from psmaca import cli, codec, dataio, maca
 from psmaca.cli import run_cli
 from psmaca.maca import TreeConfig
 from psmaca.pipeline import PipelineConfig, predict_structure
@@ -74,6 +74,26 @@ class TestTrain:
         bad.write_text("not a paired file\n")
         out = tmp_path / "m.json"
         assert run_cli(["train", "--data", str(bad), "--out", str(out)]) == 2
+
+    def test_non_utf8_data_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff>r\n")
+        out = tmp_path / "m.json"
+        assert run_cli(["train", "--data", str(bad), "--out", str(out)]) == 2
+        assert f"cannot read {bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_filter_length_checked_before_training(self, tmp_path, toy_files,
+                                                   capsys, monkeypatch):
+        def build_tree(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(maca, "build_tree", build_tree)
+        _, data, _ = toy_files
+        model = tmp_path / "model.json"
+        assert run_cli(["train", "--data", str(data), "--out", str(model),
+                        "--filter-length", "0"]) == 2
+        assert "filter_length" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_determinism_byte_identical(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files
@@ -185,6 +205,14 @@ class TestPredict:
         bad.write_text("{")
         assert run_cli(["predict", "--model", str(bad),
                         "--fasta", str(fasta)]) == 2
+
+    def test_non_utf8_model_names_the_file(self, tmp_path, toy_files, capsys):
+        _, _, fasta = toy_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        assert run_cli(["predict", "--model", str(bad),
+                        "--fasta", str(fasta)]) == 2
+        assert f"cannot read {bad}: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", codec.DECODE_MODES)
     def test_mode_sets_the_decode(self, tmp_path, toy_files, capsys, mode):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psmaca import dataio, maca
 from psmaca.dataio import (
@@ -74,7 +76,8 @@ class TestParsePaired:
         assert parse_paired(text)[0].structure == "CCHH"
 
     def test_length_mismatch(self):
-        with pytest.raises(ParseError, match="length"):
+        with pytest.raises(ParseError,
+                           match=r"record 'r' \(line 1\): structure length"):
             parse_paired(">r\nAmino Acids:\nMFRTK\nStructure:\nCCHH\n")
 
     def test_illegal_structure_char(self):
@@ -94,6 +97,94 @@ class TestParsePaired:
     def test_missing_structure_block(self):
         with pytest.raises(ParseError):
             parse_paired(">r\nAmino Acids:\nMFRT\n")
+
+
+# one valid record per format, with its id left to fill in
+FORMATS = {
+    "fasta": (parse_fasta, ">{}\nMF\n"),
+    "paired": (parse_paired, ">{}\nAmino Acids:\nMF\nStructure:\nHH\n"),
+}
+
+
+@pytest.mark.parametrize("parse, record", FORMATS.values(), ids=FORMATS)
+class TestRecordReader:
+    """The header, id and error rules both formats share."""
+
+    def test_id_is_first_word_of_header(self, parse, record):
+        [rec] = parse(record.format("rec extra words"))
+        assert rec.id == "rec"
+
+    def test_duplicate_id_names_line(self, parse, record):
+        text = record.format("a") + "\n" + record.format("a")
+        with pytest.raises(ParseError, match="duplicate id 'a' on line "):
+            parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        (" \n\t\n", "empty input"),
+        ("MF\n{}", "header on line 1, got 'MF'"),
+        ("\n> \n{}", "missing record id on line 2"),
+    ], ids=["empty", "blank", "before-first-header", "no-id"])
+    def test_malformed_input(self, parse, record, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text.format(record.format("a")))
+
+    def test_record_error_names_record_and_line(self, parse, record):
+        text = record.format("a") + record.format("b").replace("MF", "M1")
+        with pytest.raises(ParseError,
+                           match=r"record 'b' \(line \d+\): illegal residue"):
+            parse(text)
+
+
+def test_annotations_only_is_no_records():
+    with pytest.raises(ParseError, match="no records found"):
+        parse_paired("# method: tree\n")
+
+
+# arbitrary text, plus text assembled from the formats' own line kinds so
+# that most examples get past the first header
+LINE_KINDS = [">a", ">b c", "> ", ">", "Amino Acids:", "Structure:",
+              "predicted structure:", "# note", "MFRT", "hhe", "CC", "M1", ""]
+ANY_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.sampled_from(LINE_KINDS), st.text(max_size=5)),
+             max_size=12).map("\n".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ANY_TEXT)
+def test_parsers_raise_only_parse_error(text):
+    for parse in (parse_fasta, parse_paired):
+        try:
+            records = parse(text)
+        except ParseError:
+            continue
+        assert records and all(isinstance(r, ProteinRecord) for r in records)
+
+
+# an id is any run of printable non-space characters; a note any one line
+IDS = st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1)
+NOTES = st.text(st.characters(blacklist_categories=("C", "Zl", "Zp")))
+
+
+@st.composite
+def paired_records(draw):
+    sequence = draw(st.text("ACDEFGHIKLMNPQRSTVWYX", min_size=1, max_size=150))
+    structure = draw(st.text("HEC", min_size=len(sequence),
+                             max_size=len(sequence)))
+    return ProteinRecord(draw(IDS), sequence, structure), draw(st.lists(NOTES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(paired_records(), min_size=1, max_size=4,
+                unique_by=lambda pair: pair[0].id))
+def test_generated_records_round_trip(pairs):
+    records = [record for record, _ in pairs]
+    paired = "\n".join(dataio.format_paired(r, notes) for r, notes in pairs)
+    assert parse_paired(paired) == records
+    fasta = "".join(f">{r.id}\n{r.sequence}\n" for r in records)
+    assert parse_fasta(fasta) == [ProteinRecord(r.id, r.sequence)
+                                  for r in records]
 
 
 class TestQ3:
