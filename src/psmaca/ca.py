@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .maca import Bits as Cells, bit_string, pack, unpack
+from .maca import _check_code
 
 BOUNDARIES = ("null", "periodic")
 
@@ -24,7 +24,7 @@ class RuleTable:
     3-bit number (left, center, right), i.e. outputs[0b111] down to
     outputs[0b000]."""
 
-    outputs: Cells
+    outputs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.outputs) != 8 or any(b not in (0, 1) for b in self.outputs):
@@ -39,17 +39,13 @@ def rule_from_number(rule: int) -> RuleTable:
     """
     if not 0 <= rule <= 255:
         raise ValueError(f"rule number must be in [0, 255], got {rule}")
-    return RuleTable(unpack(rule, 8)[::-1])
-
-
-def rule_number(table: RuleTable) -> int:
-    """Inverse of rule_from_number."""
-    return pack(table.outputs[::-1])
+    return RuleTable(tuple(rule >> b & 1 for b in range(8)))
 
 
 def successor(state: int, n: int, rule: RuleTable, boundary: str = "null") -> int:
-    """One synchronous update of a packed n-cell state.  Null boundary reads
-    missing neighbors as 0; periodic wraps."""
+    """One synchronous update of an n-cell state, cell 0 its most
+    significant bit.  Null boundary reads missing neighbors as 0; periodic
+    wraps."""
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     # ext >> p & 7 is the neighborhood of the cell at state bit p; the end
@@ -63,23 +59,18 @@ def successor(state: int, n: int, rule: RuleTable, boundary: str = "null") -> in
     return out
 
 
-def step(cells: Cells, rule: RuleTable, boundary: str = "null") -> Cells:
-    """Apply one synchronous update. Null boundary reads missing neighbors
-    as 0; periodic wraps.  Cells other than 0/1 raise ValueError."""
-    n = len(cells)
-    if n == 0:
+def evolve(state: int, n: int, rule: RuleTable, steps: int,
+           boundary: str = "null") -> list[int]:
+    """Iterate `successor` from an n-cell state, returning the trajectory
+    [start, ..., after `steps`]."""
+    if n < 1:
         raise ValueError("configuration must have at least one cell")
-    return unpack(successor(pack(cells), n, rule, boundary), n)
-
-
-def evolve(cells: Cells, rule: RuleTable, steps: int,
-           boundary: str = "null") -> list[Cells]:
-    """Iterate `step`, returning the trajectory [start, ..., after `steps`]."""
+    _check_code(state, n)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rows = [tuple(cells)]
+    rows = [state]
     for _ in range(steps):
-        rows.append(step(rows[-1], rule, boundary))
+        rows.append(successor(rows[-1], n, rule, boundary))
     return rows
 
 
@@ -156,6 +147,6 @@ def attractor_basins(graph: StateTransitionGraph) -> list[AttractorBasin]:
     return basins
 
 
-def format_trajectory(rows: Iterable[Cells]) -> str:
-    """Render a trajectory as '0'/'1' text rows, one line per step."""
-    return "\n".join(bit_string(row) for row in rows)
+def format_trajectory(rows: Iterable[int], n: int) -> str:
+    """Render n-cell states as '0'/'1' text rows, one line per step."""
+    return "\n".join(format(s, f"0{n}b") for s in rows)

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -98,9 +99,9 @@ def cmd_simulate(args) -> int:
     rule = ca.rule_from_number(args.rule)
     if args.width < 1:
         raise UsageError("--width must be >= 1")
-    cells = tuple(1 if i == args.width // 2 else 0 for i in range(args.width))
-    rows = ca.evolve(cells, rule, args.steps, args.boundary)
-    print(ca.format_trajectory(rows))
+    start = 1 << (args.width - 1 - args.width // 2)
+    rows = ca.evolve(start, args.width, rule, args.steps, args.boundary)
+    print(ca.format_trajectory(rows, args.width))
     return 0
 
 
@@ -108,7 +109,7 @@ def cmd_basins(args) -> int:
     rule = ca.rule_from_number(args.rule)
     graph = ca.state_transition_graph(rule, args.width, args.boundary)
     for basin in ca.attractor_basins(graph):
-        cycle = " -> ".join(maca.bit_string(maca.unpack(s, args.width))
+        cycle = " -> ".join(format(s, f"0{args.width}b")
                             for s in basin.attractor_cycle)
         print(f"cycle [{cycle}] basin size {len(basin.members)}")
     return 0
@@ -128,9 +129,19 @@ def _tree_config(args) -> maca.TreeConfig:
                               for name in _TREE_FLAGS.values()})
 
 
+def _check_out(path: str) -> None:
+    # a path that cannot take the model fails now, not after the GA has run
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: no directory {folder}")
+
+
 def cmd_train(args) -> int:
     config = _tree_config(args)
     pipeline = PipelineConfig(filter_length=args.filter_length)
+    _check_out(args.out)
     text = dataio.read_text(args.data)
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)

@@ -45,7 +45,6 @@ class ProteinRecord:
 @dataclass(frozen=True)
 class Dataset:
     records: tuple[ProteinRecord, ...]
-    name: str = ""
 
     def __post_init__(self):
         ids = [r.id for r in self.records]
@@ -433,7 +432,7 @@ def make_toy_dataset(n_records: int = 8, length: int = 9,
                 break
         records.append(ProteinRecord(f"toy{i:02d}", seq,
                                      _label_runs(length, rng)))
-    return Dataset(tuple(records), name=f"toy-{n_records}x{length}-seed{seed}")
+    return Dataset(tuple(records))
 
 
 def make_impulse_dataset(n_records: int = 8, length: int = 9,
@@ -450,7 +449,7 @@ def make_impulse_dataset(n_records: int = 8, length: int = 9,
     for i, head in enumerate(heads):
         records.append(ProteinRecord(
             f"imp{i:02d}", head + "X" * (length - 1), _label_runs(length, rng)))
-    return Dataset(tuple(records), name=f"impulse-{n_records}x{length}-seed{seed}")
+    return Dataset(tuple(records))
 
 
 def dataset_to_paired_text(dataset: Dataset) -> str:

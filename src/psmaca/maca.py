@@ -10,11 +10,11 @@ Bit layout, for the whole package: a pattern, a dependency string and a
 basin signature are each one int, most significant bit first.  A
 dependency string is its segments' n-bit concatenation, segment 0 on top,
 plus each segment's width; segment j, in place, is mask j, and signature
-bit j, from the top, is the parity of `code & masks[j]`.  As text, an
-m-bit value is m ASCII '0'/'1' characters.  Tuples remain only for CA
-cells: `pack`, `unpack`, `bit_string` and `parse_bits` convert a 0/1
-tuple, bit 0 most significant; any value but 0/1 raises ValueError
-instead of spilling into a neighbouring bit.
+bit j, from the top, is the parity of `code & masks[j]`.  A CA state
+(`ca`) follows the same layout: an n-cell state is one int, cell 0 most
+significant.  An int outside its n bits raises ValueError rather than
+spilling into a neighbouring value.  As text, an m-bit value is m ASCII
+'0'/'1' characters.
 """
 
 from __future__ import annotations
@@ -25,27 +25,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice
 
-Bits = tuple[int, ...]
-
-# byte value -> ASCII digit for 0 and 1, and 0xff (not UTF-8) for every
-# other value, so decode() rejects it
-_DIGITS = bytes(0x30 + v if v < 2 else 0xFF for v in range(256))
-_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def bit_string(bits) -> str:
-    """The '0'/'1' text of a 0/1 sequence, tuple bit 0 first."""
-    bits = tuple(bits)  # bytes() of a buffer (an array) would copy its memory
-    try:
-        return bytes(bits).translate(_DIGITS).decode()
-    except (ValueError, TypeError):
-        raise ValueError(f"bits must be 0 or 1, got {bits}") from None
-
-
-def pack(bits) -> int:
-    """The packed int of a 0/1 sequence, tuple bit 0 most significant."""
-    return int(bit_string(bits) or "0", 2)
-
 
 def _check_text(text) -> str:
     if not isinstance(text, str) or text.strip("01"):
@@ -53,20 +32,9 @@ def _check_text(text) -> str:
     return text
 
 
-def parse_bits(text: str) -> Bits:
-    """The bits of an ASCII '0'/'1' text; any other character raises ValueError."""
-    return tuple(_check_text(text).encode().translate(_VALUES))
-
-
 def _check_code(code: int, n: int) -> None:
     if code >> n:  # also nonzero for every negative code
         raise ValueError(f"{code} is not an unsigned {n}-bit value")
-
-
-def unpack(value: int, n: int) -> Bits:
-    """The n bits of `value`, most significant first: pack's inverse."""
-    _check_code(value, n)
-    return parse_bits(bin(value | 1 << n)[3:])  # 1 << n keeps leading zeros
 
 
 @dataclass(frozen=True)

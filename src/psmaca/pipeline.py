@@ -171,7 +171,13 @@ def predict_structure(target: str, training,
     check_sequence(target)
     scale = load_scale(cfg.scale_name)
 
-    base, score = select_base(target, training, cfg.kmer_size)
+    # deconvolve fits filter_length taps, so a shorter base cannot be used
+    long_enough = [r for r in training
+                   if len(r.sequence) >= cfg.filter_length]
+    if not long_enough:
+        raise ValueError("no training sequence is at least filter_length="
+                         f"{cfg.filter_length} residues long")
+    base, score = select_base(target, long_enough, cfg.kmer_size)
     input_base = hydropathy_encode(base.sequence, scale)
     output_base = structure_encode(base.structure)
     response = deconvolve(output_base, input_base, cfg.filter_length, cfg.ridge)

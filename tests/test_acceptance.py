@@ -10,6 +10,8 @@ from psmaca import ca, codec, dataio, ga, maca, pipeline
 from psmaca.cli import run_cli
 from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
 
+from tuple_bits import pack
+
 
 def report(name):
     print(f"ACCEPTANCE: {name}: PASS")
@@ -47,8 +49,8 @@ def test_criterion_1_rule_30_fidelity():
     expected = {0b111: 0, 0b110: 0, 0b101: 0, 0b100: 1,
                 0b011: 1, 0b010: 1, 0b001: 1, 0b000: 0}
     assert all(table.outputs[h] == v for h, v in expected.items())
-    rows = ca.evolve((0, 0, 1, 0, 0), table, 2)
-    assert ca.format_trajectory(rows) == "00100\n01110\n11001"
+    rows = ca.evolve(0b00100, 5, table, 2)
+    assert ca.format_trajectory(rows, 5) == "00100\n01110\n11001"
     report("1 rule-30 fidelity")
 
 
@@ -75,7 +77,7 @@ def test_criterion_3_equal_split():
         length = rng.randint(1, 12)
         value = rng.randrange(1, 1 << length)
         dv = tuple((value >> i) & 1 for i in range(length))
-        ds = DependencyString(maca.pack(dv), (length,))
+        ds = DependencyString(pack(dv), (length,))
         ones = sum(maca.basin_signature(ds, code) == 1
                    for code in range(1 << length))
         assert ones == 1 << (length - 1)
@@ -96,7 +98,7 @@ def test_criterion_4_tree_purity():
         for _ in range(40):
             p = tuple(rng.randint(0, 1) for _ in range(n))
             parity = sum(a & b for a, b in zip(p, mask)) & 1
-            patterns.append(LabeledPattern(maca.pack(p), str(parity)))
+            patterns.append(LabeledPattern(pack(p), str(parity)))
         tree = maca.build_tree(patterns, n, config, rng_seed=case)
         assert all(maca.classify(tree, p.code) == p.label for p in patterns), case
     elapsed = time.monotonic() - start
@@ -109,7 +111,7 @@ def test_criterion_5_ga_monotone_and_deterministic():
     patterns = []
     for _ in range(30):
         p = tuple(rng.randint(0, 1) for _ in range(6))
-        patterns.append(LabeledPattern(maca.pack(p), str(p[0] ^ p[3])))
+        patterns.append(LabeledPattern(pack(p), str(p[0] ^ p[3])))
     for seed in range(50):
         cfg = TreeConfig(population_size=12, generations=12)
         best1, h1 = ga.evolve_maca(patterns, 6, 2, cfg, seed)

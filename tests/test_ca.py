@@ -1,12 +1,13 @@
 import pytest
 
 from psmaca import ca
-from psmaca.maca import pack, unpack
+
+from tuple_bits import pack, unpack
 
 
 def per_cell_step(cells, rule, boundary):
-    """The per-cell update loop `ca.step` ran before the packed successor,
-    kept as the oracle."""
+    """The per-cell update loop the CA ran on 0/1 tuples before the packed
+    successor, kept as the oracle."""
     n = len(cells)
     out = []
     for i in range(n):
@@ -61,8 +62,10 @@ class TestRuleTable:
             assert table.outputs[hood] == (hood >> 1) & 1
 
     def test_round_trip_all_256(self):
+        # output b of the table is bit b of the rule number
         for r in range(256):
-            assert ca.rule_number(ca.rule_from_number(r)) == r
+            outputs = ca.rule_from_number(r).outputs
+            assert sum(out << b for b, out in enumerate(outputs)) == r
 
     @pytest.mark.parametrize("bad", [-1, 256, 1000])
     def test_out_of_range(self, bad):
@@ -79,18 +82,18 @@ class TestRuleTable:
 class TestStep:
     def test_rule_30_null_boundary(self):
         rule = ca.rule_from_number(30)
-        assert ca.step((0, 0, 1, 0, 0), rule) == (0, 1, 1, 1, 0)
-        assert ca.step((0, 1, 1, 1, 0), rule) == (1, 1, 0, 0, 1)
+        assert ca.successor(0b00100, 5, rule) == 0b01110
+        assert ca.successor(0b01110, 5, rule) == 0b11001
 
     def test_rule_0_kills_everything(self):
         rule = ca.rule_from_number(0)
-        assert ca.step((1, 0, 1, 1), rule) == (0, 0, 0, 0)
+        assert ca.successor(0b1011, 4, rule) == 0b0000
 
     def test_periodic_wraps(self):
         # rule 2: only 001 -> 1, so a lone 1 shifts left under wrap
         rule = ca.rule_from_number(2)
-        assert ca.step((1, 0, 0), rule, "periodic") == (0, 0, 1)
-        assert ca.step((1, 0, 0), rule, "null") == (0, 0, 0)
+        assert ca.successor(0b100, 3, rule, "periodic") == 0b001
+        assert ca.successor(0b100, 3, rule, "null") == 0b000
 
     @pytest.mark.parametrize("boundary", ca.BOUNDARIES)
     def test_matches_per_cell_loop(self, boundary):
@@ -100,45 +103,57 @@ class TestStep:
             for n in range(1, 9):
                 graph = ca.state_transition_graph(rule, n, boundary)
                 for s in range(1 << n):
-                    expected = per_cell_step(unpack(s, n), rule, boundary)
-                    assert ca.step(unpack(s, n), rule, boundary) == expected
-                    assert graph.successor[s] == pack(expected)
+                    expected = pack(per_cell_step(unpack(s, n), rule, boundary))
+                    assert ca.evolve(s, n, rule, 1, boundary) == [s, expected]
+                    assert graph.successor[s] == expected
 
     @pytest.mark.parametrize("cells", [(2,), (0, -1, 0)])
     def test_non_binary_cell_rejected(self, cells):
-        # the per-cell loop read these as neighborhoods 4 and 7 (-1)
-        with pytest.raises(ValueError, match="0 or 1"):
-            ca.step(cells, ca.rule_from_number(30))
+        # the per-cell loop read these as neighborhoods 4 and 7 (-1); shifted
+        # into an int state they spill past n bits (2) or go negative (-2)
+        state = 0
+        for cell in cells:
+            state = state << 1 | cell
+        with pytest.raises(ValueError, match=f"unsigned {len(cells)}-bit"):
+            ca.evolve(state, len(cells), ca.rule_from_number(30), 1)
 
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
-            ca.step((1, 0), ca.rule_from_number(30), "reflect")
+            ca.successor(0b10, 2, ca.rule_from_number(30), "reflect")
+        with pytest.raises(ValueError):
+            ca.evolve(0b10, 2, ca.rule_from_number(30), 1, "reflect")
 
 
 class TestEvolve:
     def test_zero_steps(self):
         rule = ca.rule_from_number(30)
-        assert ca.evolve((1, 0, 1), rule, 0) == [(1, 0, 1)]
+        assert ca.evolve(0b101, 3, rule, 0) == [0b101]
 
     def test_rule_30_triangle(self):
         rule = ca.rule_from_number(30)
-        rows = ca.evolve((0, 0, 1, 0, 0), rule, 2)
-        assert rows == [(0, 0, 1, 0, 0), (0, 1, 1, 1, 0), (1, 1, 0, 0, 1)]
-        assert ca.format_trajectory(rows) == "00100\n01110\n11001"
+        rows = ca.evolve(0b00100, 5, rule, 2)
+        assert rows == [0b00100, 0b01110, 0b11001]
+        assert ca.format_trajectory(rows, 5) == "00100\n01110\n11001"
 
     def test_identity_rule_is_constant(self):
         rule = ca.rule_from_number(204)
-        rows = ca.evolve((1, 0, 1, 1), rule, 5)
-        assert all(row == (1, 0, 1, 1) for row in rows)
+        rows = ca.evolve(0b1011, 4, rule, 5)
+        assert rows == [0b1011] * 6
 
     def test_negative_steps(self):
         with pytest.raises(ValueError):
-            ca.evolve((1,), ca.rule_from_number(30), -1)
+            ca.evolve(0b1, 1, ca.rule_from_number(30), -1)
+
+    @pytest.mark.parametrize("state, n", [(-1, 3), (0b1000, 3), (0, 0)],
+                             ids=["negative", "one-bit-too-wide", "no-cells"])
+    def test_state_outside_n_bits_rejected(self, state, n):
+        with pytest.raises(ValueError, match="3-bit|at least one cell"):
+            ca.evolve(state, n, ca.rule_from_number(30), 1)
 
     def test_deterministic(self):
         rule = ca.rule_from_number(110)
-        start = (0, 1, 1, 0, 1, 0, 0, 1)
-        assert ca.evolve(start, rule, 10) == ca.evolve(start, rule, 10)
+        start = 0b01101001
+        assert ca.evolve(start, 8, rule, 10) == ca.evolve(start, 8, rule, 10)
 
 
 class TestStateTransitionGraph:

@@ -31,10 +31,19 @@ def train(tmp_path, data, capsys=None, extra=()):
     return model
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
 class TestSimulate:
     def test_rule_30_triangle(self, capsys):
         assert run_cli(["simulate", "--rule", "30", "--width", "5",
                         "--steps", "2"]) == 0
+        assert capsys.readouterr().out == "00100\n01110\n11001\n"
+
+    def test_periodic_output_pinned(self, capsys):
+        assert run_cli(["simulate", "--rule", "30", "--width", "5",
+                        "--steps", "2", "--boundary", "periodic"]) == 0
         assert capsys.readouterr().out == "00100\n01110\n11001\n"
 
     def test_bad_rule_is_data_error(self, capsys):
@@ -60,6 +69,20 @@ class TestBasins:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["cycle [0000] basin size 16"]
 
+    @pytest.mark.parametrize("boundary, expected", [
+        ("null", "cycle [0000] basin size 1\n"
+                 "cycle [0001 -> 0010 -> 0101 -> 1000 -> 0100 -> 1010] "
+                 "basin size 6\n"
+                 "cycle [0011 -> 0111 -> 1101 -> 1100 -> 1110 -> 1011] "
+                 "basin size 6\n"
+                 "cycle [0110 -> 1111 -> 1001] basin size 3\n"),
+        ("periodic", "cycle [0000] basin size 16\n"),
+    ], ids=["null", "periodic"])
+    def test_rule_90_output_pinned(self, boundary, expected, capsys):
+        assert run_cli(["basins", "--rule", "90", "--width", "4",
+                        "--boundary", boundary]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestTrain:
     def test_writes_model(self, tmp_path, toy_files, capsys):
@@ -84,16 +107,23 @@ class TestTrain:
 
     def test_filter_length_checked_before_training(self, tmp_path, toy_files,
                                                    capsys, monkeypatch):
-        def build_tree(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(maca, "build_tree", build_tree)
+        monkeypatch.setattr(maca, "build_tree", no_training)
         _, data, _ = toy_files
         model = tmp_path / "model.json"
         assert run_cli(["train", "--data", str(data), "--out", str(model),
                         "--filter-length", "0"]) == 2
         assert "filter_length" in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("out", ["nodir/m.json", ""],
+                             ids=["missing-directory", "directory"])
+    def test_bad_out_fails_before_training(self, tmp_path, toy_files, capsys,
+                                           monkeypatch, out):
+        monkeypatch.setattr(maca, "build_tree", no_training)
+        _, data, _ = toy_files
+        path = str(tmp_path / out)
+        assert run_cli(["train", "--data", str(data), "--out", path]) == 2
+        assert f"--out {path}" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files
@@ -162,6 +192,20 @@ class TestPredict:
         [record] = dataio.parse_paired(out)
         assert record.structure == dataset.records[2].structure
         assert "method: pipeline base=" in out
+
+    def test_pipeline_skips_bases_shorter_than_the_filter(self, tmp_path,
+                                                          capsys):
+        data = tmp_path / "train.txt"
+        data.write_text(dataio.dataset_to_paired_text(dataio.Dataset((
+            dataio.ProteinRecord("a_short", "ACDEFG", "HHHEEE"),
+            dataio.ProteinRecord("b_long", "ACDEFGHIKLMNPQRS",
+                                 "HHHHEEEECCCCHHHH")))))
+        fasta = tmp_path / "target.fasta"
+        fasta.write_text(">t\nACDEFGH\n")
+        model = train(tmp_path, data, capsys)
+        assert run_cli(["predict", "--model", str(model), "--fasta", str(fasta),
+                        "--pipeline", "--train-data", str(data)]) == 0
+        assert "method: pipeline base=b_long" in capsys.readouterr().out
 
     def test_pipeline_requires_train_data(self, tmp_path, toy_files, capsys):
         _, data, fasta = toy_files

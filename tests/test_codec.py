@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmaca import codec, maca
+from psmaca import codec
+
+from tuple_bits import pack, unpack
 
 structure_strings = st.text(alphabet="HEC", min_size=1, max_size=40)
 residues = st.text(alphabet=codec.AMINO_ACIDS + "X", max_size=30)
@@ -139,7 +141,7 @@ class TestWindowPatterns:
 
     def test_terminal_padding(self):
         pad = (1, 0, 1, 0, 0)  # code 20
-        first = maca.unpack(codec.window_patterns("AC", 3)[0], 15)
+        first = unpack(codec.window_patterns("AC", 3)[0], 15)
         assert first[:5] == pad
         assert first[5:10] == (0, 0, 0, 0, 0)  # A
         assert first[10:] == (0, 0, 0, 0, 1)  # C
@@ -156,7 +158,7 @@ class TestWindowPatterns:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_residue_loop(self, seq, w):
         assert codec.window_patterns(seq, w) == \
-            [maca.pack(p) for p in per_residue_windows(seq, w)]
+            [pack(p) for p in per_residue_windows(seq, w)]
 
     def test_locality(self):
         a = codec.window_patterns("ACDEF", 3)

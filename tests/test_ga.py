@@ -6,7 +6,9 @@ import pytest
 
 from psmaca import dataio, ga
 from psmaca.codec import window_patterns
-from psmaca.maca import DependencyString, LabeledPattern, TreeConfig, pack
+from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
+
+from tuple_bits import pack
 
 
 def check_invariants(ch, n):

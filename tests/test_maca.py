@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,41 +7,33 @@ from hypothesis import strategies as st
 from psmaca import maca
 from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
 
+from tuple_bits import pack, unpack
+
 
 def all_patterns(n):
     return range(1 << n)
 
 
 class TestBitLayout:
-    @given(st.lists(st.integers(0, 1), max_size=70).map(tuple))
-    def test_bits_round_trip(self, bits):
-        assert maca.unpack(maca.pack(bits), len(bits)) == bits
-        assert maca.parse_bits(maca.bit_string(bits)) == bits
-
-    @given(st.integers(0, 70).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
-    def test_int_round_trip(self, case):
-        n, value = case
-        assert maca.pack(maca.unpack(value, n)) == value
-        assert len(maca.unpack(value, n)) == n
-
     def test_most_significant_bit_first(self):
-        assert maca.unpack(0b1011, 6) == (0, 0, 1, 0, 1, 1)
-        assert maca.bit_string((0, 0, 1, 0, 1, 1)) == "001011"
-        assert maca.parse_bits("001011") == (0, 0, 1, 0, 1, 1)
-        assert maca.unpack(0, 0) == () and maca.bit_string(()) == ""
+        ds = DependencyString.from_bit_strings(["001", "011"])
+        assert ds.bits == 0b001_011
+        assert ds.masks == (0b001_000, 0b000_011)
+        assert ds.bit_strings() == ["001", "011"]
 
     @pytest.mark.parametrize("value, n", [(4, 2), (-1, 3)])
     def test_unpack_rejects_values_outside_n_bits(self, value, n):
+        # the range check unpack ran now guards every pattern code taken in
+        ds = DependencyString((1 << n) - 1, (n,))
         with pytest.raises(ValueError, match="2-bit|3-bit"):
-            maca.unpack(value, n)
+            maca.basin_signature(ds, value)
 
     @pytest.mark.parametrize("text", ["12", "1 0", "\u0661\u0660", "0\uff11",
                                       "0b1", None, b"01"])
     def test_parse_accepts_only_ascii_0_and_1(self, text):
         # "\u0661" is ARABIC-INDIC DIGIT ONE, which int() reads as 1
         with pytest.raises(ValueError, match="0 or 1"):
-            maca.parse_bits(text)
+            DependencyString.from_bit_strings(["1", text])
 
 
 class TestDvValidity:
@@ -73,7 +64,7 @@ class TestBasinSignature:
 
     def test_hand_computed(self):
         ds = DependencyString(0b11_10, (2, 2))
-        assert maca.basin_signature(ds, maca.pack((1, 1, 0, 1))) == 0b00
+        assert maca.basin_signature(ds, pack((1, 1, 0, 1))) == 0b00
 
     def test_zero_pattern_gives_zero_signature(self):
         ds = DependencyString(0b101_11, (3, 2))
@@ -90,7 +81,7 @@ class TestBasinSignature:
         """Any single nonzero DV splits {0,1}^L exactly in half."""
         value = 1 + value % ((1 << length) - 1)
         dv = tuple((value >> i) & 1 for i in range(length))
-        ds = DependencyString(maca.pack(dv), (length,))
+        ds = DependencyString(pack(dv), (length,))
         ones = sum(maca.basin_signature(ds, p) == 1
                    for p in all_patterns(length))
         assert ones == 1 << (length - 1)
@@ -101,11 +92,11 @@ class TestBasinSignature:
         rng = random.Random(4)
         for _ in range(50):
             p = [rng.randint(0, 1) for _ in range(5)]
-            base = maca.basin_signature(ds, maca.pack(p))
+            base = maca.basin_signature(ds, pack(p))
             for pos in (1, 3):  # DV bit is 0 at these positions
                 q = list(p)
                 q[pos] ^= 1
-                assert maca.basin_signature(ds, maca.pack(q)) == base
+                assert maca.basin_signature(ds, pack(q)) == base
 
 
 def oracle_signature(segments, pattern):
@@ -130,7 +121,7 @@ def dependency_strings(draw, max_n=70):
         seg = draw(st.lists(st.integers(0, 1), min_size=b - a, max_size=b - a))
         seg[draw(st.integers(0, b - a - 1))] = 1  # keep the DV nonzero
         segments.append(tuple(seg))
-    return (DependencyString(maca.pack(sum(segments, ())),
+    return (DependencyString(pack(sum(segments, ())),
                              tuple(map(len, segments))), segments)
 
 
@@ -144,24 +135,24 @@ class TestPackedKernel:
             st.lists(st.integers(0, 1), min_size=ds.n, max_size=ds.n)
             .map(tuple), min_size=1, max_size=8))
         for p in patterns:
-            assert maca.basin_signature(ds, maca.pack(p)) == \
-                maca.pack(oracle_signature(segments, p))
-        labeled = [LabeledPattern(maca.pack(p), str(i))
+            assert maca.basin_signature(ds, pack(p)) == \
+                pack(oracle_signature(segments, p))
+        labeled = [LabeledPattern(pack(p), str(i))
                    for i, p in enumerate(patterns)]
         buckets = maca.distribute(ds, labeled)
         # a partition: every pattern once, in the bucket of its signature
         assert sorted(q.label for b in buckets.values() for q in b) == \
             sorted(q.label for q in labeled)
         for sig, bucket in buckets.items():
-            assert all(oracle_signature(segments, maca.unpack(q.code, ds.n))
-                       == maca.unpack(sig, ds.m) for q in bucket)
+            assert all(oracle_signature(segments, unpack(q.code, ds.n))
+                       == unpack(sig, ds.m) for q in bucket)
 
     @given(dependency_strings())
     @settings(max_examples=200, deadline=None)
     def test_bit_strings_round_trip(self, case):
         # n runs past 63, where the digits no longer fit one machine word
         ds, segments = case
-        assert ds.bit_strings() == [maca.bit_string(s) for s in segments]
+        assert ds.bit_strings() == ["".join(map(str, s)) for s in segments]
         assert DependencyString.from_bit_strings(ds.bit_strings()) == ds
 
     def test_leading_zero_segments_round_trip(self):
@@ -170,22 +161,17 @@ class TestPackedKernel:
         assert DependencyString.from_bit_strings(["001", "01", "0001"]) == ds
 
     def test_tuple_bit_zero_is_most_significant(self):
-        assert maca.pack((1, 0, 1, 1)) == 0b1011
-        assert maca.unpack(1, 3) == (0, 0, 1)
-        assert DependencyString(0b10_011, (2, 3)).masks == (0b10000, 0b00011)
-        # an array packs by its values, not by its memory
-        assert maca.pack(np.array([1, 0, 1])) == 0b101
+        # the tuple oracles' convention is the package's: bit 0 on top
+        assert pack((1, 0, 1, 1)) == 0b1011
+        assert unpack(1, 3) == (0, 0, 1)
+        assert DependencyString(pack((1, 0, 0, 1, 1)), (2, 3)).masks == \
+            (pack((1, 0, 0, 0, 0)), pack((0, 0, 0, 1, 1)))
 
     def test_wide_pattern(self):
         # only the bit above 64 is set, so a 64-bit kernel would read 0
         ds = DependencyString((1 << 70) - 1, (70,))
         assert maca.basin_signature(ds, 1 << 69) == 1
         assert maca.basin_signature(ds, (1 << 70) - 1) == 0
-
-    @pytest.mark.parametrize("bits", [(0, 2), (1, -1), (1, 0.5), ("1", "0")])
-    def test_only_binary_bits_pack(self, bits):
-        with pytest.raises(ValueError, match="0 or 1"):
-            maca.pack(bits)
 
     @pytest.mark.parametrize("segments", [(0b111, (2,)), (0b100, (1, 1)),
                                           (-1, (2,))])
@@ -251,7 +237,7 @@ def parity_dataset(n, mask_bits, count, seed):
     for _ in range(count):
         p = tuple(rng.randint(0, 1) for _ in range(n))
         label = str(sum(a & b for a, b in zip(p, mask_bits)) & 1)
-        pats.append(LabeledPattern(maca.pack(p), label))
+        pats.append(LabeledPattern(pack(p), label))
     return pats
 
 
@@ -290,7 +276,7 @@ class TestBuildTree:
         for _ in range(60):
             p = tuple(rng.randint(0, 1) for _ in range(6))
             label = "HEC"[(p[0] << 1 | p[1]) % 3]
-            pats.append(LabeledPattern(maca.pack(p), label))
+            pats.append(LabeledPattern(pack(p), label))
         tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=5)
         acc = sum(maca.classify(tree, p.code) == p.label for p in pats) / len(pats)
         assert acc == 1.0

@@ -298,6 +298,21 @@ class TestPredictStructure:
         r2 = pipeline.predict_structure(target, dataset.records)
         assert r1 == r2
 
+    def test_base_shorter_than_filter_is_skipped(self):
+        # a_short shares more 3-mers with the target, but the 9-tap filter
+        # cannot be fitted on its 6 residues
+        a_short = ProteinRecord("a_short", "ACDEFG", "HHHEEE")
+        b_long = ProteinRecord("b_long", "ACDEFGHIKLMNPQRS", "HHHHEEEECCCCHHHH")
+        assert pipeline.select_base("ACDEFGH", [a_short, b_long])[0] is a_short
+        result = pipeline.predict_structure("ACDEFGH", [a_short, b_long])
+        assert result.base_id == "b_long"
+        assert len(result.predicted) == 7
+
+    def test_no_base_as_long_as_the_filter(self):
+        a_short = ProteinRecord("a_short", "ACDEFG", "HHHEEE")
+        with pytest.raises(ValueError, match="filter_length=9"):
+            pipeline.predict_structure("ACDEFGH", [a_short])
+
     def test_band_mode_config(self):
         dataset = make_impulse_dataset(6, 9, seed=3)
         cfg = PipelineConfig(decode_mode="paper_bands")
