@@ -87,6 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pipeline", action="store_true")
     p.add_argument("--train-data", default=None)
     p.add_argument("--no-verify", action="store_true")
+    p.set_defaults(mode=None)  # evaluate decodes in the model's own mode
     return parser
 
 
@@ -98,7 +99,7 @@ def _write(path: str, text: str) -> None:
 def cmd_simulate(args) -> int:
     rule = ca.rule_from_number(args.rule)
     if args.width < 1:
-        raise UsageError("--width must be >= 1")
+        raise ValueError(f"width must be >= 1, got {args.width}")
     start = 1 << (args.width - 1 - args.width // 2)
     rows = ca.evolve(start, args.width, rule, args.steps, args.boundary)
     print(ca.format_trajectory(rows, args.width))
@@ -129,19 +130,21 @@ def _tree_config(args) -> maca.TreeConfig:
                               for name in _TREE_FLAGS.values()})
 
 
-def _check_out(path: str) -> None:
-    # a path that cannot take the model fails now, not after the GA has run
-    folder = os.path.dirname(path) or "."
+def _check_out(flag: str, path: str) -> None:
+    # a path that cannot take the output fails now, not after the work
+    folder, name = os.path.split(path)
     if os.path.isdir(path):
-        raise ValueError(f"--out {path} is a directory")
-    if not os.path.isdir(folder):
-        raise ValueError(f"--out {path}: no directory {folder}")
+        raise ValueError(f"{flag} {path} is a directory")
+    if not name:
+        raise ValueError(f"{flag} {path!r} names no file")
+    if not os.path.isdir(folder or "."):
+        raise ValueError(f"{flag} {path}: no directory {folder}")
 
 
 def cmd_train(args) -> int:
     config = _tree_config(args)
     pipeline = PipelineConfig(filter_length=args.filter_length)
-    _check_out(args.out)
+    _check_out("--out", args.out)
     text = dataio.read_text(args.data)
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)
@@ -168,47 +171,44 @@ def _load_training(model, path, no_verify):
     return dataio.parse_paired(text)
 
 
-def _pipeline_config(model, mode):
-    if mode is None:
-        return model.pipeline
-    return replace(model.pipeline, decode_mode=mode)
-
-
-def _predict_record(record, model, use_pipeline, training, cfg):
-    if use_pipeline:
-        result = predict_structure(record.sequence, training, cfg)
-        notes = [f"method: pipeline base={result.base_id} "
-                 f"similarity={result.similarity_score:.4f}"]
-        return result.predicted, notes
-    predicted = "".join(
-        maca.classify(model.tree, code)
-        for code in window_patterns(record.sequence, model.window))
-    return predicted, ["method: tree"]
-
-
-def _check_route_flags(args) -> None:
+def _route(args, bases, outputs=()):
+    """Check the route flags and the (flag, path) outputs, load the model,
+    and return its route as a `sequence -> (structure, notes)` function:
+    the tree, or the signal pipeline over the `bases` file."""
     # flags that only the signal route reads would be ignored by the tree
-    for flag, given in (("--mode", getattr(args, "mode", None) is not None),
+    for flag, given in (("--mode", args.mode is not None),
                         ("--train-data", args.train_data is not None),
                         ("--no-verify", args.no_verify)):
         if given and not args.pipeline:
             raise UsageError(f"{flag} requires --pipeline")
+    if args.pipeline and bases is None:
+        raise UsageError("--pipeline requires --train-data")
+    for flag, path in outputs:
+        if path is not None:
+            _check_out(flag, path)
+    model = dataio.load_model(args.model)
+    if not args.pipeline:
+        def tree(sequence):
+            codes = window_patterns(sequence, model.window)
+            return ("".join(maca.classify(model.tree, c) for c in codes),
+                    ["method: tree"])
+        return tree
+    training = _load_training(model, bases, args.no_verify)
+    cfg = replace(model.pipeline,
+                  decode_mode=args.mode or model.pipeline.decode_mode)
+
+    def signal(sequence):
+        result = predict_structure(sequence, training, cfg)
+        return result.predicted, [f"method: pipeline base={result.base_id} "
+                                  f"similarity={result.similarity_score:.4f}"]
+    return signal
 
 
 def cmd_predict(args) -> int:
-    _check_route_flags(args)
-    if args.pipeline and args.train_data is None:
-        raise UsageError("--pipeline requires --train-data")
-    model = dataio.load_model(args.model)
-    records = dataio.parse_fasta(dataio.read_text(args.fasta))
-    training, cfg = None, None
-    if args.pipeline:
-        training = _load_training(model, args.train_data, args.no_verify)
-        cfg = _pipeline_config(model, args.mode)
+    route = _route(args, args.train_data)
     blocks = []
-    for record in records:
-        predicted, notes = _predict_record(record, model, args.pipeline,
-                                           training, cfg)
+    for record in dataio.parse_fasta(dataio.read_text(args.fasta)):
+        predicted, notes = route(record.sequence)
         blocks.append(dataio.format_paired(
             dataio.ProteinRecord(record.id, record.sequence, predicted),
             annotations=notes))
@@ -217,30 +217,26 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_route_flags(args)
-    model = dataio.load_model(args.model)
+    # a bad output path fails now, before any record is predicted
+    route = _route(args, args.train_data or args.data, (
+        ("--report", args.report), ("--json", args.json_out),
+        ("--comparison", args.comparison)))
     records = dataio.parse_paired(dataio.read_text(args.data))
-    training, cfg, route = None, None, ""
-    if args.pipeline:
-        train_path = args.train_data or args.data
-        training = _load_training(model, train_path, args.no_verify)
-        cfg = model.pipeline
-        # Q3 says what it measures: recall of the evaluated records, or a
-        # prediction against a separate base set
-        route = (f" (bases from {args.train_data})" if args.train_data
-                 else " (self-recall: each record is its own base)")
-    rows = []
-    for record in records:
-        predicted, _ = _predict_record(record, model, args.pipeline,
-                                       training, cfg)
-        rows.append(dataio.q3(predicted, record.structure, record.id))
+    rows = [dataio.q3(route(record.sequence)[0], record.structure, record.id)
+            for record in records]
     report = dataio.aggregate_metrics(rows)
     _write(args.report, dataio.metrics_tsv(report))
     if args.json_out:
         _write(args.json_out, dataio.metrics_json(report))
     if args.comparison:
         _write(args.comparison, dataio.comparison_tsv(args.data, report.q3))
-    print(f"q3 {report.q3:.2f} over {len(rows)} records{route}; "
+    # Q3 says what it measures: recall of the evaluated records, or a
+    # prediction against a separate base set
+    route_note = ""
+    if args.pipeline:
+        route_note = (f" (bases from {args.train_data})" if args.train_data
+                      else " (self-recall: each record is its own base)")
+    print(f"q3 {report.q3:.2f} over {len(rows)} records{route_note}; "
           f"report at {args.report}")
     return 0
 

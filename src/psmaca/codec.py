@@ -2,15 +2,16 @@
 signals.
 
 Input encoding replaces each residue with its hydropathy value; output
-encoding maps secondary structure H/E/C to 200/600/800.  Decoding supports
-two readings: the literal bands ([0,200] -> H, [600,800] -> E, else C) and
-nearest-centroid, the default, because coil's own code 800 sits inside the
-strand band.
+encoding maps secondary structure H/E/C to 200/600/800.  Decoding reads one
+of two band tables: the literal bands ([0,200] -> H, [600,800] -> E, else
+C), or nearest-centroid, the default, with edges at the code midpoints 400
+and 700, because coil's own code 800 sits inside the strand band.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,9 +30,15 @@ STRUCTURE_LABELS = "HEC"
 # the published structure codes; coil (800) sits on the strand band's top
 HELIX_VALUE, STRAND_VALUE, COIL_VALUE = 200.0, 600.0, 800.0
 _STRUCTURE_VALUE = {"H": HELIX_VALUE, "E": STRAND_VALUE, "C": COIL_VALUE}
-_CENTROIDS = sorted((v, lab) for lab, v in _STRUCTURE_VALUE.items())
 
-DECODE_MODES = ("nearest_centroid", "paper_bands")
+# mode -> (upper edge of each band, one label per band): v decodes as
+# labels[bisect_left(edges, v)], so a value on an edge takes the lower band
+_DECODE_BANDS = {
+    "nearest_centroid": ((400.0, 700.0, math.inf), "HEC"),  # code midpoints
+    "paper_bands": ((math.nextafter(0.0, -1.0), 200.0,
+                     math.nextafter(600.0, 0.0), 800.0, math.inf), "CHCEC"),
+}
+DECODE_MODES = tuple(_DECODE_BANDS)
 
 _DATA = resources.files("psmaca") / "data"
 
@@ -123,20 +130,12 @@ def structure_decode(values, mode: str = "nearest_centroid") -> str:
         raise ValueError("signal must be non-empty")
     if mode not in DECODE_MODES:
         raise ValueError(f"mode must be one of {DECODE_MODES}, got {mode!r}")
+    edges, labels = _DECODE_BANDS[mode]
     out = []
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"non-finite trace value {v!r}")
-        if mode == "paper_bands":
-            if 0 <= v <= HELIX_VALUE:
-                out.append("H")
-            elif STRAND_VALUE <= v <= COIL_VALUE:
-                out.append("E")
-            else:
-                out.append("C")
-        else:
-            _, label = min(_CENTROIDS, key=lambda c: (abs(v - c[0]), c[0]))
-            out.append(label)
+        out.append(labels[bisect_left(edges, v)])
     return "".join(out)
 
 

@@ -360,9 +360,10 @@ def save_model(model: ModelFile, path: str) -> None:
 
 
 def load_model(path: str) -> ModelFile:
-    try:
-        doc = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as e:
+    text = read_text(path)
+    try:  # ValueError: also an int past the interpreter's digit limit
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
         raise ModelFormatError(f"corrupted model file: {e}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(

@@ -59,8 +59,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
+        # a bound, not math.isfinite, which overflows on an int past floats
         if type(self.ridge) not in (int, float) or not (
-                math.isfinite(self.ridge) and self.ridge >= 0):
+                0 <= self.ridge <= sys.float_info.max):
             raise ValueError(f"ridge must be a finite number >= 0, "
                              f"got {self.ridge!r}")
         if self.kmer_size < 1:

@@ -1,7 +1,13 @@
+import copy
 import json
+import os
 from dataclasses import asdict
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psmaca import cli, codec, dataio, maca
 from psmaca.cli import run_cli
@@ -9,15 +15,19 @@ from psmaca.maca import TreeConfig
 from psmaca.pipeline import PipelineConfig, predict_structure
 
 
-@pytest.fixture
-def toy_files(tmp_path):
+def write_toy_files(folder):
     dataset = dataio.make_impulse_dataset(6, 9, seed=0)
-    data = tmp_path / "train.txt"
+    data = folder / "train.txt"
     data.write_text(dataio.dataset_to_paired_text(dataset))
     target = dataset.records[2]
-    fasta = tmp_path / "target.fasta"
+    fasta = folder / "target.fasta"
     fasta.write_text(f">{target.id}\n{target.sequence}\n")
     return dataset, data, fasta
+
+
+@pytest.fixture
+def toy_files(tmp_path):
+    return write_toy_files(tmp_path)
 
 
 def train(tmp_path, data, capsys=None, extra=()):
@@ -33,6 +43,20 @@ def train(tmp_path, data, capsys=None, extra=()):
 
 def no_training(*args, **kwargs):
     raise AssertionError("training started")
+
+
+def no_prediction(*args, **kwargs):
+    raise AssertionError("prediction started")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--rule", "30", "--steps", "1"], ["basins", "--rule", "30"],
+], ids=["simulate", "basins"])
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_width_below_one_is_data_error(capsys, command, width):
+    assert run_cli([*command, "--width", width]) == 2
+    err = capsys.readouterr().err
+    assert "width must be" in err and f"got {width}" in err
 
 
 class TestSimulate:
@@ -250,6 +274,16 @@ class TestPredict:
         assert run_cli(["predict", "--model", str(bad),
                         "--fasta", str(fasta)]) == 2
 
+    def test_int_past_the_digit_limit_is_corrupted_model(self, tmp_path,
+                                                         toy_files, capsys):
+        _, data, fasta = toy_files
+        model = train(tmp_path, data, capsys)
+        model.write_text(model.read_text().replace(
+            '"window": 3', '"window": ' + "9" * 5000))
+        assert run_cli(["predict", "--model", str(model),
+                        "--fasta", str(fasta)]) == 2
+        assert "corrupted model file" in capsys.readouterr().err
+
     def test_non_utf8_model_names_the_file(self, tmp_path, toy_files, capsys):
         _, _, fasta = toy_files
         bad = tmp_path / "bad.json"
@@ -300,6 +334,7 @@ class TestPredict:
         (lambda doc: doc["pipeline"].update(kmer_size=2.5), "kmer_size"),
         (lambda doc: doc["pipeline"].update(ridge=float("nan")), "ridge"),
         (lambda doc: doc["pipeline"].update(ridge=True), "ridge"),
+        (lambda doc: doc["pipeline"].update(ridge=10 ** 400), "ridge"),
         (lambda doc: doc["tree"].update(n=15.0), "tree n"),
         (lambda doc: doc["tree"]["config"].pop("generations"),
          "tree.config lacks generations"),
@@ -321,11 +356,11 @@ class TestPredict:
             "fingerprint-int", "ga-config-list", "max-depth-negative",
             "population-size-1", "population-size-str", "mutation-rate-1.5",
             "filter-length-float", "filter-length-bool", "kmer-size-float",
-            "ridge-nan", "ridge-bool", "tree-n-float", "no-generations",
-            "no-ridge", "unknown-top-level-key", "unknown-tree-key",
-            "leaf-with-children", "ds-bare-string", "children-list",
-            "ga-config-empty", "ga-config-population-size-1",
-            "rng-seed-str"])
+            "ridge-nan", "ridge-bool", "ridge-int-beyond-float",
+            "tree-n-float", "no-generations", "no-ridge",
+            "unknown-top-level-key", "unknown-tree-key", "leaf-with-children",
+            "ds-bare-string", "children-list", "ga-config-empty",
+            "ga-config-population-size-1", "rng-seed-str"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files
@@ -399,6 +434,59 @@ class TestScaleName:
         assert not (tmp_path / "report.tsv").exists()
 
 
+# stands for nesting deeper than the JSON parser takes; the edited file
+# carries it as text, since json.dumps cannot write it
+DEEP = "\x00deep"
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(-10 ** 400, 10 ** 400) | st.text(max_size=8) | st.just(DEEP),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+def json_paths(doc, path=()):
+    """The key path of every value in a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from json_paths(value, (*path, key))
+
+
+class TestModelFuzz:
+    """Any one edit of a trained model file is read (exit 0) or refused as
+    data (exit 2) on both routes, never an internal error (exit 3)."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("fuzz")
+        _, data, fasta = write_toy_files(folder)
+        model = train(folder, data)
+        return json.loads(model.read_text()), data, fasta
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_model_never_exits_3(self, trained, data):
+        doc, train_data, fasta = trained
+        doc = copy.deepcopy(doc)
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            doc = data.draw(json_values)
+        else:
+            parent = reduce(getitem, path[:-1], doc)
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(json_values)
+        edited = train_data.parent / "edited.json"
+        edited.write_text(json.dumps(doc).replace(json.dumps(DEEP),
+                                                  "[" * 5000 + "]" * 5000))
+        for route in ([], ["--pipeline", "--train-data", str(train_data)]):
+            assert run_cli(["predict", "--model", str(edited),
+                            "--fasta", str(fasta), *route]) in (0, 2)
+
+
 def arabic_indic_digits(node):
     """Write every ds string and child key with the digits U+0660/U+0661,
     which int() reads as 0 and 1."""
@@ -461,6 +549,57 @@ class TestEvaluate:
                             str(data), "--report", str(report), *flags]) == 1
             assert f"{flags[0]} requires --pipeline" in capsys.readouterr().err
             assert not report.exists()
+
+    @pytest.mark.parametrize("route", [[], ["--pipeline"]],
+                             ids=["tree", "pipeline"])
+    @pytest.mark.parametrize("flag", ["--report", "--json", "--comparison"])
+    @pytest.mark.parametrize("bad", ["nodir/out", "outdir", "outdir/", ""],
+                             ids=["missing-directory", "directory",
+                                  "trailing-slash", "empty"])
+    def test_bad_output_fails_before_prediction(self, tmp_path, toy_files,
+                                                capsys, monkeypatch, route,
+                                                flag, bad):
+        _, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        monkeypatch.setattr(maca, "classify", no_prediction)
+        monkeypatch.setattr(cli, "predict_structure", no_prediction)
+        (tmp_path / "outdir").mkdir()
+        outputs = {"--report": tmp_path / "r.tsv",
+                   "--json": tmp_path / "r.json",
+                   "--comparison": tmp_path / "cmp.tsv",
+                   flag: f"{tmp_path}/{bad}" if bad else ""}
+        assert run_cli(["evaluate", "--model", str(model), "--data", str(data),
+                        *route, *(arg for output in outputs.items()
+                                  for arg in map(str, output))]) == 2
+        assert f"{flag} {outputs[flag]}" in capsys.readouterr().err
+        assert not any(os.path.isfile(path) for path in outputs.values())
+
+    @pytest.mark.parametrize("route", [
+        [], ["--pipeline", "--train-data", "DATA"],
+    ], ids=["tree", "pipeline-train-data"])
+    def test_report_q3_is_q3_of_predict(self, tmp_path, toy_files, capsys,
+                                        route):
+        _, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        route = [str(data) if f == "DATA" else f for f in route]
+        targets = dataio.make_impulse_dataset(4, 12, seed=9)
+        paired = tmp_path / "targets.txt"
+        paired.write_text(dataio.dataset_to_paired_text(targets))
+        fasta = tmp_path / "targets.fasta"
+        fasta.write_text("".join(f">{r.id}\n{r.sequence}\n"
+                                 for r in targets.records))
+        assert run_cli(["predict", "--model", str(model), "--fasta",
+                        str(fasta), *route]) == 0
+        predicted = dataio.parse_paired(capsys.readouterr().out)
+        report = tmp_path / "report.json"
+        assert run_cli(["evaluate", "--model", str(model), "--data",
+                        str(paired), "--report", str(tmp_path / "r.tsv"),
+                        "--json", str(report), *route]) == 0
+        rows = json.loads(report.read_text())["records"]
+        assert [row["id"] for row in rows] == [r.id for r in predicted]
+        assert [row["q3"] for row in rows] == [
+            dataio.q3(p.structure, t.structure).q3
+            for p, t in zip(predicted, targets.records)]
 
     def test_tree_evaluation_runs(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files

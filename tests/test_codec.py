@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,18 @@ from tuple_bits import pack, unpack
 
 structure_strings = st.text(alphabet="HEC", min_size=1, max_size=40)
 residues = st.text(alphabet=codec.AMINO_ACIDS + "X", max_size=30)
+
+
+def float_steps(value, k):
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.copysign(math.inf, k))
+    return value
+
+
+# any finite float, plus the floats within 3 steps of each code or midpoint
+decode_values = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
+    float_steps, st.sampled_from([0.0, 200.0, 400.0, 600.0, 700.0, 800.0]),
+    st.integers(-3, 3))
 
 
 def per_residue_windows(seq, w):
@@ -125,6 +139,27 @@ class TestStructureDecode:
     def test_paper_bands_round_trip_breaks_on_coil(self):
         assert codec.structure_decode(codec.structure_encode("C"),
                                       "paper_bands") == "E"
+
+    def test_huge_value_is_nearest_to_coil(self):
+        # from 2**62 up, v - 200, v - 600 and v - 800 round to one float,
+        # and a float distance would tie them and answer H
+        assert codec.structure_decode([1e19]) == "C"
+        assert codec.structure_decode([-1e19]) == "H"
+
+    @given(decode_values)
+    @settings(max_examples=500, deadline=None)
+    def test_nearest_centroid_is_exactly_nearest(self, v):
+        # exact distances, ties to the lower code
+        codes = [(Fraction(200), "H"), (Fraction(600), "E"),
+                 (Fraction(800), "C")]
+        _, label = min(codes, key=lambda c: (abs(Fraction(v) - c[0]), c[0]))
+        assert codec.structure_decode([v], "nearest_centroid") == label
+
+    @given(decode_values)
+    @settings(max_examples=500, deadline=None)
+    def test_paper_bands_are_the_closed_bands(self, v):
+        label = "H" if 0 <= v <= 200 else "E" if 600 <= v <= 800 else "C"
+        assert codec.structure_decode([v], "paper_bands") == label
 
 
 class TestWindowPatterns:
