@@ -179,7 +179,7 @@ def test_select_base_per_target(benchmark, bases, layers):
 def test_deconvolve(benchmark, bases, layers):
     base = bases[0]
     output = codec.structure_encode(base.structure)
-    signal = codec.hydropathy_encode(base.sequence, codec.load_scale())
+    signal = codec.hydropathy_encode(base.sequence)
     response = benchmark(pipeline.deconvolve, output, signal, FILTER_LENGTH,
                          pipeline.PipelineConfig.ridge)
     assert len(response.taps) == FILTER_LENGTH

@@ -130,21 +130,42 @@ def _tree_config(args) -> maca.TreeConfig:
                               for name in _TREE_FLAGS.values()})
 
 
-def _check_out(flag: str, path: str) -> None:
-    # a path that cannot take the output fails now, not after the work
-    folder, name = os.path.split(path)
-    if os.path.isdir(path):
-        raise ValueError(f"{flag} {path} is a directory")
-    if not name:
-        raise ValueError(f"{flag} {path!r} names no file")
-    if not os.path.isdir(folder or "."):
-        raise ValueError(f"{flag} {path}: no directory {folder}")
+def _file_key(path: str):
+    # an existing file is its inode, so a hard link matches it too
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
+def _check_outputs(outputs, inputs) -> None:
+    """Check the (flag, path) outputs before any file is read: a path that
+    cannot take its output, or that names the same file as an input or
+    another output, fails now, not after the work."""
+    taken = {_file_key(path): flag
+             for flag, path in inputs if path is not None}
+    for flag, path in outputs:
+        if path is None:
+            continue
+        folder, name = os.path.split(path)
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
+        if not name:
+            raise ValueError(f"{flag} {path!r} names no file")
+        if not os.path.isdir(folder or "."):
+            raise ValueError(f"{flag} {path}: no directory {folder}")
+        key = _file_key(path)
+        if key in taken:
+            raise ValueError(f"{flag} {path} is the same file as "
+                             f"{taken[key]}")
+        taken[key] = flag
 
 
 def cmd_train(args) -> int:
     config = _tree_config(args)
     pipeline = PipelineConfig(filter_length=args.filter_length)
-    _check_out("--out", args.out)
+    _check_outputs([("--out", args.out)], [("--data", args.data)])
     text = dataio.read_text(args.data)
     records = dataio.parse_paired(text)
     patterns = _training_patterns(records, args.window)
@@ -171,10 +192,11 @@ def _load_training(model, path, no_verify):
     return dataio.parse_paired(text)
 
 
-def _route(args, bases, outputs=()):
-    """Check the route flags and the (flag, path) outputs, load the model,
-    and return its route as a `sequence -> (structure, notes)` function:
-    the tree, or the signal pipeline over the `bases` file."""
+def _route(args, bases, outputs=(), inputs=()):
+    """Check the route flags and the (flag, path) outputs against the
+    inputs, load the model, and return its route as a
+    `record -> (structure, notes)` function: the tree, or the signal
+    pipeline over the `bases` file.  A record that fails is named."""
     # flags that only the signal route reads would be ignored by the tree
     for flag, given in (("--mode", args.mode is not None),
                         ("--train-data", args.train_data is not None),
@@ -183,32 +205,37 @@ def _route(args, bases, outputs=()):
             raise UsageError(f"{flag} requires --pipeline")
     if args.pipeline and bases is None:
         raise UsageError("--pipeline requires --train-data")
-    for flag, path in outputs:
-        if path is not None:
-            _check_out(flag, path)
+    _check_outputs(outputs, inputs)
     model = dataio.load_model(args.model)
     if not args.pipeline:
-        def tree(sequence):
+        def predict(sequence):
             codes = window_patterns(sequence, model.window)
             return ("".join(maca.classify(model.tree, c) for c in codes),
                     ["method: tree"])
-        return tree
-    training = _load_training(model, bases, args.no_verify)
-    cfg = replace(model.pipeline,
-                  decode_mode=args.mode or model.pipeline.decode_mode)
+    else:
+        training = _load_training(model, bases, args.no_verify)
+        cfg = replace(model.pipeline,
+                      decode_mode=args.mode or model.pipeline.decode_mode)
 
-    def signal(sequence):
-        result = predict_structure(sequence, training, cfg)
-        return result.predicted, [f"method: pipeline base={result.base_id} "
-                                  f"similarity={result.similarity_score:.4f}"]
-    return signal
+        def predict(sequence):
+            result = predict_structure(sequence, training, cfg)
+            return result.predicted, [
+                f"method: pipeline base={result.base_id} "
+                f"similarity={result.similarity_score:.4f}"]
+
+    def route(record):
+        try:
+            return predict(record.sequence)
+        except ValueError as e:
+            raise ValueError(f"record {record.id!r}: {e}") from e
+    return route
 
 
 def cmd_predict(args) -> int:
     route = _route(args, args.train_data)
     blocks = []
     for record in dataio.parse_fasta(dataio.read_text(args.fasta)):
-        predicted, notes = route(record.sequence)
+        predicted, notes = route(record)
         blocks.append(dataio.format_paired(
             dataio.ProteinRecord(record.id, record.sequence, predicted),
             annotations=notes))
@@ -218,11 +245,13 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     # a bad output path fails now, before any record is predicted
-    route = _route(args, args.train_data or args.data, (
+    route = _route(args, args.train_data or args.data, outputs=(
         ("--report", args.report), ("--json", args.json_out),
-        ("--comparison", args.comparison)))
+        ("--comparison", args.comparison)), inputs=(
+        ("--model", args.model), ("--data", args.data),
+        ("--train-data", args.train_data)))
     records = dataio.parse_paired(dataio.read_text(args.data))
-    rows = [dataio.q3(route(record.sequence)[0], record.structure, record.id)
+    rows = [dataio.q3(route(record)[0], record.structure, record.id)
             for record in records]
     report = dataio.aggregate_metrics(rows)
     _write(args.report, dataio.metrics_tsv(report))
@@ -271,3 +300,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

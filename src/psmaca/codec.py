@@ -12,11 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
-from types import MappingProxyType
 
 # Canonical residues in alphabetical order; the position is the residue's
 # 5-bit code.  'X' (unknown) and window padding share code 20.
@@ -40,55 +35,14 @@ _DECODE_BANDS = {
 }
 DECODE_MODES = tuple(_DECODE_BANDS)
 
-_DATA = resources.files("psmaca") / "data"
-
-
-@dataclass(frozen=True)
-class HydropathyScale:
-    name: str
-    values: Mapping[str, float]
-
-    def __post_init__(self):
-        # read-only, because load_scale hands one instance to every caller
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
-        missing = [aa for aa in AMINO_ACIDS if aa not in self.values]
-        if missing:
-            raise ValueError(f"scale {self.name!r} missing residues {missing}")
-
-    def __getitem__(self, residue: str) -> float:
-        if residue == UNKNOWN_RESIDUE:
-            return 0.0
-        if residue not in self.values:
-            raise KeyError(f"residue {residue!r} not in scale {self.name!r}")
-        return self.values[residue]
-
-
-@lru_cache(maxsize=None)
-def scale_names() -> tuple[str, ...]:
-    """Stems of the bundled data/*.tsv files: the only scale names that load."""
-    return tuple(sorted(f.name[:-len(".tsv")] for f in _DATA.iterdir()
-                        if f.name.endswith(".tsv")))
-
-
-def load_scale(name: str = "kyte_doolittle") -> HydropathyScale:
-    """Load a bundled hydropathy scale TSV (residue letter, value).  Only
-    the names in scale_names() load; each is read once per process."""
-    if name not in scale_names():
-        raise ValueError(f"unknown hydropathy scale {name!r}; "
-                         f"bundled scales: {', '.join(scale_names())}")
-    return _read_scale(name)
-
-
-@lru_cache(maxsize=None)
-def _read_scale(name: str) -> HydropathyScale:
-    text = (_DATA / f"{name}.tsv").read_text()
-    values = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        residue, value = line.split("\t")
-        values[residue] = float(value)
-    return HydropathyScale(name, values)
+# the one hydropathy scale: Kyte & Doolittle (1982), with 'X' as neutral 0.0
+HYDROPATHY_SCALE = "kyte_doolittle"
+_HYDROPATHY = {
+    "A": 1.8, "C": 2.5, "D": -3.5, "E": -3.5, "F": 2.8, "G": -0.4, "H": -3.2,
+    "I": 4.5, "K": -3.9, "L": 3.8, "M": 1.9, "N": -3.5, "P": -1.6, "Q": -3.5,
+    "R": -4.5, "S": -0.8, "T": -0.7, "V": 4.2, "W": -0.9, "Y": -1.3,
+    UNKNOWN_RESIDUE: 0.0,
+}
 
 
 def check_sequence(seq: str) -> str:
@@ -109,10 +63,9 @@ def check_structure(s: str) -> str:
     return s
 
 
-def hydropathy_encode(seq: str, scale: HydropathyScale | None = None) -> list[float]:
-    """One hydropathy value per residue; 'X' encodes as 0.0."""
-    scale = scale or load_scale()
-    return [scale[aa] for aa in check_sequence(seq)]
+def hydropathy_encode(seq: str) -> list[float]:
+    """One Kyte-Doolittle hydropathy value per residue; 'X' encodes as 0.0."""
+    return [_HYDROPATHY[aa] for aa in check_sequence(seq)]
 
 
 def structure_encode(s: str) -> list[float]:

@@ -18,9 +18,9 @@ import numpy as np
 
 from .codec import (
     DECODE_MODES,
+    HYDROPATHY_SCALE,
     check_sequence,
     hydropathy_encode,
-    load_scale,
     structure_decode,
     structure_encode,
 )
@@ -49,7 +49,7 @@ class PipelineConfig:
     filter_length: int = 9
     ridge: float = 1e-6
     decode_mode: str = "nearest_centroid"
-    scale_name: str = "kyte_doolittle"
+    scale_name: str = HYDROPATHY_SCALE
     kmer_size: int = 3
 
     def __post_init__(self):
@@ -69,7 +69,9 @@ class PipelineConfig:
         if self.decode_mode not in DECODE_MODES:
             raise ValueError(f"decode_mode must be one of {DECODE_MODES}, "
                              f"got {self.decode_mode!r}")
-        load_scale(self.scale_name)  # raises ValueError for an unknown scale
+        if self.scale_name != HYDROPATHY_SCALE:
+            raise ValueError(f"unknown hydropathy scale {self.scale_name!r}; "
+                             f"the only scale is {HYDROPATHY_SCALE!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,6 @@ def predict_structure(target: str, training,
     """Run the full base-selection / deconvolution / convolution pipeline."""
     cfg = cfg or PipelineConfig()
     check_sequence(target)
-    scale = load_scale(cfg.scale_name)
 
     # deconvolve fits filter_length taps, so a shorter base cannot be used
     long_enough = [r for r in training
@@ -179,11 +180,11 @@ def predict_structure(target: str, training,
         raise ValueError("no training sequence is at least filter_length="
                          f"{cfg.filter_length} residues long")
     base, score = select_base(target, long_enough, cfg.kmer_size)
-    input_base = hydropathy_encode(base.sequence, scale)
+    input_base = hydropathy_encode(base.sequence)
     output_base = structure_encode(base.structure)
     response = deconvolve(output_base, input_base, cfg.filter_length, cfg.ridge)
 
-    trace = convolve(hydropathy_encode(target, scale), response)
+    trace = convolve(hydropathy_encode(target), response)
     predicted = structure_decode(trace, cfg.decode_mode)
     return PredictionResult(
         predicted=predicted,

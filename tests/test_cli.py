@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 from functools import reduce
 from operator import getitem
@@ -49,6 +51,10 @@ def no_prediction(*args, **kwargs):
     raise AssertionError("prediction started")
 
 
+def no_reading(*args, **kwargs):
+    raise AssertionError("a file was read")
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--rule", "30", "--steps", "1"], ["basins", "--rule", "30"],
 ], ids=["simulate", "basins"])
@@ -64,6 +70,15 @@ class TestSimulate:
         assert run_cli(["simulate", "--rule", "30", "--width", "5",
                         "--steps", "2"]) == 0
         assert capsys.readouterr().out == "00100\n01110\n11001\n"
+
+    def test_module_runs_as_a_script(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "psmaca.cli", "simulate", "--rule", "30",
+             "--width", "5", "--steps", "2"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (0, "00100\n01110\n11001\n")
 
     def test_periodic_output_pinned(self, capsys):
         assert run_cli(["simulate", "--rule", "30", "--width", "5",
@@ -401,9 +416,74 @@ class TestPredict:
         assert problem in err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_signal_route_error_names_the_record(tmp_path, toy_files, capsys,
+                                             command):
+    _, data, _ = toy_files
+    model = train(tmp_path, data, capsys)
+    targets = tmp_path / "targets.txt"
+    argv = {"predict": ["predict", "--fasta", str(targets)],
+            "evaluate": ["evaluate", "--data", str(targets), "--report",
+                         str(tmp_path / "report.tsv")]}[command]
+    targets.write_text({"predict": ">a\nAC\n",
+                        "evaluate": ">a\nAmino Acids:\nAC\n"
+                                    "Structure:\nHH\n"}[command])
+    assert run_cli([*argv, "--model", str(model), "--pipeline",
+                    "--train-data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "data error: record 'a': sequence shorter than k-mer size 3\n"
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["train", "--data", "DATA", "--out", "DATA"], "--out {DATA} is the same "
+     "file as --data"),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "DATA"],
+     "--report {DATA} is the same file as --data"),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "OUT",
+      "--json", "OUT"], "--json {OUT} is the same file as --report"),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "OUT",
+      "--comparison", "MODEL"],
+     "--comparison {MODEL} is the same file as --model"),
+    (["evaluate", "--model", "MODEL", "--data", "TARGETS", "--report", "OUT",
+      "--json", "DATA", "--pipeline", "--train-data", "DATA"],
+     "--json {DATA} is the same file as --train-data"),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "DOTTED"],
+     "--report {DOTTED} is the same file as --data"),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "LINK"],
+     "--report {LINK} is the same file as --data"),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "HARD"],
+     "--report {HARD} is the same file as --data"),
+], ids=["train-out-data", "report-data", "json-report", "comparison-model",
+        "json-train-data", "report-dotted-data", "report-symlink-data",
+        "report-hard-link-data"])
+def test_output_overwriting_a_file_is_data_error(tmp_path, toy_files, capsys,
+                                                 monkeypatch, argv, clash):
+    _, data, _ = toy_files
+    model = train(tmp_path, data, capsys)
+    targets = tmp_path / "targets.txt"
+    targets.write_text(data.read_text())
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(data)
+    (tmp_path / "hard.txt").hardlink_to(data)
+    paths = {"DATA": str(data), "MODEL": str(model), "TARGETS": str(targets),
+             "OUT": str(tmp_path / "out.tsv"),
+             "DOTTED": f"{tmp_path}/sub/../{data.name}",
+             "LINK": str(tmp_path / "link.txt"),
+             "HARD": str(tmp_path / "hard.txt")}
+    inputs = {path: path.read_bytes() for path in (data, model, targets)}
+    # the clash is found before any file is read
+    monkeypatch.setattr(dataio, "read_text", no_reading)
+    monkeypatch.setattr(dataio, "load_model", no_reading)
+    assert run_cli([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"data error: {clash.format(**paths)}\n"
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert not (tmp_path / "out.tsv").exists()
+
+
 class TestScaleName:
-    """A model's scale_name must be a bundled scale: a path, absolute or
-    relative, to a valid scale file elsewhere is a data error."""
+    """A model's scale_name must be kyte_doolittle: a path, absolute or
+    relative, to a valid scale file is a data error."""
 
     @pytest.fixture
     def outside_scale(self, tmp_path):

@@ -43,31 +43,10 @@ def per_residue_windows(seq, w):
 
 class TestHydropathyScale:
     def test_bundled_scale_covers_alphabet(self):
-        scale = codec.load_scale()
-        assert scale.name == "kyte_doolittle"
-        for aa in codec.AMINO_ACIDS:
-            assert isinstance(scale[aa], float)
-
-    def test_unknown_scale_name(self):
-        with pytest.raises(ValueError):
-            codec.load_scale("no_such_scale")
-
-    def test_only_bundled_names_load(self, tmp_path):
-        path = tmp_path / "scale.tsv"
-        path.write_text("".join(f"{aa}\t1.0\n" for aa in codec.AMINO_ACIDS))
-        for name in (str(path.with_suffix("")), str(path),
-                     "../data/kyte_doolittle", "data/kyte_doolittle",
-                     "kyte_doolittle.tsv", "", None, ["kyte_doolittle"]):
-            with pytest.raises(ValueError, match="unknown hydropathy scale"):
-                codec.load_scale(name)
-        assert codec.scale_names() == ("kyte_doolittle",)
-
-    def test_scale_read_once_and_read_only(self):
-        scale = codec.load_scale()
-        assert codec.load_scale("kyte_doolittle") is scale
-        with pytest.raises(TypeError):
-            scale.values["I"] = 0.0
-        assert codec.load_scale()["I"] == 4.5
+        # Kyte & Doolittle (1982), in AMINO_ACIDS order, then 'X'
+        assert codec.hydropathy_encode(codec.AMINO_ACIDS + "X") == [
+            1.8, 2.5, -3.5, -3.5, 2.8, -0.4, -3.2, 4.5, -3.9, 3.8,
+            1.9, -3.5, -1.6, -3.5, -4.5, -0.8, -0.7, 4.2, -0.9, -1.3, 0.0]
 
     def test_x_maps_to_zero(self):
         assert codec.hydropathy_encode("XXX") == [0.0, 0.0, 0.0]
