@@ -11,7 +11,11 @@ mutation rate), `dataio.load_model` of the model the benchmark's
 `predict_tree` workload reads, `maca.classify` per window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
 at width 8 with each boundary, `pipeline.select_base` per target and
-`pipeline.deconvolve` (L = 9) on one base.  The windows are the 2,400
+`pipeline.deconvolve` (L = 9) on one base, `maca.DependencyString`
+construction per object over the (bits, widths) of a seeded population of
+30 (n = 25, m = 2), and the wall time of `import psmaca.cli` in a fresh
+interpreter, one subprocess per round for IMPORT_ROUNDS rounds, which
+shows whether the CLI's imports pull in numpy.  The windows are the 2,400
 width-5 windows (25-bit patterns) of the 40 records of
 `make_toy_dataset(40, 60, seed=1)`, the input of the benchmark's `train`
 workload at seed 1; the classified tree is trained on them with that
@@ -20,7 +24,7 @@ inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
 against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
 untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues).  The median
-and interquartile range of each layer, in seconds, go to BENCH_8.json at
+and interquartile range of each layer, in seconds, go to BENCH_13.json at
 the repository root, with the Python version, numpy version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
@@ -32,6 +36,8 @@ import json
 import os
 import platform
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +46,13 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_8.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_13.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
 POPULATION = 30
 FILTER_LENGTH = 9
+IMPORT_ROUNDS = 15
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +119,16 @@ def test_mutate(benchmark, layers, m):
         lambda: [ga.mutate(ch, rate, random.Random(1)) for ch in pop])
     assert all(ch.classifier1.n == N_BITS for ch in children)
     record(layers, benchmark, f"ga.mutate[n={N_BITS}, m={m}]", per=POPULATION)
+
+
+def test_dependency_string_construct(benchmark, layers):
+    pairs = [(ch.classifier1.bits, ch.classifier1.widths)
+             for ch in population(2)]
+    built = benchmark(
+        lambda: [maca.DependencyString(bits, widths) for bits, widths in pairs])
+    assert [(ds.bits, ds.widths) for ds in built] == pairs
+    record(layers, benchmark, f"maca.DependencyString[construct, n={N_BITS}]",
+           per=len(pairs))
 
 
 @pytest.mark.parametrize("m", (2, 4))
@@ -185,3 +202,16 @@ def test_deconvolve(benchmark, bases, layers):
     assert len(response.taps) == FILTER_LENGTH
     record(layers, benchmark,
            f"pipeline.deconvolve[L={FILTER_LENGTH}, {len(signal)} residues]")
+
+
+def test_cli_import_fresh_process(benchmark, layers):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def import_cli():
+        subprocess.run([sys.executable, "-c", "import psmaca.cli"], env=env,
+                       check=True, timeout=60)
+
+    benchmark.pedantic(import_cli, rounds=IMPORT_ROUNDS, iterations=1,
+                       warmup_rounds=1)
+    record(layers, benchmark, "cli import [fresh process]")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import islice
 
 
@@ -45,13 +44,21 @@ class DependencyString:
 
     bits: int
     widths: tuple[int, ...]
+    # one mask per segment, over the whole n-bit pattern; the all-zero
+    # check needs every mask, so __post_init__ sets them all
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.widths:
             raise ValueError("dependency string needs at least one segment")
         _check_code(self.bits, self.n)
-        if not all(self.masks):
+        masks, low = [], self.n
+        for width in self.widths:
+            low -= width
+            masks.append(self.bits & ((1 << width) - 1) << low)
+        if not all(masks):
             raise ValueError(f"all-zero segment in {self.bit_strings()}")
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def n(self) -> int:
@@ -60,15 +67,6 @@ class DependencyString:
     @property
     def m(self) -> int:
         return len(self.widths)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """One mask per segment, over the whole n-bit pattern."""
-        masks, low = [], self.n
-        for width in self.widths:
-            low -= width
-            masks.append(self.bits & ((1 << width) - 1) << low)
-        return tuple(masks)
 
     def bit_strings(self) -> list[str]:
         """The '0'/'1' text of each segment, segment 0 first."""
@@ -239,7 +237,7 @@ def classify(tree: PsmacaTree, code: int) -> str:
     majority label."""
     _check_code(code, tree.n)
     node = tree.root
-    while not node.is_leaf:
+    while node.ds is not None:
         child = node.children.get(_signature(node.ds.masks, code))
         if child is None:
             return node.label

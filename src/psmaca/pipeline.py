@@ -4,6 +4,10 @@ Pick the most similar training protein as the base, fit a causal FIR
 response filter mapping the base's hydropathy signal to its encoded
 structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
+
+numpy is imported inside the functions that use it, so the tree route and
+the CA commands, which import this module through the package, never pay
+for loading it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .codec import (
     DECODE_MODES,
@@ -127,6 +129,8 @@ def select_base(target: str, training, k: int = 3):
 
 
 def _convolution_matrix(input_signal: np.ndarray, L: int) -> np.ndarray:
+    import numpy as np
+
     # X[t, j] = input[t - j], zero for t < j (causal, zero prehistory)
     n = len(input_signal)
     X = np.zeros((n, L))
@@ -138,6 +142,8 @@ def _convolution_matrix(input_signal: np.ndarray, L: int) -> np.ndarray:
 def deconvolve(output, input, L: int, ridge: float = 0.0) -> ResponseFilter:
     """Fit length-L causal FIR taps minimizing the squared residual of
     output - input * taps plus a ridge penalty, via the normal equations."""
+    import numpy as np
+
     y = np.asarray(output, dtype=float)
     x = np.asarray(input, dtype=float)
     if len(y) != len(x):
@@ -160,6 +166,8 @@ def deconvolve(output, input, L: int, ridge: float = 0.0) -> ResponseFilter:
 
 def convolve(input, f: ResponseFilter) -> list[float]:
     """Causal convolution, output length = input length."""
+    import numpy as np
+
     x = np.asarray(input, dtype=float)
     if len(x) == 0:
         raise ValueError("input signal must be non-empty")

@@ -123,6 +123,40 @@ class TestBasins:
         assert capsys.readouterr().out == expected
 
 
+NUMPY_PROBE = ("import sys; from psmaca.cli import run_cli; "
+               "code = run_cli(sys.argv[1:]); "
+               "print(code, 'numpy' in sys.modules)")
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    (["train", "--data", "DATA", "--window", "3", "--out", "OUT",
+      "--population", "10", "--generations", "5"], False),
+    (["predict", "--model", "MODEL", "--fasta", "FASTA"], False),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "OUT"],
+     False),
+    (["simulate", "--rule", "30", "--width", "5", "--steps", "2"], False),
+    (["basins", "--rule", "90", "--width", "4"], False),
+    (["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "OUT",
+      "--pipeline"], True),
+], ids=["train", "predict", "evaluate", "simulate", "basins",
+        "evaluate-pipeline"])
+def test_only_the_signal_route_loads_numpy(tmp_path, toy_files, command,
+                                           loads_numpy):
+    # a fresh interpreter for each command: pytest's own has numpy loaded
+    _, data, fasta = toy_files
+    model = train(tmp_path, data)
+    paths = {"DATA": data, "MODEL": model, "FASTA": fasta,
+             "OUT": tmp_path / "out"}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE,
+         *(str(paths.get(arg, arg)) for arg in command)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
 class TestTrain:
     def test_writes_model(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,33 @@ class TestDvValidity:
     def test_zero_segment_rejected_in_ds(self):
         with pytest.raises(ValueError):
             DependencyString(0b1000, (2, 2))
+
+
+class TestMasksField:
+    def test_identity_is_bits_and_widths(self):
+        a, b = DependencyString(0b10_11, (2, 2)), DependencyString(0b10_11, (2, 2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "memo"}[b] == "memo"
+        assert a != DependencyString(0b10_11, (4,))
+        assert repr(a) == "DependencyString(bits=11, widths=(2, 2))"
+
+    def test_masks_are_read_only(self):
+        ds = DependencyString(0b10_11, (2, 2))
+        with pytest.raises(FrozenInstanceError):
+            ds.masks = (0, 0)
+        with pytest.raises(TypeError, match="masks"):
+            DependencyString(0b10_11, (2, 2), masks=(0b10_00, 0b00_11))
+
+    def test_replace_recomputes_masks(self):
+        ds = DependencyString(0b10_11, (2, 2))
+        assert ds.masks == (0b10_00, 0b00_11)
+        assert replace(ds, bits=0b01_10).masks == (0b01_00, 0b00_10)
+        assert replace(ds, widths=(1, 3)).masks == (0b1_000, 0b0_011)
+
+    def test_replace_rejects_an_all_zero_segment(self):
+        ds = DependencyString(0b10_11, (2, 2))
+        with pytest.raises(ValueError, match="all-zero segment"):
+            replace(ds, bits=0b10_00)
 
 
 class TestBasinSignature:
