@@ -24,7 +24,7 @@ inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
 against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
 untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues).  The median
-and interquartile range of each layer, in seconds, go to BENCH_13.json at
+and interquartile range of each layer, in seconds, go to BENCH_14.json at
 the repository root, with the Python version, numpy version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
@@ -46,7 +46,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_13.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_14.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -175,8 +175,7 @@ def test_window_patterns_per_record(benchmark, records, layers):
 
 @pytest.mark.parametrize("boundary", ca.BOUNDARIES)
 def test_state_transition_graph(benchmark, layers, boundary):
-    rule = ca.rule_from_number(30)
-    graph = benchmark(ca.state_transition_graph, rule, 8, boundary)
+    graph = benchmark(ca.state_transition_graph, 30, 8, boundary)
     assert len(graph.successor) == 256
     record(layers, benchmark,
            f"ca.state_transition_graph[rule 30, n=8, {boundary}]")

@@ -1,6 +1,8 @@
 """Elementary 1-D cellular automaton engine.
 
-Wolfram-numbered radius-1 binary rules, lattice evolution with null or
+Radius-1 binary rules, each its Wolfram number: bit b of the rule is the
+output for neighborhood b, read as a 3-bit number (left, center, right),
+from 111 (bit 7) down to 000 (bit 0).  Lattice evolution with null or
 periodic boundaries, exhaustive state-transition graphs and attractor-basin
 enumeration for small lattice widths.
 """
@@ -18,34 +20,16 @@ BOUNDARIES = ("null", "periodic")
 MAX_STG_WIDTH = 20
 
 
-@dataclass(frozen=True)
-class RuleTable:
-    """Outputs of an elementary rule, indexed by the neighborhood read as a
-    3-bit number (left, center, right), i.e. outputs[0b111] down to
-    outputs[0b000]."""
-
-    outputs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.outputs) != 8 or any(b not in (0, 1) for b in self.outputs):
-            raise ValueError("rule table needs exactly 8 binary outputs")
+def _check_rule(rule) -> None:
+    if type(rule) is not int or not 0 <= rule <= 255:
+        raise ValueError(f"rule number must be in [0, 255], got {rule!r}")
 
 
-def rule_from_number(rule: int) -> RuleTable:
-    """Decode a Wolfram rule number (0..255) into its lookup table.
-
-    Bit b of the rule number is the output for neighborhood b; the naming
-    convention reads neighborhoods from 111 (bit 7) down to 000 (bit 0).
-    """
-    if not 0 <= rule <= 255:
-        raise ValueError(f"rule number must be in [0, 255], got {rule}")
-    return RuleTable(tuple(rule >> b & 1 for b in range(8)))
-
-
-def successor(state: int, n: int, rule: RuleTable, boundary: str = "null") -> int:
+def successor(state: int, n: int, rule: int, boundary: str = "null") -> int:
     """One synchronous update of an n-cell state, cell 0 its most
-    significant bit.  Null boundary reads missing neighbors as 0; periodic
-    wraps."""
+    significant bit, under Wolfram rule number `rule`.  Null boundary reads
+    missing neighbors as 0; periodic wraps."""
+    _check_rule(rule)
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     # ext >> p & 7 is the neighborhood of the cell at state bit p; the end
@@ -53,16 +37,17 @@ def successor(state: int, n: int, rule: RuleTable, boundary: str = "null") -> in
     ext = state << 1
     if boundary == "periodic":
         ext |= state >> (n - 1) | (state & 1) << (n + 1)
-    outputs, out = rule.outputs, 0
+    out = 0
     for p in range(n):
-        out |= outputs[ext >> p & 7] << p
+        out |= (rule >> (ext >> p & 7) & 1) << p
     return out
 
 
-def evolve(state: int, n: int, rule: RuleTable, steps: int,
+def evolve(state: int, n: int, rule: int, steps: int,
            boundary: str = "null") -> list[int]:
     """Iterate `successor` from an n-cell state, returning the trajectory
     [start, ..., after `steps`]."""
+    _check_rule(rule)
     if n < 1:
         raise ValueError("configuration must have at least one cell")
     _check_code(state, n)
@@ -94,9 +79,10 @@ class AttractorBasin:
     members: frozenset[int]
 
 
-def state_transition_graph(rule: RuleTable, n: int,
+def state_transition_graph(rule: int, n: int,
                            boundary: str = "null") -> StateTransitionGraph:
     """Enumerate the successor of every n-cell state (n <= 20)."""
+    _check_rule(rule)
     if not 1 <= n <= MAX_STG_WIDTH:
         raise ValueError(f"width must be in [1, {MAX_STG_WIDTH}], got {n}")
     succ = tuple(successor(s, n, rule, boundary) for s in range(1 << n))

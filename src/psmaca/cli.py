@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import ca, dataio, maca
-from .codec import DECODE_MODES, RESIDUE_BITS, window_patterns
+from .codec import DECODE_MODES, RESIDUE_BITS, check_window, window_patterns
 from .pipeline import PipelineConfig, predict_structure
 
 # train flag -> TreeConfig field; each flag's default is the field's
@@ -97,18 +97,16 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    rule = ca.rule_from_number(args.rule)
     if args.width < 1:
         raise ValueError(f"width must be >= 1, got {args.width}")
     start = 1 << (args.width - 1 - args.width // 2)
-    rows = ca.evolve(start, args.width, rule, args.steps, args.boundary)
+    rows = ca.evolve(start, args.width, args.rule, args.steps, args.boundary)
     print(ca.format_trajectory(rows, args.width))
     return 0
 
 
 def cmd_basins(args) -> int:
-    rule = ca.rule_from_number(args.rule)
-    graph = ca.state_transition_graph(rule, args.width, args.boundary)
+    graph = ca.state_transition_graph(args.rule, args.width, args.boundary)
     for basin in ca.attractor_basins(graph):
         cycle = " -> ".join(format(s, f"0{args.width}b")
                             for s in basin.attractor_cycle)
@@ -163,6 +161,7 @@ def _check_outputs(outputs, inputs) -> None:
 
 
 def cmd_train(args) -> int:
+    check_window(args.window)
     config = _tree_config(args)
     pipeline = PipelineConfig(filter_length=args.filter_length)
     _check_outputs([("--out", args.out)], [("--data", args.data)])

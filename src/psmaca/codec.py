@@ -18,8 +18,7 @@ from bisect import bisect_left
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN_RESIDUE = "X"
 RESIDUE_BITS = 5  # bits per residue code, so a window of w residues is 5w bits
-_CODE_TEXT = {aa: format(code, f"0{RESIDUE_BITS}b")
-              for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
+_CODE = {aa: code for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
 
 STRUCTURE_LABELS = "HEC"
 # the published structure codes; coil (800) sits on the strand band's top
@@ -49,9 +48,15 @@ def check_sequence(seq: str) -> str:
     if not seq:
         raise ValueError("amino-acid sequence must be non-empty")
     for i, aa in enumerate(seq):
-        if aa not in _CODE_TEXT:
+        if aa not in _CODE:
             raise ValueError(f"illegal residue {aa!r} at position {i}")
     return seq
+
+
+def check_window(w) -> int:
+    if type(w) is not int or w < 1 or w % 2 == 0:
+        raise ValueError(f"window size must be an odd integer >= 1, got {w!r}")
+    return w
 
 
 def check_structure(s: str) -> str:
@@ -96,11 +101,14 @@ def window_patterns(seq: str, w: int) -> list[int]:
     """One 5w-bit pattern code per residue: the 5-bit residue codes over the
     window centered at the residue, first residue most significant, with
     terminal overhang padded with code 20."""
-    if w < 1 or w % 2 == 0:
-        raise ValueError(f"window size must be odd and >= 1, got {w}")
+    check_window(w)
     check_sequence(seq)
-    pad = _CODE_TEXT[UNKNOWN_RESIDUE] * (w // 2)
-    # one '0'/'1' text row for the padded sequence; window i is a slice of it
-    row = pad + "".join([_CODE_TEXT[aa] for aa in seq]) + pad
-    return [int(row[RESIDUE_BITS * i:RESIDUE_BITS * (i + w)], 2)
-            for i in range(len(seq))]
+    pad = UNKNOWN_RESIDUE * (w // 2)
+    mask = (1 << RESIDUE_BITS * w) - 1
+    # shift each residue code into one rolling int: after padded residue
+    # i + w - 1 it holds window i, so the first w - 1 values are partial
+    codes, code = [], 0
+    for aa in pad + seq + pad:
+        code = (code << RESIDUE_BITS | _CODE[aa]) & mask
+        codes.append(code)
+    return codes[w - 1:]

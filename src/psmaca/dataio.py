@@ -14,8 +14,8 @@ import re
 from dataclasses import asdict, dataclass, fields
 
 from . import maca
-from .codec import (RESIDUE_BITS, STRUCTURE_LABELS, check_sequence,
-                    check_structure)
+from .codec import (AMINO_ACIDS, RESIDUE_BITS, STRUCTURE_LABELS,
+                    check_sequence, check_structure, check_window)
 from .pipeline import PipelineConfig
 
 MODEL_FORMAT_VERSION = 1
@@ -376,15 +376,12 @@ def load_model(path: str) -> ModelFile:
     _check_keys(doc, {"format_version", "window", "tree", "pipeline",
                       "ga_config", "training_fingerprint"}, "model file")
     window = doc["window"]
-    if type(window) is not int or window < 1 or window % 2 == 0:
-        raise ModelFormatError(
-            f"model window must be a positive odd integer, got {window!r}")
     fingerprint = doc["training_fingerprint"]
     if not isinstance(fingerprint, str):
         raise ModelFormatError("model training_fingerprint must be a str, "
                                f"got {type(fingerprint).__name__}")
     try:
-        tree = tree_from_dict(doc["tree"], window)
+        tree = tree_from_dict(doc["tree"], check_window(window))
         pipeline = _config(PipelineConfig, doc["pipeline"], "model pipeline")
     except ValueError as e:
         raise ModelFormatError(f"malformed model file: {e}") from None
@@ -421,12 +418,15 @@ def make_toy_dataset(n_records: int = 8, length: int = 9,
     nonzero diagonal), so predicting a training record against itself
     reproduces its structure exactly.
     """
+    if n_records > len(AMINO_ACIDS) ** length:
+        raise ValueError(f"at most {len(AMINO_ACIDS)}^{length} distinct "
+                         f"sequences of length {length} exist")
     rng = random.Random(seed)
     records = []
     seen_seqs: set[str] = set()
     for i in range(n_records):
         while True:
-            seq = "".join(rng.choice("ACDEFGHIKLMNPQRSTVWY")
+            seq = "".join(rng.choice(AMINO_ACIDS)
                           for _ in range(length))
             if seq not in seen_seqs:
                 seen_seqs.add(seq)
@@ -442,10 +442,10 @@ def make_impulse_dataset(n_records: int = 8, length: int = 9,
     followed by 'X' (hydropathy 0), so each input signal is an impulse and
     the deconvolution normal matrix is diagonal.  Predicting any record
     against itself reproduces its structure exactly."""
-    if n_records > 20:
+    if n_records > len(AMINO_ACIDS):
         raise ValueError("at most 20 distinct impulse sequences exist")
     rng = random.Random(seed)
-    heads = rng.sample("ACDEFGHIKLMNPQRSTVWY", n_records)
+    heads = rng.sample(AMINO_ACIDS, n_records)
     records = []
     for i, head in enumerate(heads):
         records.append(ProteinRecord(

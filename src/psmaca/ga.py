@@ -153,15 +153,16 @@ def evolve_maca(training, n: int, m: int, config: TreeConfig,
         i, j = rng.randrange(len(population)), rng.randrange(len(population))
         return population[i] if scores[i] >= scores[j] else population[j]
 
-    for _ in range(config.generations):
+    for generation in range(config.generations + 1):
         order = sorted(range(len(population)), key=lambda i: -scores[i])
         if scores[order[0]] > best_fit:
-            best_fit = scores[order[0]]
-            best_ch = population[order[0]]
+            best_fit, best_ch = scores[order[0]], population[order[0]]
+        if generation == config.generations:  # the last population only
+            break  # counts toward the best ever: no history, no children
         history.best.append(best_fit)
         history.mean.append(sum(scores) / len(scores))
         if best_fit >= 1.0:  # nothing left to optimize
-            return best_ch, history
+            break
 
         next_pop = [population[i] for i in order[:config.elitism_count]]
         while len(next_pop) < config.population_size:
@@ -171,10 +172,4 @@ def evolve_maca(training, n: int, m: int, config: TreeConfig,
             next_pop.append(mutate(child, config.mutation_rate, rng))
         population = next_pop
         scores = [score(ch) for ch in population]
-
-    # final generation's population still counts toward best-ever
-    top = max(range(len(population)), key=lambda i: scores[i])
-    if scores[top] > best_fit:
-        best_fit = scores[top]
-        best_ch = population[top]
     return best_ch, history

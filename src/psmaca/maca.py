@@ -206,9 +206,8 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
     def grow(patterns: list[LabeledPattern], depth: int) -> TreeNode:
         majority = majority_label(patterns)
         classes = {p.label for p in patterns}
-        if len(classes) == 1:
-            return TreeNode(label=majority)
-        if depth >= config.max_depth or len(patterns) < config.min_samples:
+        if (len(classes) == 1 or depth >= config.max_depth
+                or len(patterns) < config.min_samples):
             return TreeNode(label=majority)
 
         m = min(max(1, math.ceil(math.log2(len(classes)))), n)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from psmaca import ca
@@ -17,7 +19,7 @@ def per_cell_step(cells, rule, boundary):
         else:
             left = cells[i - 1] if i > 0 else 0
             right = cells[i + 1] if i < n - 1 else 0
-        out.append(rule.outputs[(left << 2) | (cells[i] << 1) | right])
+        out.append(rule >> ((left << 2) | (cells[i] << 1) | right) & 1)
     return tuple(out)
 
 
@@ -45,61 +47,84 @@ def as_comparable(basins):
     return {frozenset(b.attractor_cycle): b.members for b in basins}
 
 
+def output(rule, hood):
+    """The rule's output for a 3-bit neighborhood, read off the centre cell
+    of one 3-cell step (the null boundary pads the ends with 0)."""
+    return ca.successor(hood, 3, rule) >> 1 & 1
+
+
+# each CA entry point, called once with a given rule; evolve takes no step,
+# so it must check the rule itself
+ENTRY_POINTS = {
+    "successor": lambda rule: ca.successor(0b010, 3, rule),
+    "evolve": lambda rule: ca.evolve(0b010, 3, rule, 0),
+    "state_transition_graph": lambda rule: ca.state_transition_graph(rule, 3),
+}
+
+
 class TestRuleTable:
+    """A rule is its Wolfram number: bit b is the output for neighborhood b."""
+
     def test_rule_30_matches_published_table(self):
-        table = ca.rule_from_number(30)
         expected = {0b111: 0, 0b110: 0, 0b101: 0, 0b100: 1,
                     0b011: 1, 0b010: 1, 0b001: 1, 0b000: 0}
         for hood, out in expected.items():
-            assert table.outputs[hood] == out
+            assert output(30, hood) == out
 
     def test_rule_0_all_zero(self):
-        assert ca.rule_from_number(0).outputs == (0,) * 8
+        assert [output(0, hood) for hood in range(8)] == [0] * 8
 
     def test_rule_204_is_identity_on_center(self):
-        table = ca.rule_from_number(204)
         for hood in range(8):
-            assert table.outputs[hood] == (hood >> 1) & 1
+            assert output(204, hood) == (hood >> 1) & 1
 
     def test_round_trip_all_256(self):
-        # output b of the table is bit b of the rule number
+        # the output for neighborhood b is bit b of the rule number
         for r in range(256):
-            outputs = ca.rule_from_number(r).outputs
-            assert sum(out << b for b, out in enumerate(outputs)) == r
+            assert sum(output(r, b) << b for b in range(8)) == r
 
     @pytest.mark.parametrize("bad", [-1, 256, 1000])
     def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            ca.rule_from_number(bad)
+        message = f"rule number must be in [0, 255], got {bad}"
+        for call in ENTRY_POINTS.values():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(bad)
 
     def test_malformed_table(self):
+        # an 8-tuple of outputs is no rule number
         with pytest.raises(ValueError):
-            ca.RuleTable((0, 1))
+            ca.successor(0b010, 3, (0, 1))
         with pytest.raises(ValueError):
-            ca.RuleTable((0, 1, 2, 0, 0, 0, 0, 0))
+            ca.successor(0b010, 3, (0, 1, 1, 1, 1, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [True, 30.0])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_not_an_exact_int(self, entry, bad):
+        message = f"rule number must be in [0, 255], got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ENTRY_POINTS[entry](bad)
 
 
 class TestStep:
     def test_rule_30_null_boundary(self):
-        rule = ca.rule_from_number(30)
+        rule = 30
         assert ca.successor(0b00100, 5, rule) == 0b01110
         assert ca.successor(0b01110, 5, rule) == 0b11001
 
     def test_rule_0_kills_everything(self):
-        rule = ca.rule_from_number(0)
+        rule = 0
         assert ca.successor(0b1011, 4, rule) == 0b0000
 
     def test_periodic_wraps(self):
         # rule 2: only 001 -> 1, so a lone 1 shifts left under wrap
-        rule = ca.rule_from_number(2)
+        rule = 2
         assert ca.successor(0b100, 3, rule, "periodic") == 0b001
         assert ca.successor(0b100, 3, rule, "null") == 0b000
 
     @pytest.mark.parametrize("boundary", ca.BOUNDARIES)
     def test_matches_per_cell_loop(self, boundary):
         # every rule, width and state; the graph uses the same successor
-        for number in range(256):
-            rule = ca.rule_from_number(number)
+        for rule in range(256):
             for n in range(1, 9):
                 graph = ca.state_transition_graph(rule, n, boundary)
                 for s in range(1 << n):
@@ -115,59 +140,59 @@ class TestStep:
         for cell in cells:
             state = state << 1 | cell
         with pytest.raises(ValueError, match=f"unsigned {len(cells)}-bit"):
-            ca.evolve(state, len(cells), ca.rule_from_number(30), 1)
+            ca.evolve(state, len(cells), 30, 1)
 
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
-            ca.successor(0b10, 2, ca.rule_from_number(30), "reflect")
+            ca.successor(0b10, 2, 30, "reflect")
         with pytest.raises(ValueError):
-            ca.evolve(0b10, 2, ca.rule_from_number(30), 1, "reflect")
+            ca.evolve(0b10, 2, 30, 1, "reflect")
 
 
 class TestEvolve:
     def test_zero_steps(self):
-        rule = ca.rule_from_number(30)
+        rule = 30
         assert ca.evolve(0b101, 3, rule, 0) == [0b101]
 
     def test_rule_30_triangle(self):
-        rule = ca.rule_from_number(30)
+        rule = 30
         rows = ca.evolve(0b00100, 5, rule, 2)
         assert rows == [0b00100, 0b01110, 0b11001]
         assert ca.format_trajectory(rows, 5) == "00100\n01110\n11001"
 
     def test_identity_rule_is_constant(self):
-        rule = ca.rule_from_number(204)
+        rule = 204
         rows = ca.evolve(0b1011, 4, rule, 5)
         assert rows == [0b1011] * 6
 
     def test_negative_steps(self):
         with pytest.raises(ValueError):
-            ca.evolve(0b1, 1, ca.rule_from_number(30), -1)
+            ca.evolve(0b1, 1, 30, -1)
 
     @pytest.mark.parametrize("state, n", [(-1, 3), (0b1000, 3), (0, 0)],
                              ids=["negative", "one-bit-too-wide", "no-cells"])
     def test_state_outside_n_bits_rejected(self, state, n):
         with pytest.raises(ValueError, match="3-bit|at least one cell"):
-            ca.evolve(state, n, ca.rule_from_number(30), 1)
+            ca.evolve(state, n, 30, 1)
 
     def test_deterministic(self):
-        rule = ca.rule_from_number(110)
+        rule = 110
         start = 0b01101001
         assert ca.evolve(start, 8, rule, 10) == ca.evolve(start, 8, rule, 10)
 
 
 class TestStateTransitionGraph:
     def test_rule_0_maps_all_to_zero(self):
-        g = ca.state_transition_graph(ca.rule_from_number(0), 2)
+        g = ca.state_transition_graph(0, 2)
         assert g.successor == (0, 0, 0, 0)
 
     def test_rule_204_is_identity(self):
-        g = ca.state_transition_graph(ca.rule_from_number(204), 3)
+        g = ca.state_transition_graph(204, 3)
         assert g.successor == tuple(range(8))
 
     def test_rule_90_periodic_is_neighbor_xor(self):
         n = 4
-        g = ca.state_transition_graph(ca.rule_from_number(90), n, "periodic")
+        g = ca.state_transition_graph(90, n, "periodic")
         for s in range(16):
             cells = unpack(s, n)
             expected = tuple(cells[(i - 1) % n] ^ cells[(i + 1) % n]
@@ -175,7 +200,7 @@ class TestStateTransitionGraph:
             assert g.successor[s] == pack(expected)
 
     def test_width_guard(self):
-        rule = ca.rule_from_number(30)
+        rule = 30
         with pytest.raises(ValueError):
             ca.state_transition_graph(rule, 0)
         with pytest.raises(ValueError):
@@ -184,27 +209,27 @@ class TestStateTransitionGraph:
 
 class TestAttractorBasins:
     def test_rule_0_single_basin(self):
-        g = ca.state_transition_graph(ca.rule_from_number(0), 4)
+        g = ca.state_transition_graph(0, 4)
         basins = ca.attractor_basins(g)
         assert len(basins) == 1
         assert basins[0].attractor_cycle == (0,)
         assert len(basins[0].members) == 16
 
     def test_rule_204_all_fixed_points(self):
-        g = ca.state_transition_graph(ca.rule_from_number(204), 4)
+        g = ca.state_transition_graph(204, 4)
         basins = ca.attractor_basins(g)
         assert len(basins) == 16
         assert all(b.members == frozenset(b.attractor_cycle) for b in basins)
 
     def test_rule_90_matches_brute_force(self):
-        g = ca.state_transition_graph(ca.rule_from_number(90), 4, "null")
+        g = ca.state_transition_graph(90, 4, "null")
         assert as_comparable(ca.attractor_basins(g)) == brute_force_basins(g)
 
     @pytest.mark.parametrize("rule", [0, 30, 90, 110, 150, 204, 255])
     @pytest.mark.parametrize("boundary", ca.BOUNDARIES)
     def test_basins_partition_state_space(self, rule, boundary):
         for n in (3, 5, 8):
-            g = ca.state_transition_graph(ca.rule_from_number(rule), n, boundary)
+            g = ca.state_transition_graph(rule, n, boundary)
             basins = ca.attractor_basins(g)
             union = set()
             for b in basins:
@@ -214,7 +239,7 @@ class TestAttractorBasins:
             assert union == set(range(1 << n))
 
     def test_every_state_reaches_its_cycle(self):
-        g = ca.state_transition_graph(ca.rule_from_number(110), 6)
+        g = ca.state_transition_graph(110, 6)
         basins = ca.attractor_basins(g)
         cycle_of = {}
         for b in basins:

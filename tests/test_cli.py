@@ -89,6 +89,12 @@ class TestSimulate:
         assert run_cli(["simulate", "--rule", "300", "--width", "5",
                         "--steps", "1"]) == 2
 
+    def test_negative_rule_is_data_error(self, capsys):
+        assert run_cli(["simulate", "--rule", "-1", "--width", "5",
+                        "--steps", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "data error: rule number must be in [0, 255], got -1\n")
+
     def test_missing_flag_is_usage_error(self, capsys):
         assert run_cli(["simulate", "--rule", "30"]) == 1
 
@@ -102,6 +108,11 @@ class TestBasins:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 4
         assert all("basin size 1" in line for line in out)
+
+    def test_rule_past_255_is_data_error(self, capsys):
+        assert run_cli(["basins", "--rule", "256", "--width", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", "data error: rule number must be in [0, 255], got 256\n")
 
     def test_rule_zero(self, capsys):
         assert run_cli(["basins", "--rule", "0", "--width", "4"]) == 0
@@ -187,6 +198,16 @@ class TestTrain:
                         "--filter-length", "0"]) == 2
         assert "filter_length" in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("window", ["2", "0", "-3"])
+    def test_bad_window_fails_before_reading(self, tmp_path, capsys,
+                                             monkeypatch, window):
+        monkeypatch.setattr(dataio, "read_text", no_reading)
+        assert run_cli(["train", "--data", str(tmp_path / "nonexistent"),
+                        "--out", str(tmp_path / "m.json"),
+                        "--window", window]) == 2
+        assert (f"window size must be an odd integer >= 1, got {window}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("out", ["nodir/m.json", ""],
                              ids=["missing-directory", "directory"])

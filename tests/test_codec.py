@@ -183,6 +183,13 @@ class TestWindowPatterns:
         with pytest.raises(ValueError):
             codec.window_patterns("ACD", 2)
 
+    @pytest.mark.parametrize("w", [0, -1, True, 3.0, "3"])
+    def test_window_must_be_an_odd_int(self, w):
+        with pytest.raises(ValueError, match="odd integer >= 1"):
+            codec.check_window(w)
+        with pytest.raises(ValueError, match="odd integer >= 1"):
+            codec.window_patterns("ACD", w)
+
     @given(st.tuples(residues, residues).map("X".join),
            st.sampled_from([1, 3, 5, 7]))
     @settings(max_examples=200, deadline=None)

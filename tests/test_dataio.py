@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psmaca import dataio, maca
+from psmaca.codec import AMINO_ACIDS
 from psmaca.dataio import (
     Dataset,
     ModelFile,
@@ -295,7 +296,10 @@ class TestModelFile:
         (lambda doc: doc["pipeline"].update(zzz=1), "zzz"),
         (lambda doc: doc["tree"]["config"].update(zzz=1), "zzz"),
         (lambda doc: doc["tree"]["root"].pop("label"), "node lacks label"),
-    ], ids=["no-window", "pipeline-key", "tree-config-key", "node-label"])
+        (lambda doc: doc.update(window=2), "odd integer >= 1, got 2"),
+        (lambda doc: doc.update(window=True), "odd integer >= 1, got True"),
+    ], ids=["no-window", "pipeline-key", "tree-config-key", "node-label",
+            "window-even", "window-bool"])
     def test_malformed_model_names_the_problem(self, tmp_path, edit, problem):
         path = tmp_path / "model.json"
         dataio.save_model(small_model(), path)
@@ -334,6 +338,15 @@ class TestToyDatasets:
     def test_impulse_record_cap(self):
         with pytest.raises(ValueError):
             dataio.make_impulse_dataset(21)
+
+    def test_toy_record_cap(self):
+        # 20 residues give only 20 distinct sequences of length 1
+        with pytest.raises(ValueError, match="distinct"):
+            dataio.make_toy_dataset(21, 1)
+
+    def test_toy_alphabet_exhausted(self):
+        sequences = [r.sequence for r in dataio.make_toy_dataset(20, 1).records]
+        assert sorted(sequences) == list(AMINO_ACIDS)
 
     def test_round_trip_through_paired_text(self):
         d = dataio.make_toy_dataset(6, 9, 1)
