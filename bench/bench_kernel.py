@@ -10,22 +10,24 @@ seeded population of 30 chromosomes (n = 25, m = 2 and 4, the default
 mutation rate), `dataio.load_model` of the model the benchmark's
 `predict_tree` workload reads, `maca.classify` per window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
-at width 8 with each boundary, `pipeline.select_base` per target and
-`pipeline.deconvolve` (L = 9) on one base, `maca.DependencyString`
-construction per object over the (bits, widths) of a seeded population of
-30 (n = 25, m = 2), and the wall time of `import psmaca.cli` in a fresh
-interpreter, one subprocess per round for IMPORT_ROUNDS rounds, which
-shows whether the CLI's imports pull in numpy.  The windows are the 2,400
-width-5 windows (25-bit patterns) of the 40 records of
+at width 8 with each boundary, `pipeline.select_base` and
+`pipeline.convolve` per target, `pipeline.deconvolve` (L = 9) on one base,
+`maca.DependencyString` construction per object over the (bits, widths)
+of a seeded population of 30 (n = 25, m = 2), and two fresh-interpreter
+probes, one subprocess per round for PROBE_ROUNDS rounds: `import
+psmaca.cli` alone, and that import plus one `pipeline.predict_structure`
+call, which shows whether either route pulls in numpy.  The windows are
+the 2,400 width-5 windows (25-bit patterns) of the 40 records of
 `make_toy_dataset(40, 60, seed=1)`, the input of the benchmark's `train`
 workload at seed 1; the classified tree is trained on them with that
 workload's GA settings.  Base selection runs on the `evaluate_pipeline`
 inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
 against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
 untimed pass over every target, so a k-mer memo is warm.  The
-deconvolved base is the first of those bases (150 residues).  The median
-and interquartile range of each layer, in seconds, go to BENCH_14.json at
-the repository root, with the Python version, numpy version and core
+deconvolved base is the first of those bases (150 residues), and its
+filter is the one convolved with each target's hydropathy signal.  The
+median and interquartile range of each layer, in seconds, go to
+BENCH_16.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
 """
@@ -40,19 +42,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_14.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_16.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
 POPULATION = 30
 FILTER_LENGTH = 9
-IMPORT_ROUNDS = 15
+PROBE_ROUNDS = 15
+# the predict probe: one target against a few toy bases
+PREDICT_PROBE = ("import psmaca.cli; from psmaca import dataio, pipeline; "
+                 "bases = dataio.make_toy_dataset(20, 150, seed=3).records; "
+                 "pipeline.predict_structure(bases[0].sequence, bases)")
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +85,6 @@ def layers():
     if results:
         OUT.write_text(json.dumps({
             "python": platform.python_version(),
-            "numpy": np.__version__,
             "cores": os.cpu_count(),
             "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25",
             "pipeline": "targets make_toy_dataset(100, 300, seed=4), "
@@ -192,25 +196,48 @@ def test_select_base_per_target(benchmark, bases, layers):
            per=len(targets))
 
 
-def test_deconvolve(benchmark, bases, layers):
+@pytest.fixture(scope="module")
+def response(bases):
+    base = bases[0]
+    return pipeline.deconvolve(codec.structure_encode(base.structure),
+                               codec.hydropathy_encode(base.sequence),
+                               FILTER_LENGTH, pipeline.PipelineConfig.ridge)
+
+
+def test_deconvolve(benchmark, bases, layers, response):
     base = bases[0]
     output = codec.structure_encode(base.structure)
     signal = codec.hydropathy_encode(base.sequence)
-    response = benchmark(pipeline.deconvolve, output, signal, FILTER_LENGTH,
-                         pipeline.PipelineConfig.ridge)
-    assert len(response.taps) == FILTER_LENGTH
+    fitted = benchmark(pipeline.deconvolve, output, signal, FILTER_LENGTH,
+                       pipeline.PipelineConfig.ridge)
+    assert fitted == response
     record(layers, benchmark,
            f"pipeline.deconvolve[L={FILTER_LENGTH}, {len(signal)} residues]")
 
 
-def test_cli_import_fresh_process(benchmark, layers):
+def test_convolve_per_target(benchmark, layers, response):
+    signals = [codec.hydropathy_encode(r.sequence) for r in
+               dataio.make_toy_dataset(100, 300, seed=4).records]
+    traces = benchmark(lambda: [pipeline.convolve(s, response)
+                                for s in signals])
+    assert list(map(len, traces)) == list(map(len, signals))
+    record(layers, benchmark,
+           f"pipeline.convolve[L={FILTER_LENGTH}, per target]",
+           per=len(signals))
+
+
+@pytest.mark.parametrize("name, code", [
+    ("cli import [fresh process]", "import psmaca.cli"),
+    ("cli import + predict_structure [fresh process]", PREDICT_PROBE),
+], ids=["import", "import-predict"])
+def test_fresh_process(benchmark, layers, name, code):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
 
-    def import_cli():
-        subprocess.run([sys.executable, "-c", "import psmaca.cli"], env=env,
-                       check=True, timeout=60)
+    def probe():
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)
 
-    benchmark.pedantic(import_cli, rounds=IMPORT_ROUNDS, iterations=1,
+    benchmark.pedantic(probe, rounds=PROBE_ROUNDS, iterations=1,
                        warmup_rounds=1)
-    record(layers, benchmark, "cli import [fresh process]")
+    record(layers, benchmark, name)

@@ -25,22 +25,31 @@ def _check_rule(rule) -> None:
         raise ValueError(f"rule number must be in [0, 255], got {rule!r}")
 
 
-def successor(state: int, n: int, rule: int, boundary: str = "null") -> int:
-    """One synchronous update of an n-cell state, cell 0 its most
-    significant bit, under Wolfram rule number `rule`.  Null boundary reads
-    missing neighbors as 0; periodic wraps."""
-    _check_rule(rule)
+def _check_boundary(boundary) -> None:
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+
+
+def _step(state: int, n: int, rule: int, periodic: bool) -> int:
+    """`successor` on arguments its callers have checked."""
     # ext >> p & 7 is the neighborhood of the cell at state bit p; the end
     # bits of ext are 0 (null) or the wrapped end cells (periodic)
     ext = state << 1
-    if boundary == "periodic":
+    if periodic:
         ext |= state >> (n - 1) | (state & 1) << (n + 1)
     out = 0
     for p in range(n):
         out |= (rule >> (ext >> p & 7) & 1) << p
     return out
+
+
+def successor(state: int, n: int, rule: int, boundary: str = "null") -> int:
+    """One synchronous update of an n-cell state, cell 0 its most
+    significant bit, under Wolfram rule number `rule`.  Null boundary reads
+    missing neighbors as 0; periodic wraps."""
+    _check_rule(rule)
+    _check_boundary(boundary)
+    return _step(state, n, rule, boundary == "periodic")
 
 
 def evolve(state: int, n: int, rule: int, steps: int,
@@ -53,9 +62,11 @@ def evolve(state: int, n: int, rule: int, steps: int,
     _check_code(state, n)
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_boundary(boundary)
+    periodic = boundary == "periodic"
     rows = [state]
     for _ in range(steps):
-        rows.append(successor(rows[-1], n, rule, boundary))
+        rows.append(_step(rows[-1], n, rule, periodic))
     return rows
 
 
@@ -85,7 +96,9 @@ def state_transition_graph(rule: int, n: int,
     _check_rule(rule)
     if not 1 <= n <= MAX_STG_WIDTH:
         raise ValueError(f"width must be in [1, {MAX_STG_WIDTH}], got {n}")
-    succ = tuple(successor(s, n, rule, boundary) for s in range(1 << n))
+    _check_boundary(boundary)
+    periodic = boundary == "periodic"
+    succ = tuple(_step(s, n, rule, periodic) for s in range(1 << n))
     return StateTransitionGraph(n, succ)
 
 

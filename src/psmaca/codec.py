@@ -19,8 +19,10 @@ AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN_RESIDUE = "X"
 RESIDUE_BITS = 5  # bits per residue code, so a window of w residues is 5w bits
 _CODE = {aa: code for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
+_RESIDUES = frozenset(_CODE)
 
 STRUCTURE_LABELS = "HEC"
+_LABELS = frozenset(STRUCTURE_LABELS)
 # the published structure codes; coil (800) sits on the strand band's top
 HELIX_VALUE, STRAND_VALUE, COIL_VALUE = 200.0, 600.0, 800.0
 _STRUCTURE_VALUE = {"H": HELIX_VALUE, "E": STRAND_VALUE, "C": COIL_VALUE}
@@ -47,9 +49,11 @@ _HYDROPATHY = {
 def check_sequence(seq: str) -> str:
     if not seq:
         raise ValueError("amino-acid sequence must be non-empty")
-    for i, aa in enumerate(seq):
-        if aa not in _CODE:
-            raise ValueError(f"illegal residue {aa!r} at position {i}")
+    if not _RESIDUES.issuperset(seq):
+        # the slow scan only names the first illegal residue
+        for i, aa in enumerate(seq):
+            if aa not in _CODE:
+                raise ValueError(f"illegal residue {aa!r} at position {i}")
     return seq
 
 
@@ -62,9 +66,10 @@ def check_window(w) -> int:
 def check_structure(s: str) -> str:
     if not s:
         raise ValueError("structure string must be non-empty")
-    for i, lab in enumerate(s):
-        if lab not in STRUCTURE_LABELS:
-            raise ValueError(f"illegal structure label {lab!r} at position {i}")
+    if not _LABELS.issuperset(s):
+        for i, lab in enumerate(s):
+            if lab not in _LABELS:
+                raise ValueError(f"illegal structure label {lab!r} at position {i}")
     return s
 
 

@@ -5,9 +5,10 @@ response filter mapping the base's hydropathy signal to its encoded
 structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
 
-numpy is imported inside the functions that use it, so the tree route and
-the CA commands, which import this module through the package, never pay
-for loading it.
+The filter is short (9 taps by default), so its normal equations are a
+small dense system built and solved in plain Python floats: the Gram
+matrix from lagged dot products, a pivoted elimination for the taps, and
+cyclic Jacobi eigenvalues for the ridge-free conditioning check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .codec import (
     DECODE_MODES,
@@ -29,6 +31,10 @@ from .codec import (
 
 # ill-conditioning threshold for the unregularized normal matrix
 _COND_LIMIT = 1e12
+# Jacobi sweeps converge quadratically; the cap only bounds a pathological
+# matrix, whose eigenvalues are then as good as the last sweep left them
+_JACOBI_SWEEPS = 50
+_EPS = sys.float_info.epsilon
 
 
 class IllConditionedError(ValueError):
@@ -128,51 +134,118 @@ def select_base(target: str, training, k: int = 3):
     return best, best_score
 
 
-def _convolution_matrix(input_signal: np.ndarray, L: int) -> np.ndarray:
-    import numpy as np
+def _condition_number(A: list[list[float]]) -> float:
+    """2-norm condition number max|lambda| / min|lambda| of the symmetric
+    matrix A, its eigenvalues found by cyclic Jacobi rotations; inf when A
+    is singular or not finite."""
+    if not all(math.isfinite(v) for row in A for v in row):
+        return math.inf
+    # A is scaled to unit diagonal maximum, so no rotation overflows
+    scale = max(abs(row[i]) for i, row in enumerate(A))
+    if scale == 0.0:
+        return math.inf
+    a = [[v / scale for v in row] for row in A]
+    L = len(a)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(L - 1):
+            for q in range(p + 1, L):
+                apq = a[p][q]
+                # rotate off any entry not negligible against its diagonal
+                # pair, which keeps small eigenvalues to high relative accuracy
+                if abs(apq) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for r in range(L):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            break
+    eigen = [abs(row[i]) for i, row in enumerate(a)]
+    return max(eigen) / min(eigen) if min(eigen) > 0.0 else math.inf
 
-    # X[t, j] = input[t - j], zero for t < j (causal, zero prehistory)
-    n = len(input_signal)
-    X = np.zeros((n, L))
-    for j in range(L):
-        X[j:, j] = input_signal[: n - j]
-    return X
+
+def _solve(A: list[list[float]], b: list[float]) -> list[float]:
+    """Solve A t = b by Gaussian elimination with partial pivoting,
+    overwriting A and b."""
+    L = len(b)
+    for k in range(L):
+        p = max(range(k, L), key=lambda i: abs(A[i][k]))
+        if A[p][k] == 0.0:
+            raise IllConditionedError(
+                "normal matrix is singular; increase the ridge weight")
+        A[k], A[p] = A[p], A[k]
+        b[k], b[p] = b[p], b[k]
+        pivot = A[k]
+        for i in range(k + 1, L):
+            row = A[i]
+            f = row[k] / pivot[k]
+            if f != 0.0:
+                for j in range(k + 1, L):
+                    row[j] -= f * pivot[j]
+                b[i] -= f * b[k]
+    t = [0.0] * L
+    for k in reversed(range(L)):
+        row = A[k]
+        t[k] = (b[k] - sum(row[j] * t[j] for j in range(k + 1, L))) / row[k]
+    return t
 
 
 def deconvolve(output, input, L: int, ridge: float = 0.0) -> ResponseFilter:
     """Fit length-L causal FIR taps minimizing the squared residual of
     output - input * taps plus a ridge penalty, via the normal equations."""
-    import numpy as np
-
-    y = np.asarray(output, dtype=float)
-    x = np.asarray(input, dtype=float)
-    if len(y) != len(x):
+    y = list(map(float, output))
+    x = list(map(float, input))
+    n = len(x)
+    if len(y) != n:
         raise ValueError("input and output signals must have equal length")
-    if len(x) < L:
+    if L < 1:
+        raise ValueError("filter needs at least one tap")
+    if n < L:
         raise ValueError(f"signals must be at least L={L} samples long")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    X = _convolution_matrix(x, L)
-    A = X.T @ X + ridge * np.eye(L)
+    # normal equations A = X^T X + ridge I, b = X^T y of the convolution
+    # matrix X[t][j] = x[t - j] (zero for t < j: causal, zero prehistory).
+    # Row 0 of X^T X holds the lagged dot products; each later entry drops
+    # the last term of the one up and to its left.
+    A = [[0.0] * L for _ in range(L)]
+    for j in range(L):
+        A[0][j] = A[j][0] = sum(map(mul, x[j:], x))
+    for i in range(1, L):
+        for j in range(i, L):
+            A[i][j] = A[j][i] = A[i - 1][j - 1] - x[n - i] * x[n - j]
+    b = [sum(map(mul, x, y[j:])) for j in range(L)]
     if ridge == 0.0:
-        with np.errstate(all="ignore"):
-            cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
+        cond = _condition_number(A)
+        if not math.isfinite(cond) or cond > _COND_LIMIT:
             raise IllConditionedError(
                 "normal matrix is singular at ridge=0; increase the ridge weight")
-    taps = np.linalg.solve(A, X.T @ y)
-    return ResponseFilter(tuple(float(t) for t in taps))
+    for i in range(L):
+        A[i][i] += ridge
+    return ResponseFilter(tuple(_solve(A, b)))
 
 
 def convolve(input, f: ResponseFilter) -> list[float]:
     """Causal convolution, output length = input length."""
-    import numpy as np
-
-    x = np.asarray(input, dtype=float)
-    if len(x) == 0:
+    x = list(map(float, input))
+    if not x:
         raise ValueError("input signal must be non-empty")
-    full = np.convolve(x, np.asarray(f.taps))
-    return [float(v) for v in full[: len(x)]]
+    # one shifted, scaled copy of the input per tap
+    out = [0.0] * len(x)
+    for j, h in enumerate(f.taps):
+        out[j:] = [o + h * v for o, v in zip(out[j:], x)]
+    return out
 
 
 def predict_structure(target: str, training,

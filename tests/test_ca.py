@@ -143,10 +143,15 @@ class TestStep:
             ca.evolve(state, len(cells), 30, 1)
 
     def test_bad_boundary(self):
-        with pytest.raises(ValueError):
-            ca.successor(0b10, 2, 30, "reflect")
-        with pytest.raises(ValueError):
-            ca.evolve(0b10, 2, 30, 1, "reflect")
+        message = re.escape(f"boundary must be one of {ca.BOUNDARIES}, "
+                            "got 'reflect'")
+        for call in (lambda: ca.successor(0b10, 2, 30, "reflect"),
+                     lambda: ca.evolve(0b10, 2, 30, 1, "reflect"),
+                     # no step is taken, but the boundary is still checked
+                     lambda: ca.evolve(0b10, 2, 30, 0, "reflect"),
+                     lambda: ca.state_transition_graph(30, 2, "reflect")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
 
 class TestEvolve:

@@ -80,6 +80,9 @@ class TestHydropathyScale:
     def test_illegal_residue(self):
         with pytest.raises(ValueError, match="position 2"):
             codec.hydropathy_encode("MF1")
+        # of several illegal residues, the first is named
+        with pytest.raises(ValueError, match="^illegal residue 'z' at position 1$"):
+            codec.hydropathy_encode("MzF1")
 
 
 class TestStructureEncode:
@@ -96,6 +99,9 @@ class TestStructureEncode:
     def test_illegal_label(self):
         with pytest.raises(ValueError):
             codec.structure_encode("HQC")
+        with pytest.raises(
+                ValueError, match="^illegal structure label 'h' at position 1$"):
+            codec.structure_encode("HhCQ")
 
 
 class TestStructureDecode:

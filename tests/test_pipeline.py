@@ -229,6 +229,74 @@ class TestDeconvolve:
             pipeline.deconvolve([1.0, 2.0], [1.0, 2.0], 5)
 
 
+def convolution_matrix(x, L):
+    """X[t, j] = x[t - j], zero for t < j: the causal convolution matrix
+    whose normal equations `deconvolve` solves; numpy is the oracle."""
+    n = len(x)
+    X = np.zeros((n, L))
+    for j in range(L):
+        X[j:, j] = x[:n - j]
+    return X
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(np.asarray(got) - expected)) / np.max(np.abs(expected))
+
+
+class TestNumpyOracle:
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6, 1.0])
+    def test_matches_numpy(self, ridge):
+        rng = np.random.default_rng(10)
+        for _ in range(60):
+            L = int(rng.integers(1, 14))
+            # n >= 2L keeps random signals well conditioned, so numpy and
+            # the plain-float solve agree to rounding
+            n = int(rng.integers(2 * L, 401))
+            x = rng.standard_normal(n) * 10 ** rng.uniform(-2, 2)
+            y = rng.choice([200.0, 600.0, 800.0], n)
+            X = convolution_matrix(x, L)
+            expected = np.linalg.solve(X.T @ X + ridge * np.eye(L), X.T @ y)
+            f = pipeline.deconvolve(y, x, L, ridge)
+            assert relative_error(f.taps, expected) <= 1e-9
+            assert relative_error(pipeline.convolve(x, f),
+                                  np.convolve(x, f.taps)[:n]) <= 1e-9
+
+    def test_ill_conditioned_exactly_when_numpy_says(self):
+        # a signal that is zero but for its last k < L samples makes X
+        # singular; noise of random size then sets how nearly singular
+        rng = np.random.default_rng(11)
+        raised = kept = 0
+        for _ in range(300):
+            L = int(rng.integers(2, 14))
+            n = int(rng.integers(L, 401))
+            x = 10 ** rng.uniform(-12, 0) * rng.standard_normal(n)
+            x[n - int(rng.integers(1, L)):] += rng.standard_normal()
+            X = convolution_matrix(x, L)
+            cond = np.linalg.cond(X.T @ X)
+            if 1e11 <= cond <= 1e13:  # too near the limit to call
+                continue
+            if cond > pipeline._COND_LIMIT:
+                with pytest.raises(pipeline.IllConditionedError):
+                    pipeline.deconvolve(x, x, L, ridge=0.0)
+                raised += 1
+            else:
+                pipeline.deconvolve(x, x, L, ridge=0.0)
+                kept += 1
+        assert raised >= 30 and kept >= 30
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_is_a_value_error(self, bad, ridge):
+        rng = random.Random(12)
+        for signal in ("input", "output"):
+            for at in (0, 17, 59):
+                x = [rng.uniform(-4.5, 4.5) for _ in range(60)]
+                y = [rng.choice((200.0, 600.0, 800.0)) for _ in range(60)]
+                (x if signal == "input" else y)[at] = bad
+                with pytest.raises(ValueError):
+                    pipeline.deconvolve(y, x, 9, ridge)
+
+
 class TestConvolve:
     def test_identity_filter(self):
         x = [1.0, 2.0, 3.0]
