@@ -25,9 +25,10 @@ def _check_rule(rule) -> None:
         raise ValueError(f"rule number must be in [0, 255], got {rule!r}")
 
 
-def _check_boundary(boundary) -> None:
+def _periodic(boundary) -> bool:
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    return boundary == "periodic"
 
 
 def _step(state: int, n: int, rule: int, periodic: bool) -> int:
@@ -47,9 +48,7 @@ def successor(state: int, n: int, rule: int, boundary: str = "null") -> int:
     """One synchronous update of an n-cell state, cell 0 its most
     significant bit, under Wolfram rule number `rule`.  Null boundary reads
     missing neighbors as 0; periodic wraps."""
-    _check_rule(rule)
-    _check_boundary(boundary)
-    return _step(state, n, rule, boundary == "periodic")
+    return evolve(state, n, rule, 1, boundary)[1]
 
 
 def evolve(state: int, n: int, rule: int, steps: int,
@@ -62,8 +61,7 @@ def evolve(state: int, n: int, rule: int, steps: int,
     _check_code(state, n)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_boundary(boundary)
-    periodic = boundary == "periodic"
+    periodic = _periodic(boundary)
     rows = [state]
     for _ in range(steps):
         rows.append(_step(rows[-1], n, rule, periodic))
@@ -96,8 +94,7 @@ def state_transition_graph(rule: int, n: int,
     _check_rule(rule)
     if not 1 <= n <= MAX_STG_WIDTH:
         raise ValueError(f"width must be in [1, {MAX_STG_WIDTH}], got {n}")
-    _check_boundary(boundary)
-    periodic = boundary == "periodic"
+    periodic = _periodic(boundary)
     succ = tuple(_step(s, n, rule, periodic) for s in range(1 << n))
     return StateTransitionGraph(n, succ)
 
@@ -110,28 +107,25 @@ def attractor_basins(graph: StateTransitionGraph) -> list[AttractorBasin]:
     Basins are returned ordered by their smallest cycle state.
     """
     total = 1 << graph.n
-    basin_of = [-1] * total  # state -> basin index
+    basin_of = [-1] * total  # state -> basin index; -2 on the current walk
     cycles: list[tuple[int, ...]] = []
 
     for start in range(total):
-        if basin_of[start] != -1:
-            continue
         path = []
-        on_path = {}
         s = start
-        while basin_of[s] == -1 and s not in on_path:
-            on_path[s] = len(path)
+        while basin_of[s] == -1:
+            basin_of[s] = -2
             path.append(s)
             s = graph.successor[s]
-        if basin_of[s] != -1:
-            idx = basin_of[s]
-        else:
+        if basin_of[s] == -2:
             # new cycle: the path tail from the first revisit onward
-            cycle = path[on_path[s]:]
+            cycle = path[path.index(s):]
             # canonical rotation: start at the smallest state
             k = cycle.index(min(cycle))
             cycles.append(tuple(cycle[k:] + cycle[:k]))
             idx = len(cycles) - 1
+        else:
+            idx = basin_of[s]
         for state in path:
             basin_of[state] = idx
 
@@ -148,4 +142,4 @@ def attractor_basins(graph: StateTransitionGraph) -> list[AttractorBasin]:
 
 def format_trajectory(rows: Iterable[int], n: int) -> str:
     """Render n-cell states as '0'/'1' text rows, one line per step."""
-    return "\n".join(format(s, f"0{n}b") for s in rows)
+    return "\n".join(format(_check_code(s, n), f"0{n}b") for s in rows)

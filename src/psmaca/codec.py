@@ -46,15 +46,19 @@ _HYDROPATHY = {
 }
 
 
+def _check_letters(s: str, letters: frozenset, text: str, item: str) -> str:
+    if not s:
+        raise ValueError(f"{text} must be non-empty")
+    if not letters.issuperset(s):
+        # the slow scan only names the first illegal letter
+        for i, c in enumerate(s):
+            if c not in letters:
+                raise ValueError(f"illegal {item} {c!r} at position {i}")
+    return s
+
+
 def check_sequence(seq: str) -> str:
-    if not seq:
-        raise ValueError("amino-acid sequence must be non-empty")
-    if not _RESIDUES.issuperset(seq):
-        # the slow scan only names the first illegal residue
-        for i, aa in enumerate(seq):
-            if aa not in _CODE:
-                raise ValueError(f"illegal residue {aa!r} at position {i}")
-    return seq
+    return _check_letters(seq, _RESIDUES, "amino-acid sequence", "residue")
 
 
 def check_window(w) -> int:
@@ -64,13 +68,7 @@ def check_window(w) -> int:
 
 
 def check_structure(s: str) -> str:
-    if not s:
-        raise ValueError("structure string must be non-empty")
-    if not _LABELS.issuperset(s):
-        for i, lab in enumerate(s):
-            if lab not in _LABELS:
-                raise ValueError(f"illegal structure label {lab!r} at position {i}")
-    return s
+    return _check_letters(s, _LABELS, "structure string", "structure label")
 
 
 def hydropathy_encode(seq: str) -> list[float]:

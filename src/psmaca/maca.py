@@ -31,9 +31,10 @@ def _check_text(text) -> str:
     return text
 
 
-def _check_code(code: int, n: int) -> None:
+def _check_code(code: int, n: int) -> int:
     if code >> n:  # also nonzero for every negative code
         raise ValueError(f"{code} is not an unsigned {n}-bit value")
+    return code
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
 
 The filter is short (9 taps by default), so its normal equations are a
-small dense system built and solved in plain Python floats: the Gram
-matrix from lagged dot products, a pivoted elimination for the taps, and
-cyclic Jacobi eigenvalues for the ridge-free conditioning check.
+small positive definite system, built and solved in plain Python floats:
+the Gram matrix from lagged dot products, unpivoted elimination for the
+taps, and cyclic Jacobi eigenvalues for the ridge-free conditioning check.
 """
 
 from __future__ import annotations
@@ -91,18 +91,18 @@ class PredictionResult:
 
 
 def kmer_counts(seq: str, k: int) -> Counter:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k-mer size must be an int >= 1, got {k!r}")
     if len(seq) < k:
         raise ValueError(f"sequence shorter than k-mer size {k}")
     return Counter(seq[i:i + k] for i in range(len(seq) - k + 1))
 
 
 @lru_cache(maxsize=None)
-def _kmer_vector(seq: str, k: int) -> tuple[dict[str, int], int]:
+def _kmer_vector(seq: str, k: int) -> tuple[Counter, int]:
     """k-mer counts of a checked sequence and their squared norm, computed
-    once per (sequence, k) per process.  Keys are interned, so the k-mers
-    shared by many cached vectors are stored once."""
-    counts = {sys.intern(kmer): n
-              for kmer, n in kmer_counts(check_sequence(seq), k).items()}
+    once per (sequence, k) per process."""
+    counts = kmer_counts(check_sequence(seq), k)
     return counts, sum(v * v for v in counts.values())
 
 
@@ -176,17 +176,14 @@ def _condition_number(A: list[list[float]]) -> float:
 
 
 def _solve(A: list[list[float]], b: list[float]) -> list[float]:
-    """Solve A t = b by Gaussian elimination with partial pivoting,
-    overwriting A and b."""
+    """Solve A t = b in place, A symmetric positive definite, by elimination
+    without pivoting, which is stable for such A (Higham 2002, ch. 10)."""
     L = len(b)
     for k in range(L):
-        p = max(range(k, L), key=lambda i: abs(A[i][k]))
-        if A[p][k] == 0.0:
+        pivot = A[k]
+        if pivot[k] == 0.0:
             raise IllConditionedError(
                 "normal matrix is singular; increase the ridge weight")
-        A[k], A[p] = A[p], A[k]
-        b[k], b[p] = b[p], b[k]
-        pivot = A[k]
         for i in range(k + 1, L):
             row = A[i]
             f = row[k] / pivot[k]

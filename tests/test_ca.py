@@ -180,6 +180,22 @@ class TestEvolve:
         with pytest.raises(ValueError, match="3-bit|at least one cell"):
             ca.evolve(state, n, 30, 1)
 
+    @pytest.mark.parametrize("state, n", [(-1, 3), (0b1000, 3), (0, 0)],
+                             ids=["negative", "one-bit-too-wide", "no-cells"])
+    def test_successor_checks_as_evolve_does(self, state, n):
+        # bit 3 of 0b1000 must not spill into cell 2 of a 3-cell step
+        with pytest.raises(ValueError) as expected:
+            ca.evolve(state, n, 30, 1)
+        message = re.escape(str(expected.value))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ca.successor(state, n, 30)
+
+    @pytest.mark.parametrize("row", [0b1000, -1])
+    def test_format_rejects_row_outside_n_bits(self, row):
+        with pytest.raises(ValueError,
+                           match=f"^{row} is not an unsigned 3-bit value$"):
+            ca.format_trajectory([0b010, row], 3)
+
     def test_deterministic(self):
         rule = 110
         start = 0b01101001

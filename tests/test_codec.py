@@ -93,8 +93,12 @@ class TestStructureEncode:
         assert codec.structure_encode("HHHH") == [200.0] * 4
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^structure string must be non-empty$"):
             codec.structure_encode("")
+        with pytest.raises(ValueError,
+                           match="^amino-acid sequence must be non-empty$"):
+            codec.hydropathy_encode("")
 
     def test_illegal_label(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -153,6 +154,19 @@ class TestKmerMemo:
         assert pipeline.similarity(a, b) == before == recount_similarity(a, b)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5])
+def test_kmer_size_must_be_a_positive_int(k):
+    # a sequence no other test memoizes, so each call reaches the check
+    seq = "MKWVTFISLLFLFSSAYS"
+    message = re.escape(f"k-mer size must be an int >= 1, got {k!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pipeline.kmer_counts(seq, k)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pipeline.similarity(seq, seq[::-1], k)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pipeline.select_base(seq, [ProteinRecord("a", seq[1:], "C" * 17)], k)
+
+
 class TestSelectBase:
     def test_exact_match_wins(self):
         records = [ProteinRecord("a", "ACDEFG", "HHHHHH"),
@@ -295,6 +309,34 @@ class TestNumpyOracle:
                 (x if signal == "input" else y)[at] = bad
                 with pytest.raises(ValueError):
                     pipeline.deconvolve(y, x, 9, ridge)
+
+
+def pivoted_swaps(A):
+    """Row swaps that Gaussian elimination with partial pivoting makes on A."""
+    A, swaps = A.copy(), 0
+    for k in range(len(A)):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        if p != k:
+            A[[k, p]] = A[[p, k]]
+            swaps += 1
+        A[k + 1:] -= np.outer(A[k + 1:, k] / A[k, k], A[k])
+    return swaps
+
+
+def test_unpivoted_solve_matches_numpy_on_spd_systems():
+    # B B^T + cI with rows of B scaled over four orders of magnitude: SPD,
+    # but partial pivoting would reorder the rows of many of them
+    rng = np.random.default_rng(13)
+    swapped = 0
+    for _ in range(200):
+        L = int(rng.integers(2, 14))
+        B = rng.standard_normal((L, L + 2)) * 10 ** rng.uniform(-2, 2, (L, 1))
+        A = B @ B.T + rng.uniform(0.01, 1) * np.eye(L)
+        b = rng.standard_normal(L)
+        t = pipeline._solve(A.tolist(), b.tolist())
+        assert relative_error(t, np.linalg.solve(A, b)) <= 1e-9
+        swapped += pivoted_swaps(A) > 0
+    assert swapped >= 50
 
 
 class TestConvolve:
