@@ -11,7 +11,11 @@ mutation rate), `dataio.load_model` of the model the benchmark's
 `predict_tree` workload reads, `maca.classify` per window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
 at width 8 with each boundary, `pipeline.select_base` and
-`pipeline.convolve` per target, `pipeline.deconvolve` (L = 9) on one base,
+`pipeline.convolve` per target, `pipeline.similarity` per (target, base)
+pair on a warm k-mer memo, `pipeline._kmer_vector` per sequence on a cold
+one (the memo is cleared before each of VECTOR_ROUNDS rounds over the 250
+sequences; the process-wide k-mer numbering stays), `pipeline.deconvolve`
+(L = 9) on one base,
 `maca.DependencyString` construction per object over the (bits, widths)
 of a seeded population of 30 (n = 25, m = 2), and two fresh-interpreter
 probes, one subprocess per round for PROBE_ROUNDS rounds: `import
@@ -27,7 +31,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_17.json at the repository root, with the Python version and core
+BENCH_18.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
 """
@@ -47,13 +51,14 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_17.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_18.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
 POPULATION = 30
 FILTER_LENGTH = 9
 PROBE_ROUNDS = 15
+VECTOR_ROUNDS = 20
 # the predict probe: one target against a few toy bases
 PREDICT_PROBE = ("import psmaca.cli; from psmaca import dataio, pipeline; "
                  "bases = dataio.make_toy_dataset(20, 150, seed=3).records; "
@@ -76,6 +81,12 @@ def windows(records):
 @pytest.fixture(scope="module")
 def bases():
     return dataio.make_toy_dataset(150, 150, seed=3).records
+
+
+@pytest.fixture(scope="module")
+def targets():
+    return [r.sequence for r in
+            dataio.make_toy_dataset(100, 300, seed=4).records]
 
 
 @pytest.fixture(scope="module")
@@ -185,15 +196,32 @@ def test_state_transition_graph(benchmark, layers, boundary):
            f"ca.state_transition_graph[rule 30, n=8, {boundary}]")
 
 
-def test_select_base_per_target(benchmark, bases, layers):
-    targets = [r.sequence for r in
-               dataio.make_toy_dataset(100, 300, seed=4).records]
+def test_select_base_per_target(benchmark, bases, targets, layers):
     warm = [pipeline.select_base(t, bases)[0].id for t in targets]
     chosen = benchmark(lambda: [pipeline.select_base(t, bases)[0].id
                                 for t in targets])
     assert chosen == warm
     record(layers, benchmark, "pipeline.select_base[per target]",
            per=len(targets))
+
+
+def test_similarity_per_pair(benchmark, bases, targets, layers):
+    pairs = [(t, b.sequence) for t in targets for b in bases]
+    warm = [pipeline.similarity(a, b) for a, b in pairs]
+    scores = benchmark(lambda: [pipeline.similarity(a, b) for a, b in pairs])
+    assert scores == warm
+    record(layers, benchmark, "pipeline.similarity[per pair]", per=len(pairs))
+
+
+def test_kmer_vector_cold(benchmark, bases, targets, layers):
+    sequences = [b.sequence for b in bases] + targets
+    built = benchmark.pedantic(
+        lambda: [pipeline._kmer_vector(s, 3) for s in sequences],
+        setup=pipeline._kmer_vector.cache_clear, rounds=VECTOR_ROUNDS,
+        iterations=1, warmup_rounds=1)
+    assert len(built) == len(sequences)
+    record(layers, benchmark, "pipeline._kmer_vector[per sequence, cold]",
+           per=len(sequences))
 
 
 @pytest.fixture(scope="module")

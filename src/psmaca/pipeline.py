@@ -5,6 +5,12 @@ response filter mapping the base's hydropathy signal to its encoded
 structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
 
+Similarity is the cosine of k-mer count vectors.  A sequence's counts are
+held as layered k-mer sets, int bit sets over one process-wide k-mer
+numbering (layer c holds the k-mers counted more than c times), so the
+integer dot product of two count vectors is the sum of the popcounts of
+the ANDs of their layers.
+
 The filter is short (9 taps by default), so its normal equations are a
 small positive definite system, built and solved in plain Python floats:
 the Gram matrix from lagged dot products, unpivoted elimination for the
@@ -98,18 +104,49 @@ def kmer_counts(seq: str, k: int) -> Counter:
     return Counter(seq[i:i + k] for i in range(len(seq) - k + 1))
 
 
+class _KmerIds(dict):
+    """k-mer -> bit id, the next free id given on first sight."""
+
+    def __missing__(self, kmer: str) -> int:
+        self[kmer] = bit = len(self)
+        return bit
+
+
+# one bit numbering for every k-mer set in the process; it only grows
+_KMER_BIT = _KmerIds()
+
+
 @lru_cache(maxsize=None)
-def _kmer_vector(seq: str, k: int) -> tuple[Counter, int]:
-    """k-mer counts of a checked sequence and their squared norm, computed
-    once per (sequence, k) per process."""
+def _kmer_vector(seq: str, k: int) -> tuple[tuple[int, ...], int]:
+    """k-mer counts of a checked sequence as layered bit sets, and their
+    squared norm, computed once per (sequence, k) per process.
+
+    Layer c is an int whose set bits (numbered by `_KMER_BIT`) are the
+    k-mers counted more than c times, so a k-mer counted i times lies in
+    the first i layers.  A layer is as wide as the number of distinct
+    k-mers the process has seen: at most 21^k bits while one k is in use
+    (21 residue letters, X included).  Every CLI path uses k = 3, as
+    `PipelineConfig.kmer_size` has no flag, so a layer is at most 9,261
+    bits, about 1.2 KB.  The table only grows, as this cache does.
+    """
     counts = kmer_counts(check_sequence(seq), k)
-    return counts, sum(v * v for v in counts.values())
+    pairs = list(zip(map(_KMER_BIT.__getitem__, counts), counts.values()))
+    size = (len(_KMER_BIT) + 7) >> 3
+    layers = []
+    while pairs:
+        layer = bytearray(size)
+        for bit, _ in pairs:
+            layer[bit >> 3] |= 1 << (bit & 7)
+        layers.append(int.from_bytes(layer, "little"))
+        pairs = [(bit, n - 1) for bit, n in pairs if n > 1]
+    return tuple(layers), sum(v * v for v in counts.values())
 
 
 def similarity(a: str, b: str, k: int = 3) -> float:
     """Cosine similarity of k-mer count vectors, in [0, 1]."""
-    (ca, na), (cb, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
-    dot = sum(ca[kmer] * cb[kmer] for kmer in ca.keys() & cb.keys())
+    (la, na), (lb, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
+    # a k-mer counted i times in a and j times in b is in i*j layer pairs
+    dot = sum((x & y).bit_count() for x in la for y in lb)
     if dot == 0:
         return 0.0
     # integer product under one sqrt keeps similarity(x, x) exactly 1.0

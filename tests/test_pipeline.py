@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from psmaca import pipeline
 from psmaca.codec import AMINO_ACIDS, check_sequence
-from psmaca.dataio import ProteinRecord, make_impulse_dataset
+from psmaca.dataio import ProteinRecord, make_impulse_dataset, make_toy_dataset
 from psmaca.pipeline import PipelineConfig, ResponseFilter
 
 
@@ -152,6 +152,45 @@ class TestKmerMemo:
         counts["ACD"] += 100
         counts["WWW"] = 7
         assert pipeline.similarity(a, b) == before == recount_similarity(a, b)
+
+
+REPEATS = ("A" * 12, "AC" * 8, "ACD" * 6)
+
+
+class TestKmerBitSets:
+    """The bit-set dot product at real sizes: sets wider than a machine
+    word and many layers, checked exactly against the recount."""
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        return [r.sequence for length in (150, 220, 300)
+                for r in make_toy_dataset(10, length, seed=length).records]
+
+    def test_every_pair_of_toy_records(self, toy):
+        for i, a in enumerate(toy):
+            for b in toy[i:]:
+                assert pipeline.similarity(a, b) == recount_similarity(a, b)
+        layers = [pipeline._kmer_vector(s, 3)[0] for s in toy]
+        assert max(x.bit_length() for ls in layers for x in ls) > 64
+        assert max(map(len, layers)) >= 2
+
+    def test_repeat_heavy_sequences(self, toy):
+        for seq in REPEATS:
+            assert len(pipeline._kmer_vector(seq, 3)[0]) >= 3
+        pool = REPEATS + ("ACDAC", toy[0] + REPEATS[2], toy[-1])
+        for a in pool:
+            for b in pool:
+                assert pipeline.similarity(a, b) == recount_similarity(a, b)
+
+    def test_mixed_k_before_and_after_cache_clear(self, toy):
+        seqs = REPEATS + tuple(toy[::7])
+        cases = [(a, b, k) for k in (3, 1, 5, 2, 4)
+                 for a in seqs for b in seqs]
+        before = [pipeline.similarity(a, b, k) for a, b, k in cases]
+        pipeline._kmer_vector.cache_clear()
+        after = [pipeline.similarity(a, b, k) for a, b, k in reversed(cases)]
+        expected = [recount_similarity(a, b, k) for a, b, k in cases]
+        assert before == expected == after[::-1]
 
 
 @pytest.mark.parametrize("k", [0, -1, 1.5])
