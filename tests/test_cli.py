@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -63,6 +64,53 @@ def test_width_below_one_is_data_error(capsys, command, width):
     assert run_cli([*command, "--width", width]) == 2
     err = capsys.readouterr().err
     assert "width must be" in err and f"got {width}" in err
+
+
+# command -> (required flags, optional flags); -h/--help go unlisted
+CLI_SURFACE = {
+    "simulate": ({"--rule", "--width", "--steps"}, {"--boundary"}),
+    "basins": ({"--rule", "--width"}, {"--boundary"}),
+    "train": ({"--data", "--out"},
+              {"--window", "--seed", "--population", "--generations",
+               "--crossover-rate", "--mutation-rate", "--elitism",
+               "--max-depth", "--min-samples", "--filter-length"}),
+    "predict": ({"--model", "--fasta"},
+                {"--pipeline", "--mode", "--train-data", "--no-verify"}),
+    "evaluate": ({"--model", "--data", "--report"},
+                 {"--json", "--comparison", "--pipeline", "--train-data",
+                  "--no-verify"}),
+}
+
+
+def subparsers() -> dict:
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_commands_are_the_surface():
+    assert subparsers().keys() == CLI_SURFACE.keys()
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_command_flags_are_the_surface(command):
+    required, optional = CLI_SURFACE[command]
+    actions = subparsers()[command]._actions
+    assert {flag for action in actions for flag in action.option_strings} \
+        == required | optional | {"-h", "--help"}
+    assert {flag for action in actions if action.required
+            for flag in action.option_strings} == required
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_each_missing_required_flag_is_usage_error(capsys, command):
+    required, _ = CLI_SURFACE[command]
+    for missing in sorted(required):
+        given = [arg for flag in sorted(required - {missing})
+                 for arg in (flag, "1")]
+        assert run_cli([command, *given]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and missing in err
 
 
 class TestSimulate:

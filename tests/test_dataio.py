@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psmaca import dataio, maca
-from psmaca.codec import AMINO_ACIDS
+from psmaca.codec import AMINO_ACIDS, window_patterns
 from psmaca.dataio import (
     Dataset,
     ModelFile,
@@ -221,6 +222,34 @@ class TestQ3:
         assert tsv.splitlines()[0] == "id\tq3\tqH\tqE\tqC"
         assert tsv.splitlines()[-1].startswith("ALL\t50.00")
 
+    def test_report_bytes_pinned(self):
+        # E has no support anywhere, and all three rows score 4/6
+        report = dataio.aggregate_metrics([dataio.q3("HHE", "HHH", "a"),
+                                           dataio.q3("CCH", "CCC", "b")])
+        assert dataio.metrics_tsv(report) == (
+            "id\tq3\tqH\tqE\tqC\n"
+            "a\t66.67\t66.67\tNA\tNA\n"
+            "b\t66.67\tNA\tNA\t66.67\n"
+            "ALL\t66.67\t66.67\tNA\t66.67\n")
+        third = 200 / 3
+        none = {"H": 0, "E": 0, "C": 0}
+        a_conf = {"H": {"H": 2, "E": 1, "C": 0}, "E": none, "C": none}
+        b_conf = {"H": none, "E": none, "C": {"H": 1, "E": 0, "C": 2}}
+        doc = {
+            "q3": third,
+            "per_class": {"H": third, "E": None, "C": third},
+            "confusion": {"H": a_conf["H"], "E": none, "C": b_conf["C"]},
+            "records": [
+                {"id": "a", "q3": third, "confusion": a_conf,
+                 "per_class": {"H": third, "E": None, "C": None}},
+                {"id": "b", "q3": third, "confusion": b_conf,
+                 "per_class": {"H": None, "E": None, "C": third}},
+            ],
+        }
+        text = dataio.metrics_json(report)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert '"E": null' in text and '"q3": 66.66666666666667' in text
+
     def test_comparison_table_shape(self):
         table = dataio.comparison_tsv("bench", 83.25)
         lines = table.strip().splitlines()
@@ -314,6 +343,21 @@ class TestModelFile:
         path.write_text('{"tree": ' + "[" * 5000 + "]" * 5000 + "}")
         with pytest.raises(dataio.ModelFormatError, match="corrupted"):
             dataio.load_model(path)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        text = dataio.dataset_to_paired_text(dataio.make_toy_dataset(3, 12))
+        patterns = [LabeledPattern(code, label)
+                    for r in parse_paired(text)
+                    for code, label in zip(window_patterns(r.sequence, 5),
+                                           r.structure)]
+        tree = maca.build_tree(patterns, 25, TreeConfig(population_size=4,
+                                                        generations=2),
+                               rng_seed=0)
+        path = tmp_path / "model.json"
+        dataio.save_model(ModelFile(tree, 5, PipelineConfig(), 0,
+                                    dataio.fingerprint(text)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d1a6ee517a561484076990f9d811816ca79a60a750508250e8d9ea44d25f5e30")
 
     def test_save_is_deterministic(self, tmp_path):
         model = small_model()
