@@ -43,16 +43,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="psmaca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="print a CA space-time grid")
-    p.add_argument("--rule", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--boundary", choices=ca.BOUNDARIES, default="null")
+    automaton = argparse.ArgumentParser(add_help=False)
+    automaton.add_argument("--rule", type=int, required=True)
+    automaton.add_argument("--width", type=int, required=True)
+    automaton.add_argument("--boundary", choices=ca.BOUNDARIES, default="null")
 
-    p = sub.add_parser("basins", help="print attractor cycles and basin sizes")
-    p.add_argument("--rule", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--boundary", choices=ca.BOUNDARIES, default="null")
+    routed = argparse.ArgumentParser(add_help=False)
+    routed.add_argument("--model", required=True)
+    routed.add_argument("--pipeline", action="store_true",
+                        help="use the signal pipeline instead of the tree")
+    routed.add_argument("--train-data", default=None,
+                        help="paired training data for --pipeline")
+    routed.add_argument("--no-verify", action="store_true",
+                        help="skip training-data fingerprint verification")
+
+    p = sub.add_parser("simulate", parents=[automaton],
+                       help="print a CA space-time grid")
+    p.add_argument("--steps", type=int, required=True)
+    p.set_defaults(run=cmd_simulate)
+
+    p = sub.add_parser("basins", parents=[automaton],
+                       help="print attractor cycles and basin sizes")
+    p.set_defaults(run=cmd_basins)
 
     p = sub.add_parser("train", help="train a classifier tree on paired data")
     p.add_argument("--data", required=True)
@@ -64,36 +76,25 @@ def build_parser() -> _Parser:
         p.add_argument(flag, dest=name, type=type(default), default=default)
     p.add_argument("--filter-length", type=int,
                    default=PipelineConfig.filter_length)
+    p.set_defaults(run=cmd_train)
 
-    p = sub.add_parser("predict", help="predict structures for FASTA input")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("predict", parents=[routed],
+                       help="predict structures for FASTA input")
     p.add_argument("--fasta", required=True)
-    p.add_argument("--pipeline", action="store_true",
-                   help="use the signal pipeline instead of the tree")
     p.add_argument("--mode", choices=DECODE_MODES, default=None,
                    help="band decode mode for --pipeline")
-    p.add_argument("--train-data", default=None,
-                   help="paired training data (required with --pipeline)")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip training-data fingerprint verification")
+    p.set_defaults(run=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="Q3 report against labeled data")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("evaluate", parents=[routed],
+                       help="Q3 report against labeled data")
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True, help="per-record Q3 TSV path")
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--comparison", default=None,
                    help="write a method-comparison table skeleton here")
-    p.add_argument("--pipeline", action="store_true")
-    p.add_argument("--train-data", default=None)
-    p.add_argument("--no-verify", action="store_true")
-    p.set_defaults(mode=None)  # evaluate decodes in the model's own mode
+    # evaluate decodes in the model's own mode
+    p.set_defaults(run=cmd_evaluate, mode=None)
     return parser
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def cmd_simulate(args) -> int:
@@ -253,43 +254,31 @@ def cmd_evaluate(args) -> int:
     rows = [dataio.q3(route(record)[0], record.structure, record.id)
             for record in records]
     report = dataio.aggregate_metrics(rows)
-    _write(args.report, dataio.metrics_tsv(report))
+    dataio.write_text(args.report, dataio.metrics_tsv(report))
     if args.json_out:
-        _write(args.json_out, dataio.metrics_json(report))
+        dataio.write_text(args.json_out, dataio.metrics_json(report))
     if args.comparison:
-        _write(args.comparison, dataio.comparison_tsv(args.data, report.q3))
+        dataio.write_text(args.comparison,
+                          dataio.comparison_tsv(args.data, report.total.q3))
     # Q3 says what it measures: recall of the evaluated records, or a
     # prediction against a separate base set
     route_note = ""
     if args.pipeline:
         route_note = (f" (bases from {args.train_data})" if args.train_data
                       else " (self-recall: each record is its own base)")
-    print(f"q3 {report.q3:.2f} over {len(rows)} records{route_note}; "
+    print(f"q3 {report.total.q3:.2f} over {len(rows)} records{route_note}; "
           f"report at {args.report}")
     return 0
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "basins": cmd_basins,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-}
 
 
 def run_cli(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except (dataio.ParseError, dataio.ModelFormatError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ParseError, ModelFormatError too
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # invariant violation

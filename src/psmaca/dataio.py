@@ -2,7 +2,10 @@
 
 Formats: FASTA for bare sequences, a paired two-block text format for
 sequence/structure records ("Amino Acids:" block followed by a structure
-block), versioned JSON model files, and TSV metric reports.
+block), versioned JSON model files, and TSV/JSON metric reports.  Files
+are read with read_text and written with write_text, both UTF-8.  A Q3
+score is one MetricsRow, per record or pooled over a report's records as
+its "ALL" row.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 from . import maca
@@ -63,6 +67,13 @@ def read_text(path) -> str:
     except UnicodeDecodeError as e:
         raise ParseError(f"cannot read {path}: not UTF-8 text "
                          f"({e.reason} at byte {e.start})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write text to a file as UTF-8 with "\\n" line ends: the
+    counterpart of read_text."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _lines(text: str) -> list[tuple[int, str]]:
@@ -159,20 +170,19 @@ class MetricsRow:
     confusion: dict[str, dict[str, int]]  # actual -> predicted -> count
 
 
-def _empty_confusion() -> dict[str, dict[str, int]]:
-    return {a: {p: 0 for p in STRUCTURE_LABELS} for a in STRUCTURE_LABELS}
-
-
-def _score(confusion) -> tuple[float, dict[str, float | None]]:
-    """Q3 over all positions, and per-class accuracy over the positions
-    whose actual label is that class, of one confusion matrix."""
+def _scored(record_id: str, pairs: Counter) -> MetricsRow:
+    """The row of (actual, predicted) label-pair counts: Q3 over all
+    positions, and per-class accuracy over the positions whose actual label
+    is that class."""
+    confusion = {a: {p: pairs[a, p] for p in STRUCTURE_LABELS}
+                 for a in STRUCTURE_LABELS}
     per_class: dict[str, float | None] = {}
     for lab in STRUCTURE_LABELS:
         support = sum(confusion[lab].values())
         per_class[lab] = 100.0 * confusion[lab][lab] / support if support else None
-    total = sum(sum(r.values()) for r in confusion.values())
     matches = sum(confusion[lab][lab] for lab in STRUCTURE_LABELS)
-    return 100.0 * matches / total, per_class
+    return MetricsRow(record_id, 100.0 * matches / sum(pairs.values()),
+                      per_class, confusion)
 
 
 def q3(predicted: str, actual: str, record_id: str = "") -> MetricsRow:
@@ -183,58 +193,47 @@ def q3(predicted: str, actual: str, record_id: str = "") -> MetricsRow:
     if len(predicted) != len(actual):
         raise ValueError(
             f"length mismatch: predicted {len(predicted)} vs actual {len(actual)}")
-    confusion = _empty_confusion()
-    for p, a in zip(predicted, actual):
-        confusion[a][p] += 1
-    return MetricsRow(record_id, *_score(confusion), confusion)
+    return _scored(record_id, Counter(zip(actual, predicted)))
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     rows: tuple[MetricsRow, ...]
-    q3: float
-    per_class: dict[str, float | None]
-    confusion: dict[str, dict[str, int]]
+    total: MetricsRow  # the "ALL" row, scored over every row's positions
 
 
 def aggregate_metrics(rows: list[MetricsRow]) -> MetricsReport:
     if not rows:
         raise ValueError("no metric rows to aggregate")
-    confusion = _empty_confusion()
+    pooled = Counter()
     for row in rows:
-        for a in STRUCTURE_LABELS:
-            for p in STRUCTURE_LABELS:
-                confusion[a][p] += row.confusion[a][p]
-    return MetricsReport(tuple(rows), *_score(confusion), confusion)
+        pooled.update({(a, p): n for a, preds in row.confusion.items()
+                       for p, n in preds.items()})
+    return MetricsReport(tuple(rows), _scored("ALL", pooled))
 
 
 def _fmt(v: float | None) -> str:
     return "NA" if v is None else f"{v:.2f}"
 
 
-def _tsv_row(name: str, scored) -> str:
-    return "\t".join([name, f"{scored.q3:.2f}",
-                      *(_fmt(scored.per_class[lab]) for lab in STRUCTURE_LABELS)])
-
-
 def metrics_tsv(report: MetricsReport) -> str:
     lines = ["id\tq3\tqH\tqE\tqC"]
-    lines.extend(_tsv_row(row.record_id, row) for row in report.rows)
-    lines.append(_tsv_row("ALL", report))
+    for row in (*report.rows, report.total):
+        lines.append("\t".join([row.record_id, f"{row.q3:.2f}",
+                                *(_fmt(row.per_class[lab])
+                                  for lab in STRUCTURE_LABELS)]))
     return "\n".join(lines) + "\n"
 
 
+def _row_json(row: MetricsRow) -> dict:
+    return {"q3": row.q3, "per_class": row.per_class,
+            "confusion": row.confusion}
+
+
 def metrics_json(report: MetricsReport) -> str:
-    doc = {
-        "q3": report.q3,
-        "per_class": report.per_class,
-        "confusion": report.confusion,
-        "records": [
-            {"id": r.record_id, "q3": r.q3, "per_class": r.per_class,
-             "confusion": r.confusion}
-            for r in report.rows
-        ],
-    }
+    doc = {**_row_json(report.total),
+           "records": [{"id": r.record_id, **_row_json(r)}
+                       for r in report.rows]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -354,9 +353,7 @@ def save_model(model: ModelFile, path: str) -> None:
                          for name in _GA_FIELDS}, "rng_seed": model.seed},
         "training_fingerprint": model.training_fingerprint,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path: str) -> ModelFile:

@@ -217,7 +217,7 @@ class TestQ3:
     def test_aggregate(self):
         rows = [dataio.q3("HH", "HH", "a"), dataio.q3("EE", "CC", "b")]
         report = dataio.aggregate_metrics(rows)
-        assert report.q3 == 50.0
+        assert report.total.q3 == 50.0
         tsv = dataio.metrics_tsv(report)
         assert tsv.splitlines()[0] == "id\tq3\tqH\tqE\tqC"
         assert tsv.splitlines()[-1].startswith("ALL\t50.00")
