@@ -359,6 +359,30 @@ class TestModelFile:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "d1a6ee517a561484076990f9d811816ca79a60a750508250e8d9ea44d25f5e30")
 
+    def test_deep_model_bytes_pinned(self, tmp_path):
+        # deep enough for three-class nodes, so GA splits with m >= 2
+        text = dataio.dataset_to_paired_text(
+            dataio.make_toy_dataset(12, 40, seed=3))
+        patterns = [LabeledPattern(code, label)
+                    for r in parse_paired(text)
+                    for code, label in zip(window_patterns(r.sequence, 5),
+                                           r.structure)]
+        tree = maca.build_tree(patterns, 25,
+                               TreeConfig(population_size=8, generations=6,
+                                          max_depth=6), rng_seed=0)
+        nodes, internal = [tree.root], []
+        while nodes:
+            node = nodes.pop()
+            nodes.extend(node.children.values())
+            if not node.is_leaf:
+                internal.append(node.ds.m)
+        assert len(internal) > 100 and max(internal) >= 2
+        path = tmp_path / "model.json"
+        dataio.save_model(ModelFile(tree, 5, PipelineConfig(), 0,
+                                    dataio.fingerprint(text)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0880014bd71ac35b6bab93fb5f3e95f701369ff3ce6af1f9ed360ccad62579ab")
+
     def test_save_is_deterministic(self, tmp_path):
         model = small_model()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
