@@ -5,10 +5,13 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest bench/bench_kernel.py
 
 It times `ga.fitness` of one chromosome on the first N training windows
-(N = 2400, 300, 34 and 8), `ga.mutate` and `ga.crossover` per call on a
-seeded population of 30 chromosomes (n = 25, m = 2 and 4, the default
-mutation rate), `dataio.load_model` of the model the benchmark's
-`predict_tree` workload reads, `maca.classify` per window,
+(N = 2400, 300, 34 and 8), as a `maca.pattern_set` built once, outside the
+timed call; `maca.build_tree` on all 2,400 windows with the `train`
+workload's GA settings (BUILD_ROUNDS rounds); `ga.mutate` and
+`ga.crossover` per call on a seeded population of 30 chromosomes (n = 25,
+m = 2 and 4, the default mutation rate), `dataio.load_model` of the
+model the benchmark's `predict_tree` workload reads, `maca.classify` per
+window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
 at width 8 with each boundary, `pipeline.select_base` and
 `pipeline.convolve` per target, `pipeline.similarity` per (target, base)
@@ -31,7 +34,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_18.json at the repository root, with the Python version and core
+BENCH_20.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
 """
@@ -51,13 +54,16 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_18.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_20.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
 POPULATION = 30
 FILTER_LENGTH = 9
 PROBE_ROUNDS = 15
+BUILD_ROUNDS = 3
+# the GA settings of the benchmark's `train` workload
+TRAIN_CONFIG = maca.TreeConfig(population_size=10, generations=10, max_depth=8)
 VECTOR_ROUNDS = 20
 # the predict probe: one target against a few toy bases
 PREDICT_PROBE = ("import psmaca.cli; from psmaca import dataio, pipeline; "
@@ -116,9 +122,17 @@ def record(layers, benchmark, name: str, per: int = 1) -> None:
 @pytest.mark.parametrize("size", FITNESS_SIZES)
 def test_fitness(benchmark, windows, layers, size):
     ch = ga.random_chromosome(N_BITS, 2, random.Random(0))
-    training = windows[:size]
+    training = maca.pattern_set(windows[:size], N_BITS)
     assert 0 < benchmark(ga.fitness, ch, training) <= 1
     record(layers, benchmark, f"ga.fitness[N={size}]")
+
+
+def test_build_tree(benchmark, windows, layers):
+    tree = benchmark.pedantic(maca.build_tree, (windows, N_BITS, TRAIN_CONFIG),
+                              {"rng_seed": 1}, rounds=BUILD_ROUNDS,
+                              iterations=1)
+    assert not tree.root.is_leaf
+    record(layers, benchmark, "maca.build_tree[train input]")
 
 
 def population(m: int) -> list[ga.Chromosome]:
@@ -172,8 +186,7 @@ def test_load_model(benchmark, layers, tmp_path):
 
 
 def test_classify_per_window(benchmark, windows, layers):
-    config = maca.TreeConfig(population_size=10, generations=10)
-    tree = maca.build_tree(windows, N_BITS, config, rng_seed=1)
+    tree = maca.build_tree(windows, N_BITS, TRAIN_CONFIG, rng_seed=1)
     codes = [w.code for w in windows]
     labels = benchmark(lambda: [maca.classify(tree, c) for c in codes])
     assert len(labels) == len(windows)

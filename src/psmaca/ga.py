@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .maca import DependencyString, TreeConfig, distribute, label_counts
+from .maca import DependencyString, TreeConfig, distribute, pattern_set
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,17 @@ def random_chromosome(n: int, m: int, rng: random.Random) -> Chromosome:
 
 def fitness(ch: Chromosome, training) -> float:
     """Training accuracy when each basin predicts its majority class."""
-    training = list(training)
-    if not training:
+    training = pattern_set(training, ch.classifier1.n)
+    total = len(training)
+    if not total:
         raise ValueError("training set must be non-empty")
-    buckets = distribute(ch.classifier1, training)
+    label_masks = training.slices.labels.values()
     correct = 0
-    for bucket in buckets.values():
-        correct += max(label_counts(bucket).values())
-    return correct / len(training)
+    for bucket in distribute(ch.classifier1, training).values():
+        # the majority class's count: the most members under one label
+        correct += max(map(int.bit_count, map(bucket.members.__and__,
+                                              label_masks)))
+    return correct / total
 
 
 def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
@@ -132,7 +135,7 @@ def evolve_maca(training, n: int, m: int, config: TreeConfig,
                 rng_seed: int) -> tuple[Chromosome, FitnessHistory]:
     """Tournament(2) selection with elitism under `config`'s GA settings;
     returns the best individual ever seen plus the per-generation history."""
-    training = list(training)
+    training = pattern_set(training, n)
     rng = random.Random(rng_seed)
     memo: dict[DependencyString, float] = {}
 

@@ -15,6 +15,16 @@ bit j, from the top, is the parity of `code & masks[j]`.  A CA state
 significant.  An int outside its n bits raises ValueError rather than
 spilling into a neighbouring value.  As text, an m-bit value is m ASCII
 '0'/'1' characters.
+
+Training runs on the same layout transposed (bit-sliced).  A training set
+of N labeled patterns is built once per `build_tree` call: pattern i, in
+training order, is bit i of every N-bit int.  Column b is the int whose
+bit i is bit b of pattern i's code, and each label has a member mask of the
+patterns it labels.  A tree node's patterns are a `PatternSet`: that shared
+data plus one N-bit member mask.  Signature bit j of every member at once
+is the XOR of the columns mask j selects, so `distribute` splits the member
+mask once per segment, and a class count is a popcount of the members AND
+a label's mask.  No per-pattern loop runs after the set is built.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import compress, islice
 
 
 def _check_text(text) -> str:
@@ -48,10 +58,13 @@ class DependencyString:
     # one mask per segment, over the whole n-bit pattern; the all-zero
     # check needs every mask, so __post_init__ sets them all
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the pattern width, sum(widths), read by every GA operator and kernel
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.widths:
             raise ValueError("dependency string needs at least one segment")
+        object.__setattr__(self, "n", sum(self.widths))
         _check_code(self.bits, self.n)
         masks, low = [], self.n
         for width in self.widths:
@@ -60,10 +73,6 @@ class DependencyString:
         if not all(masks):
             raise ValueError(f"all-zero segment in {self.bit_strings()}")
         object.__setattr__(self, "masks", tuple(masks))
-
-    @property
-    def n(self) -> int:
-        return sum(self.widths)
 
     @property
     def m(self) -> int:
@@ -100,23 +109,112 @@ class LabeledPattern:
     label: str
 
 
-def distribute(ds: DependencyString, patterns) -> dict[int, list[LabeledPattern]]:
-    """Bucket patterns by basin signature; every pattern lands in exactly
-    one bucket."""
-    masks = ds.masks
-    buckets: dict[int, list[LabeledPattern]] = {}
-    for p in patterns:
-        buckets.setdefault(_signature(masks, p.code), []).append(p)
-    return buckets
+class PatternSet:
+    """Some patterns of one bit-sliced training set: pattern i is a member
+    when bit i of `members` is set.  Every set cut from the same training
+    set shares its `slices`; iterating yields the members in training
+    order."""
+
+    __slots__ = ("slices", "members")
+
+    def __init__(self, slices: "_Slices", members: int):
+        self.slices, self.members = slices, members
+
+    @property
+    def n(self) -> int:
+        return self.slices.n
+
+    def __len__(self) -> int:
+        return self.members.bit_count()
+
+    def __iter__(self):
+        # bit i of members is character i of its reversed binary text
+        picks = map("1".__eq__, format(self.members, "b")[::-1])
+        return compress(self.slices.patterns, picks)
+
+
+@dataclass(frozen=True, eq=False)
+class _Slices:
+    """A training set transposed: pattern i is bit i of every N-bit int."""
+
+    patterns: tuple[LabeledPattern, ...]
+    n: int
+    # column b holds bit b of every code: bit i of columns[b] is bit b of
+    # patterns[i].code
+    columns: tuple[int, ...]
+    # byte_xors[k][v] is the XOR of columns 8k + b over the set bits b of
+    # v, so a mask's XOR takes one lookup per byte: 256 N-bit ints a byte
+    byte_xors: tuple[list[int], ...]
+    # label -> the patterns it labels, labels in order of first appearance
+    labels: dict[str, int]
+
+
+def pattern_set(patterns, n: int | None = None) -> PatternSet:
+    """All of `patterns`, as a set over n-bit codes; a PatternSet over n
+    bits is returned as it is.  With n None, the codes' own width."""
+    if isinstance(patterns, PatternSet):
+        if n is not None and patterns.n != n:
+            raise ValueError(f"pattern set holds {patterns.n}-bit codes, "
+                             f"not {n}-bit")
+        return patterns
+    patterns = tuple(patterns)
+    if n is None:
+        n = max((p.code.bit_length() for p in patterns), default=0) or 1
+    rows = [format(_check_code(p.code, n), f"0{n}b") for p in patterns]
+    # character k of a row is bit n-1-k; the last pattern is each column's
+    # most significant bit
+    columns = [int("".join(bits), 2) for bits in zip(*reversed(rows))][::-1]
+    columns = columns or [0] * n
+    byte_xors = []
+    for low in range(0, n, 8):
+        table = [0]
+        for column in columns[low:low + 8]:
+            table += [x ^ column for x in table]
+        byte_xors.append(table)
+    labels = [p.label for p in reversed(patterns)]
+    label_masks = {
+        label: int("".join(["1" if x == label else "0" for x in labels]), 2)
+        for label in dict.fromkeys(p.label for p in patterns)}
+    slices = _Slices(patterns, n, tuple(columns), tuple(byte_xors),
+                     label_masks)
+    return PatternSet(slices, (1 << len(patterns)) - 1)
+
+
+def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
+    """Bucket patterns by basin signature, in ascending signature order;
+    every pattern lands in exactly one bucket.  A plain list is made a
+    pattern set first."""
+    patterns = pattern_set(patterns, ds.n)
+    byte_xors = patterns.slices.byte_xors
+    buckets = {0: patterns.members}
+    for mask in ds.masks:
+        # signature bit j of every pattern at once: the parity of the code
+        # bits mask j selects is the XOR of their columns
+        sig_bit, k = 0, 0
+        while mask:
+            sig_bit ^= byte_xors[k][mask & 255]
+            mask >>= 8
+            k += 1
+        split = {}
+        for sig, members in buckets.items():
+            ones = members & sig_bit
+            if ones != members:
+                split[sig << 1] = members ^ ones
+            if ones:
+                split[sig << 1 | 1] = ones
+        buckets = split
+    # each split keeps its buckets' order, 0 before 1: ascending signatures
+    slices = patterns.slices
+    return {sig: PatternSet(slices, members)
+            for sig, members in buckets.items()}
 
 
 def label_counts(patterns) -> dict[str, int]:
-    # a plain dict loop: Counter() costs 2-4x more on the small buckets
-    # deep in a tree, and fitness counts every bucket of every chromosome
-    counts: dict[str, int] = {}
-    for p in patterns:
-        counts[p.label] = counts.get(p.label, 0) + 1
-    return counts
+    """Members of each label present, by popcount of the label's mask."""
+    patterns = pattern_set(patterns)
+    members = patterns.members
+    return {label: count for label, mask in patterns.slices.labels.items()
+            if (count := (members & mask).bit_count())}
 
 
 def majority_label(patterns) -> str:
@@ -197,16 +295,14 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
     from . import ga  # deferred: ga imports this module's types
 
     config = config or TreeConfig()
-    training = list(training)
+    training = pattern_set(training, n)
     if not training:
         raise ValueError("training set must be non-empty")
-    for p in training:
-        _check_code(p.code, n)
     rng = random.Random(rng_seed)
 
-    def grow(patterns: list[LabeledPattern], depth: int) -> TreeNode:
+    def grow(patterns: PatternSet, depth: int) -> TreeNode:
         majority = majority_label(patterns)
-        classes = {p.label for p in patterns}
+        classes = label_counts(patterns)
         if (len(classes) == 1 or depth >= config.max_depth
                 or len(patterns) < config.min_samples):
             return TreeNode(label=majority)
@@ -222,10 +318,8 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
             # no chromosome separated this bucket at all
             return TreeNode(label=majority)
 
-        children = {
-            sig: grow(bucket, depth + 1)
-            for sig, bucket in sorted(buckets.items())
-        }
+        children = {sig: grow(bucket, depth + 1)
+                    for sig, bucket in buckets.items()}
         return TreeNode(label=majority, ds=best.classifier1, children=children)
 
     return PsmacaTree(root=grow(training, 0), n=n, config=config)

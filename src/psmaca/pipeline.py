@@ -282,6 +282,15 @@ def convolve(input, f: ResponseFilter) -> list[float]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _base_filter(sequence: str, structure: str, L: int,
+                 ridge: float) -> ResponseFilter:
+    """The response filter of one base record, fitted once per (sequence,
+    structure, L, ridge) per process, however many targets choose it."""
+    return deconvolve(structure_encode(structure), hydropathy_encode(sequence),
+                      L, ridge)
+
+
 def predict_structure(target: str, training,
                       cfg: PipelineConfig | None = None) -> PredictionResult:
     """Run the full base-selection / deconvolution / convolution pipeline."""
@@ -295,9 +304,8 @@ def predict_structure(target: str, training,
         raise ValueError("no training sequence is at least filter_length="
                          f"{cfg.filter_length} residues long")
     base, score = select_base(target, long_enough, cfg.kmer_size)
-    input_base = hydropathy_encode(base.sequence)
-    output_base = structure_encode(base.structure)
-    response = deconvolve(output_base, input_base, cfg.filter_length, cfg.ridge)
+    response = _base_filter(base.sequence, base.structure, cfg.filter_length,
+                            cfg.ridge)
 
     trace = convolve(hydropathy_encode(target), response)
     predicted = structure_decode(trace, cfg.decode_mode)

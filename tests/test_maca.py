@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmaca import maca
+from psmaca import ga, maca
 from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
 
 from tuple_bits import pack, unpack
@@ -243,6 +244,89 @@ class TestDistribute:
         b = LabeledPattern(0b10, "B")
         buckets = maca.distribute(ds, [a, b])
         assert len(buckets) == 1
+
+
+def loop_distribute(ds, patterns):
+    """`distribute` as a pattern-by-pattern loop over `_signature`, as
+    (signature, members) pairs in ascending signature order: the oracle of
+    the bit-sliced one."""
+    buckets = {}
+    for p in patterns:
+        buckets.setdefault(maca._signature(ds.masks, p.code), []).append(p)
+    return sorted(buckets.items())
+
+
+def listed(buckets):
+    return [(sig, list(bucket)) for sig, bucket in buckets.items()]
+
+
+def labeled_patterns(n, min_size=0):
+    return st.lists(st.builds(LabeledPattern, st.integers(0, (1 << n) - 1),
+                              st.sampled_from("HEC")),
+                    min_size=min_size, max_size=40)
+
+
+class TestBitSlicedOracle:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_distribute_matches_the_pattern_loop(self, data):
+        # n runs to 70: a column is N bits wide, whatever the code width
+        ds, _ = data.draw(dependency_strings())
+        patterns = data.draw(labeled_patterns(ds.n))
+        training = maca.pattern_set(patterns, ds.n)
+        assert list(training) == patterns and len(training) == len(patterns)
+        assert listed(maca.distribute(ds, training)) == \
+            loop_distribute(ds, patterns)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fitness_is_the_majority_count(self, data):
+        ds, _ = data.draw(dependency_strings())
+        patterns = data.draw(labeled_patterns(ds.n, min_size=1))
+        correct = sum(max(Counter(p.label for p in bucket).values())
+                      for _, bucket in loop_distribute(ds, patterns))
+        ch = ga.Chromosome(ds, 1)
+        assert ga.fitness(ch, maca.pattern_set(patterns, ds.n)) == \
+            ga.fitness(ch, patterns) == correct / len(patterns)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_child_bucket_distributes_like_its_list(self, data):
+        ds, _ = data.draw(dependency_strings())
+        patterns = data.draw(labeled_patterns(ds.n))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
+        for bucket in maca.distribute(ds, patterns).values():
+            members = list(bucket)
+            assert listed(maca.distribute(child.classifier1, bucket)) == \
+                listed(maca.distribute(child.classifier1, members)) == \
+                loop_distribute(child.classifier1, members)
+            assert maca.label_counts(bucket) == Counter(
+                p.label for p in members)
+
+    def test_labels_are_member_masks_in_training_order(self):
+        training = maca.pattern_set([LabeledPattern(0b10, "E"),
+                                     LabeledPattern(0b01, "H"),
+                                     LabeledPattern(0b11, "E")], 2)
+        assert training.slices.labels == {"E": 0b101, "H": 0b010}
+        assert training.slices.columns == (0b110, 0b101)
+
+    def test_codes_outside_n_bits_rejected(self):
+        ds = DependencyString(0b11, (2,))
+        patterns = [LabeledPattern(-1, "A"), LabeledPattern(0b100, "B")]
+        for call in (lambda: maca.distribute(ds, patterns),
+                     lambda: ga.fitness(ga.Chromosome(ds, 1), patterns),
+                     lambda: maca.pattern_set(patterns, 2)):
+            with pytest.raises(ValueError, match="unsigned 2-bit"):
+                call()
+
+    def test_set_of_another_width_rejected(self):
+        training = maca.pattern_set([LabeledPattern(0b11, "A")], 2)
+        ch = ga.Chromosome(DependencyString(0b111, (3,)), 1)
+        with pytest.raises(ValueError, match="2-bit codes, not 3-bit"):
+            maca.distribute(ch.classifier1, training)
+        with pytest.raises(ValueError, match="2-bit codes, not 3-bit"):
+            ga.fitness(ch, training)
 
 
 class TestMajorityLabel:

@@ -447,6 +447,26 @@ class TestPredictStructure:
         r2 = pipeline.predict_structure(target, dataset.records)
         assert r1 == r2
 
+    def test_one_fit_per_chosen_base(self, monkeypatch):
+        records = make_toy_dataset(6, 30, seed=1).records
+        targets = [records[0].sequence, records[0].sequence[:20]]
+        assert {pipeline.select_base(t, records)[0].id
+                for t in targets} == {records[0].id}
+        pipeline._base_filter.cache_clear()
+        fits = Counter()
+        real = pipeline.deconvolve
+
+        def counting(output, input, L, ridge):
+            fits[tuple(input)] += 1
+            return real(output, input, L, ridge)
+
+        monkeypatch.setattr(pipeline, "deconvolve", counting)
+        cached = [pipeline.predict_structure(t, records) for t in targets]
+        assert list(fits.values()) == [1]
+        pipeline._base_filter.cache_clear()
+        assert pipeline.predict_structure(targets[1], records) == cached[1]
+        assert list(fits.values()) == [2]
+
     def test_base_shorter_than_filter_is_skipped(self):
         # a_short shares more 3-mers with the target, but the 9-tap filter
         # cannot be fitted on its 6 residues
