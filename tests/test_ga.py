@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psmaca import dataio, ga
 from psmaca.codec import window_patterns
@@ -158,6 +160,140 @@ class TestMutate:
         out = ga.mutate(ch, 1.0, random.Random(5))
         assert out.classifier1 == DependencyString(1, (1,))
         assert out.classifier2 == 1
+
+
+# The operators as they ran when every call built a new chromosome, kept as
+# the oracle for their RNG draws: the ga versions must return an equal
+# chromosome and leave the generator in the same state.
+
+def oracle_random_chromosome(n, m, rng):
+    cuts = sorted(rng.sample(range(1, n), m - 1))
+    edges = [0] + cuts + [n]
+    widths = tuple(b - a for a, b in zip(edges, edges[1:]))
+    bits = 0
+    for width in widths:
+        bits = bits << width | rng.randrange(1, 1 << width)
+    return ga.Chromosome(DependencyString(bits, widths),
+                         rng.randrange(1, 1 << m))
+
+
+def oracle_crossover(a, b, rng):
+    ds_a, ds_b = a.classifier1, b.classifier1
+    k = rng.randrange(ds_a.m + 1)
+    low = ds_a.n - sum(ds_a.widths[:k])
+    j, tail = ds_b.m, 0
+    while j and tail + ds_b.widths[j - 1] <= low:
+        j -= 1
+        tail += ds_b.widths[j]
+    bits = ds_a.bits >> low << low | ds_b.bits & ((1 << tail) - 1)
+    widths = ds_a.widths[:k] + ds_b.widths[j:]
+    gap = low - tail
+    if gap:
+        bits |= rng.randrange(1, 1 << gap) << tail
+        widths = ds_a.widths[:k] + (gap,) + ds_b.widths[j:]
+    return ga.Chromosome(DependencyString(bits, widths),
+                         rng.randrange(1, 1 << len(widths)))
+
+
+def oracle_repair(bits, low, width, rng):
+    if bits >> low & ((1 << width) - 1):
+        return bits
+    return bits | 1 << (low + width - 1 - rng.randrange(width))
+
+
+def oracle_mutate_segment(bits, low, width, rate, rng):
+    for i in reversed(range(low, low + width)):
+        if rng.random() < rate:
+            bits ^= 1 << i
+    return oracle_repair(bits, low, width, rng)
+
+
+def oracle_mutate(ch, rate, rng):
+    ds = ch.classifier1
+    bits, widths, low = ds.bits, list(ds.widths), ds.n
+    for width in widths:
+        low -= width
+        bits = oracle_mutate_segment(bits, low, width, rate, rng)
+    if len(widths) >= 2 and rng.random() < rate:
+        i = rng.randrange(len(widths) - 1)
+        giver = i if rng.random() < 0.5 else i + 1
+        if widths[giver] >= 2:
+            widths[giver] -= 1
+            widths[2 * i + 1 - giver] += 1
+        low = ds.n - sum(widths[:i + 2])
+        bits = oracle_repair(bits, low + widths[i + 1], widths[i], rng)
+        bits = oracle_repair(bits, low, widths[i + 1], rng)
+    classifier2 = oracle_mutate_segment(ch.classifier2, 0, ds.m, rate, rng)
+    return ga.Chromosome(DependencyString(bits, tuple(widths)), classifier2)
+
+
+RATES = (0.0, 0.02, 0.5, 1.0)
+
+
+@st.composite
+def chromosomes(draw, n):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return oracle_random_chromosome(n, draw(st.integers(1, n)), rng)
+
+
+@st.composite
+def parent_pairs(draw):
+    """Two chromosomes over the same n; the second is the first itself, an
+    equal copy of it, or one drawn on its own, with its own m."""
+    n = draw(st.integers(1, 40))
+    a = draw(chromosomes(n))
+    kind = draw(st.sampled_from(("same", "equal", "other")))
+    if kind == "same":
+        return a, a
+    if kind == "equal":
+        return a, ga.Chromosome(DependencyString(a.classifier1.bits,
+                                                 a.classifier1.widths),
+                                a.classifier2)
+    return a, draw(chromosomes(n))
+
+
+def same_draws(seed, operator, oracle, *args):
+    """Run both on generators seeded alike; return the operator's result
+    after checking it and the generator's state against the oracle's."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    out = operator(*args, rng)
+    assert out == oracle(*args, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+    return out
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestSameDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data(), seed=seeds)
+    def test_random_chromosome(self, n, data, seed):
+        m = data.draw(st.integers(1, n))
+        same_draws(seed, ga.random_chromosome, oracle_random_chromosome, n, m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ch=st.integers(1, 40).flatmap(chromosomes),
+           rate=st.sampled_from(RATES), seed=seeds)
+    def test_mutate(self, ch, rate, seed):
+        same_draws(seed, ga.mutate, oracle_mutate, ch, rate)
+
+    @settings(max_examples=400, deadline=None)
+    @given(parents=parent_pairs(), seed=seeds)
+    def test_crossover(self, parents, seed):
+        same_draws(seed, ga.crossover, oracle_crossover, *parents)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_seeded_breeding_chain(self, rate):
+        # children bred from children, as evolve_maca breeds them
+        rng = random.Random(11)
+        pop = [oracle_random_chromosome(25, 2, rng) for _ in range(10)]
+        for _ in range(300):
+            a, b = rng.choice(pop), rng.choice(pop)
+            child = same_draws(rng.getrandbits(32), ga.crossover,
+                               oracle_crossover, a, b)
+            pop[rng.randrange(len(pop))] = same_draws(
+                rng.getrandbits(32), ga.mutate, oracle_mutate, child, rate)
 
 
 def toy_windows():
