@@ -7,11 +7,15 @@ Run from the repository root:
 It times `ga.fitness` of one chromosome on the first N training windows
 (N = 2400, 300, 34 and 8), as a `maca.pattern_set` built once, outside the
 timed call; `maca.build_tree` on all 2,400 windows with the `train`
-workload's GA settings (BUILD_ROUNDS rounds); `ga.mutate` and
-`ga.crossover` per call on a seeded population of 30 chromosomes (n = 25,
-m = 2 and 4, the default mutation rate), `dataio.load_model` of the
-model the benchmark's `predict_tree` workload reads, `maca.classify` per
-window,
+workload's GA settings (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA run
+that `build_tree` makes at the root of that tree, with the same settings,
+node patterns, m and seed (one GA run of `generations` generations,
+EVOLVE_ROUNDS rounds); `ga.random_chromosome` per call (n = 25, m = 2);
+`ga.mutate` and `ga.crossover` per call on a seeded population of 30
+chromosomes (n = 25, m = 2 and 4, the default mutation rate; each of these
+three layers seeds one generator per 30 calls, as seeding one costs about
+as much as a call), `dataio.load_model` of the model the benchmark's
+`predict_tree` workload reads, `maca.classify` per window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
 at width 8 with each boundary, `pipeline.select_base` and
 `pipeline.convolve` per target, `pipeline.similarity` per (target, base)
@@ -34,7 +38,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_20.json at the repository root, with the Python version and core
+BENCH_21.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
 """
@@ -54,7 +58,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_20.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_21.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -62,6 +66,7 @@ POPULATION = 30
 FILTER_LENGTH = 9
 PROBE_ROUNDS = 15
 BUILD_ROUNDS = 3
+EVOLVE_ROUNDS = 15
 # the GA settings of the benchmark's `train` workload
 TRAIN_CONFIG = maca.TreeConfig(population_size=10, generations=10, max_depth=8)
 VECTOR_ROUNDS = 20
@@ -135,6 +140,32 @@ def test_build_tree(benchmark, windows, layers):
     record(layers, benchmark, "maca.build_tree[train input]")
 
 
+def test_evolve_maca_at_root(benchmark, windows, layers):
+    # the root's GA run in test_build_tree: all windows, m for their three
+    # classes, and the first seed build_tree draws from rng_seed 1
+    training = maca.pattern_set(windows, N_BITS)
+    assert len(maca.label_counts(training)) == 3
+    seed = random.Random(1).getrandbits(32)
+    best, history = benchmark.pedantic(
+        ga.evolve_maca, (training, N_BITS, 2, TRAIN_CONFIG, seed),
+        rounds=EVOLVE_ROUNDS, iterations=1, warmup_rounds=1)
+    tree = maca.build_tree(windows, N_BITS, TRAIN_CONFIG, rng_seed=1)
+    assert best.classifier1 == tree.root.ds
+    record(layers, benchmark, "ga.evolve_maca[train root]")
+
+
+def test_random_chromosome(benchmark, layers):
+    def draw():
+        rng = random.Random(0)
+        return [ga.random_chromosome(N_BITS, 2, rng)
+                for _ in range(POPULATION)]
+
+    chromosomes = benchmark(draw)
+    assert all(ch.classifier1.m == 2 for ch in chromosomes)
+    record(layers, benchmark, f"ga.random_chromosome[n={N_BITS}, m=2]",
+           per=POPULATION)
+
+
 def population(m: int) -> list[ga.Chromosome]:
     rng = random.Random(m)
     return [ga.random_chromosome(N_BITS, m, rng) for _ in range(POPULATION)]
@@ -144,8 +175,11 @@ def population(m: int) -> list[ga.Chromosome]:
 def test_mutate(benchmark, layers, m):
     pop = population(m)
     rate = maca.TreeConfig.mutation_rate
-    children = benchmark(
-        lambda: [ga.mutate(ch, rate, random.Random(1)) for ch in pop])
+    def breed():
+        rng = random.Random(1)
+        return [ga.mutate(ch, rate, rng) for ch in pop]
+
+    children = benchmark(breed)
     assert all(ch.classifier1.n == N_BITS for ch in children)
     record(layers, benchmark, f"ga.mutate[n={N_BITS}, m={m}]", per=POPULATION)
 
@@ -164,8 +198,11 @@ def test_dependency_string_construct(benchmark, layers):
 def test_crossover(benchmark, layers, m):
     pop = population(m)
     pairs = list(zip(pop, pop[1:] + pop[:1]))
-    children = benchmark(
-        lambda: [ga.crossover(a, b, random.Random(1)) for a, b in pairs])
+    def breed():
+        rng = random.Random(1)
+        return [ga.crossover(a, b, rng) for a, b in pairs]
+
+    children = benchmark(breed)
     assert all(ch.classifier1.n == N_BITS for ch in children)
     record(layers, benchmark, f"ga.crossover[n={N_BITS}, m={m}]",
            per=len(pairs))

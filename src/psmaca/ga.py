@@ -8,6 +8,15 @@ only classifier #1, so `evolve_maca` memoizes it per run: a dict from
 dependency string to score means each distinct dependency string is scored
 once, however often selection, elitism or a no-op mutation brings it back.
 The memo changes no RNG draw, score or history.
+
+The operators reuse what did not change, which is safe because chromosomes
+and dependency strings are immutable.  `mutate` returns its input when no
+bit flipped and no boundary moved, and keeps its dependency string when
+only classifier #2 changed; `crossover` gives the child a parent's
+dependency string when the child's bits and widths equal that parent's.
+Reuse skips only object construction: every operator makes the same RNG
+draws in the same order as one that builds a new chromosome on every call,
+so a seed gives the same run, history and model bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +33,14 @@ class Chromosome:
     classifier2: int
 
     def __post_init__(self):
-        if not 0 < self.classifier2 < 1 << self.classifier1.m:
-            raise ValueError("classifier2 must be a nonzero m-bit vector")
+        if not isinstance(self.classifier1, DependencyString):
+            raise ValueError(f"classifier1 must be a DependencyString, "
+                             f"got {self.classifier1!r}")
+        m = len(self.classifier1.widths)
+        if (type(self.classifier2) is not int
+                or not 0 < self.classifier2 < 1 << m):
+            raise ValueError(f"classifier2 must be a nonzero {m}-bit int, "
+                             f"got {self.classifier2!r}")
 
 
 @dataclass
@@ -68,7 +83,8 @@ def fitness(ch: Chromosome, training) -> float:
 
 def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     """Recombine at segment boundaries: a prefix of a's segments plus a
-    suffix of b's, with the straddling gap re-randomized to a fresh DV."""
+    suffix of b's, with the straddling gap re-randomized to a fresh DV.  A
+    child whose dependency string equals a parent's gets that parent's."""
     ds_a, ds_b = a.classifier1, b.classifier1
     if ds_b.n != ds_a.n:
         raise ValueError("parents must cover the same pattern length")
@@ -84,8 +100,13 @@ def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     if gap:  # a fresh DV fills the bits between prefix and suffix
         bits |= rng.randrange(1, 1 << gap) << tail
         widths = ds_a.widths[:k] + (gap,) + ds_b.widths[j:]
-    return Chromosome(DependencyString(bits, widths),
-                      rng.randrange(1, 1 << len(widths)))
+    if bits == ds_a.bits and widths == ds_a.widths:
+        ds = ds_a
+    elif bits == ds_b.bits and widths == ds_b.widths:
+        ds = ds_b
+    else:
+        ds = DependencyString(bits, widths)
+    return Chromosome(ds, rng.randrange(1, 1 << len(widths)))
 
 
 def _repair(bits: int, low: int, width: int, rng: random.Random) -> int:
@@ -95,40 +116,49 @@ def _repair(bits: int, low: int, width: int, rng: random.Random) -> int:
     return bits | 1 << (low + width - 1 - rng.randrange(width))
 
 
-def _mutate_segment(bits: int, low: int, width: int, rate: float,
-                    rng: random.Random) -> int:
-    # flip each bit of bits[low:low + width] at `rate`, top bit first
-    for i in reversed(range(low, low + width)):
-        if rng.random() < rate:
-            bits ^= 1 << i
-    return _repair(bits, low, width, rng)
-
-
 def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
     """Independent bit flips at `rate`, zero-DV repair, and (with
-    probability `rate`) a +-1 shift of one segment boundary."""
+    probability `rate`) a +-1 shift of one segment boundary.  Returns `ch`
+    itself when nothing changed, and keeps its dependency string when only
+    `classifier2` did."""
     if not 0 <= rate <= 1:
         raise ValueError("mutation rate must lie in [0, 1]")
+    random_ = rng.random
     ds = ch.classifier1
-    bits, widths, low = ds.bits, list(ds.widths), ds.n
+    bits, widths, low = ds.bits, ds.widths, ds.n
     for width in widths:
-        low -= width
-        bits = _mutate_segment(bits, low, width, rate, rng)
+        # flip each bit of the segment at `rate`, top bit first
+        top, low = low - 1, low - width
+        for i in range(top, low - 1, -1):
+            if random_() < rate:
+                bits ^= 1 << i
+        bits = _repair(bits, low, width, rng)
 
-    if len(widths) >= 2 and rng.random() < rate:
-        i = rng.randrange(len(widths) - 1)  # boundary between i and i+1
+    m = len(widths)
+    if m >= 2 and random_() < rate:
+        widths = list(widths)
+        i = rng.randrange(m - 1)  # boundary between i and i+1
         # segment i gives its last bit (the boundary moves left), or
         # segment i+1 its first; a 1-bit segment gives none
-        giver = i if rng.random() < 0.5 else i + 1
+        giver = i if random_() < 0.5 else i + 1
         if widths[giver] >= 2:
             widths[giver] -= 1
             widths[2 * i + 1 - giver] += 1
         low = ds.n - sum(widths[:i + 2])  # the bottom of segment i+1
         bits = _repair(bits, low + widths[i + 1], widths[i], rng)
         bits = _repair(bits, low, widths[i + 1], rng)
+        widths = tuple(widths)
 
-    classifier2 = _mutate_segment(ch.classifier2, 0, ds.m, rate, rng)
-    return Chromosome(DependencyString(bits, tuple(widths)), classifier2)
+    classifier2 = ch.classifier2
+    for i in range(m - 1, -1, -1):
+        if random_() < rate:
+            classifier2 ^= 1 << i
+    classifier2 = _repair(classifier2, 0, m, rng)
+    if bits != ds.bits or widths != ds.widths:
+        return Chromosome(DependencyString(bits, widths), classifier2)
+    if classifier2 != ch.classifier2:
+        return Chromosome(ds, classifier2)
+    return ch
 
 
 def evolve_maca(training, n: int, m: int, config: TreeConfig,
@@ -152,12 +182,16 @@ def evolve_maca(training, n: int, m: int, config: TreeConfig,
     history = FitnessHistory(best=[], mean=[])
     best_ch, best_fit = None, -1.0
 
+    randrange = rng.randrange
+
     def tournament() -> Chromosome:
-        i, j = rng.randrange(len(population)), rng.randrange(len(population))
+        i, j = randrange(len(population)), randrange(len(population))
         return population[i] if scores[i] >= scores[j] else population[j]
 
     for generation in range(config.generations + 1):
-        order = sorted(range(len(population)), key=lambda i: -scores[i])
+        # best first; a stable sort keeps equal scores in population order
+        order = sorted(range(len(population)), key=scores.__getitem__,
+                       reverse=True)
         if scores[order[0]] > best_fit:
             best_fit, best_ch = scores[order[0]], population[order[0]]
         if generation == config.generations:  # the last population only

@@ -62,9 +62,17 @@ class DependencyString:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # exact types: a float or bool is no bits, and only a tuple of
+        # widths can key the GA's fitness memo
+        if type(self.bits) is not int:
+            raise ValueError(f"bits must be an int, got {self.bits!r}")
+        if type(self.widths) is not tuple:
+            raise ValueError(f"widths must be a tuple, got {self.widths!r}")
         if not self.widths:
             raise ValueError("dependency string needs at least one segment")
         object.__setattr__(self, "n", sum(self.widths))
+        if type(self.n) is not int:
+            raise ValueError(f"widths must be ints, got {self.widths!r}")
         _check_code(self.bits, self.n)
         masks, low = [], self.n
         for width in self.widths:

@@ -82,6 +82,19 @@ class TestRandomChromosome:
         assert a == b
 
 
+class TestChromosome:
+    @pytest.mark.parametrize("classifier1, classifier2, message", [
+        (DependencyString(0b1011, (2, 2)), 1.5, "classifier2 must be"),
+        (DependencyString(0b1011, (2, 2)), True, "classifier2 must be"),
+        (DependencyString(0b1011, (2, 2)), 4, "nonzero 2-bit"),
+        (DependencyString(0b1011, (2, 2)), 0, "nonzero 2-bit"),
+        ("xx", 1, "classifier1 must be a DependencyString"),
+    ])
+    def test_rejected(self, classifier1, classifier2, message):
+        with pytest.raises(ValueError, match=message):
+            ga.Chromosome(classifier1, classifier2)
+
+
 class TestFitness:
     def test_single_class_always_perfect(self):
         pats = [LabeledPattern(code, "A") for code in range(1 << 2)]
@@ -118,7 +131,7 @@ class TestCrossover:
         rng = random.Random(7)
         a = ga.random_chromosome(10, 3, rng)
         child = ga.crossover(a, a, rng)
-        assert child.classifier1 == a.classifier1
+        assert child.classifier1 is a.classifier1
 
     def test_child_invariants(self):
         rng = random.Random(8)
@@ -146,7 +159,7 @@ class TestCrossover:
 class TestMutate:
     def test_rate_zero_is_identity(self):
         ch = ga.random_chromosome(9, 3, random.Random(1))
-        assert ga.mutate(ch, 0.0, random.Random(2)) == ch
+        assert ga.mutate(ch, 0.0, random.Random(2)) is ch
 
     def test_invariants_at_high_rate(self):
         rng = random.Random(4)
@@ -276,12 +289,22 @@ class TestSameDraws:
     @given(ch=st.integers(1, 40).flatmap(chromosomes),
            rate=st.sampled_from(RATES), seed=seeds)
     def test_mutate(self, ch, rate, seed):
-        same_draws(seed, ga.mutate, oracle_mutate, ch, rate)
+        out = same_draws(seed, ga.mutate, oracle_mutate, ch, rate)
+        # what did not change is the input's own object
+        if out.classifier1 == ch.classifier1:
+            assert out.classifier1 is ch.classifier1
+            assert out is ch or out.classifier2 != ch.classifier2
 
     @settings(max_examples=400, deadline=None)
     @given(parents=parent_pairs(), seed=seeds)
     def test_crossover(self, parents, seed):
-        same_draws(seed, ga.crossover, oracle_crossover, *parents)
+        a, b = parents
+        out = same_draws(seed, ga.crossover, oracle_crossover, a, b)
+        # a child equal to a parent holds that parent's dependency string
+        if out.classifier1 == a.classifier1:
+            assert out.classifier1 is a.classifier1
+        elif out.classifier1 == b.classifier1:
+            assert out.classifier1 is b.classifier1
 
     @pytest.mark.parametrize("rate", RATES)
     def test_seeded_breeding_chain(self, rate):

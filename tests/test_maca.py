@@ -57,6 +57,18 @@ class TestDvValidity:
         with pytest.raises(ValueError):
             DependencyString(0b1000, (2, 2))
 
+    @pytest.mark.parametrize("bits, widths, message", [
+        (3.0, (2,), "bits must be an int"),
+        (True, (1,), "bits must be an int"),
+        (0b11, [1, 1], "widths must be a tuple"),
+        (0b11, (1.0, 1), "widths must be ints"),
+    ])
+    def test_exact_types(self, bits, widths, message):
+        # a list of widths would be accepted and then crash the fitness
+        # memo, which hashes dependency strings
+        with pytest.raises(ValueError, match=message):
+            DependencyString(bits, widths)
+
 
 class TestMasksField:
     def test_identity_is_bits_and_widths(self):
