@@ -268,6 +268,21 @@ def loop_distribute(ds, patterns):
     return sorted(buckets.items())
 
 
+def loop_members(ds, patterns, indices):
+    """The member mask of each signature the `_signature` loop puts the
+    patterns at `indices` under, as (signature, mask) pairs in ascending
+    signature order."""
+    buckets = {}
+    for i in indices:
+        sig = maca._signature(ds.masks, patterns[i].code)
+        buckets[sig] = buckets.get(sig, 0) | 1 << i
+    return sorted(buckets.items())
+
+
+def masks(buckets):
+    return [(sig, bucket.members) for sig, bucket in buckets.items()]
+
+
 def listed(buckets):
     return [(sig, list(bucket)) for sig, bucket in buckets.items()]
 
@@ -289,6 +304,24 @@ class TestBitSlicedOracle:
         assert list(training) == patterns and len(training) == len(patterns)
         assert listed(maca.distribute(ds, training)) == \
             loop_distribute(ds, patterns)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_members_are_the_loop_indices(self, data):
+        # bit i of a bucket's members is pattern i of the list, on the
+        # whole list and on a child bucket of it
+        ds, _ = data.draw(dependency_strings())
+        patterns = data.draw(labeled_patterns(ds.n))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng).classifier1
+        buckets = maca.distribute(ds, patterns)
+        assert masks(buckets) == \
+            loop_members(ds, patterns, range(len(patterns)))
+        for bucket in buckets.values():
+            indices = [i for i in range(len(patterns))
+                       if bucket.members >> i & 1]
+            assert masks(maca.distribute(child, bucket)) == \
+                loop_members(child, patterns, indices)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
