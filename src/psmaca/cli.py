@@ -115,15 +115,6 @@ def cmd_basins(args) -> int:
     return 0
 
 
-def _training_patterns(records, window: int):
-    patterns = []
-    for record in records:
-        for code, label in zip(window_patterns(record.sequence, window),
-                               record.structure):
-            patterns.append(maca.LabeledPattern(code, label))
-    return patterns
-
-
 def _tree_config(args) -> maca.TreeConfig:
     return maca.TreeConfig(**{name: getattr(args, name)
                               for name in _TREE_FLAGS.values()})
@@ -167,9 +158,11 @@ def cmd_train(args) -> int:
     pipeline = PipelineConfig(filter_length=args.filter_length)
     _check_outputs([("--out", args.out)], [("--data", args.data)])
     text = dataio.read_text(args.data)
-    records = dataio.parse_paired(text)
-    patterns = _training_patterns(records, args.window)
-    tree = maca.build_tree(patterns, RESIDUE_BITS * args.window, config,
+    # one (code, label) pair per window
+    pairs = [pair for record in dataio.parse_paired(text)
+             for pair in zip(window_patterns(record.sequence, args.window),
+                             record.structure)]
+    tree = maca.build_tree(pairs, RESIDUE_BITS * args.window, config,
                            rng_seed=args.seed)
     model = dataio.ModelFile(
         tree=tree,
@@ -244,6 +237,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.comparison:  # the table's header names --data
+        dataio.tsv_cell(args.data, "--data")
     # a bad output path fails now, before any record is predicted
     route = _route(args, args.train_data or args.data, outputs=(
         ("--report", args.report), ("--json", args.json_out),

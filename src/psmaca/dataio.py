@@ -240,10 +240,20 @@ def metrics_json(report: MetricsReport) -> str:
 COMPARISON_METHODS = ("DSP", "PHD", "SAM-T99", "SSPro", "PSMACA")
 
 
+def tsv_cell(text: str, what: str) -> str:
+    """`text` as one TSV cell: a tab or a line break in it would add a
+    column or a row."""
+    if "\t" in text or "".join(text.splitlines()) != text:
+        raise ValueError(f"{what} {text!r} holds a tab or a line break "
+                         "and cannot be one TSV cell")
+    return text
+
+
 def comparison_tsv(dataset_name: str, psmaca_q3: float) -> str:
     """Comparison-table skeleton: one accuracy column per dataset, one row
     per method; only the PSMACA row is populated here."""
-    lines = [f"method\t{dataset_name or 'dataset'} accuracy (%)"]
+    name = tsv_cell(dataset_name, "dataset name") or "dataset"
+    lines = [f"method\t{name} accuracy (%)"]
     for method in COMPARISON_METHODS:
         value = f"{psmaca_q3:.2f}" if method == "PSMACA" else "NA"
         lines.append(f"{method}\t{value}")

@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .maca import DependencyString, TreeConfig, distribute, pattern_set
+from .maca import (DependencyString, TreeConfig, _check_seed, distribute,
+                   pattern_set)
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ def evolve_maca(training, n: int, m: int, config: TreeConfig,
                 rng_seed: int) -> tuple[Chromosome, FitnessHistory]:
     """Tournament(2) selection with elitism under `config`'s GA settings;
     returns the best individual ever seen plus the per-generation history."""
+    rng = random.Random(_check_seed(rng_seed))
     training = pattern_set(training, n)
-    rng = random.Random(rng_seed)
     memo: dict[DependencyString, float] = {}
 
     def score(ch: Chromosome) -> float:

@@ -17,22 +17,23 @@ spilling into a neighbouring value.  As text, an m-bit value is m ASCII
 '0'/'1' characters.
 
 Training runs on the same layout transposed (bit-sliced).  A training set
-of N labeled patterns is built once per `build_tree` call: pattern i, in
-training order, is bit i of every N-bit int.  Column b is the int whose
-bit i is bit b of pattern i's code, and each label has a member mask of the
-patterns it labels.  A tree node's patterns are a `PatternSet`: that shared
-data plus one N-bit member mask.  Signature bit j of every member at once
-is the XOR of the columns mask j selects, so `distribute` splits the member
-mask once per segment, and a class count is a popcount of the members AND
-a label's mask.  No per-pattern loop runs after the set is built.
+of N (code, label) pairs is built once per `build_tree` call and keeps only
+bits: pattern i, in training order, is bit i of every N-bit int.  Column b
+is the int whose bit i is bit b of code i, and each label has a member
+mask of the patterns it labels.  A tree node's patterns are a `PatternSet`:
+that shared data plus one N-bit member mask.  Signature bit j of every
+member at once is the XOR of the columns mask j selects, so `distribute`
+splits the member mask once per segment, and a class count is a popcount
+of the members AND a label's mask.  No per-pattern loop runs after the set
+is built.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, fields
-from itertools import compress, islice
+from itertools import islice
+from typing import NamedTuple
 
 
 def _check_text(text) -> str:
@@ -45,6 +46,14 @@ def _check_code(code: int, n: int) -> int:
     if code >> n:  # also nonzero for every negative code
         raise ValueError(f"{code} is not an unsigned {n}-bit value")
     return code
+
+
+def _check_seed(seed) -> int:
+    # random.Random(-s) seeds like Random(s), and a float or str seeds by
+    # its hash, so two seeds would give one run
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"rng seed must be a non-negative int, got {seed!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,9 @@ def basin_signature(ds: DependencyString, code: int) -> int:
     return _signature(ds.masks, code)
 
 
-@dataclass(frozen=True)
-class LabeledPattern:
+class LabeledPattern(NamedTuple):
+    """A (code, label) training pair; a plain pair trains the same."""
+
     code: int
     label: str
 
@@ -120,8 +130,7 @@ class LabeledPattern:
 class PatternSet:
     """Some patterns of one bit-sliced training set: pattern i is a member
     when bit i of `members` is set.  Every set cut from the same training
-    set shares its `slices`; iterating yields the members in training
-    order."""
+    set shares its `slices`."""
 
     __slots__ = ("slices", "members")
 
@@ -135,21 +144,12 @@ class PatternSet:
     def __len__(self) -> int:
         return self.members.bit_count()
 
-    def __iter__(self):
-        # bit i of members is character i of its reversed binary text
-        picks = map("1".__eq__, format(self.members, "b")[::-1])
-        return compress(self.slices.patterns, picks)
-
 
 @dataclass(frozen=True, eq=False)
 class _Slices:
     """A training set transposed: pattern i is bit i of every N-bit int."""
 
-    patterns: tuple[LabeledPattern, ...]
     n: int
-    # column b holds bit b of every code: bit i of columns[b] is bit b of
-    # patterns[i].code
-    columns: tuple[int, ...]
     # byte_xors[k][v] is the XOR of columns 8k + b over the set bits b of
     # v, so a mask's XOR takes one lookup per byte: 256 N-bit ints a byte
     byte_xors: tuple[list[int], ...]
@@ -157,18 +157,18 @@ class _Slices:
     labels: dict[str, int]
 
 
-def pattern_set(patterns, n: int | None = None) -> PatternSet:
-    """All of `patterns`, as a set over n-bit codes; a PatternSet over n
-    bits is returned as it is.  With n None, the codes' own width."""
+def pattern_set(patterns, n: int) -> PatternSet:
+    """(code, label) pairs as a set over n-bit codes; a PatternSet over n
+    bits is returned as it is."""
     if isinstance(patterns, PatternSet):
-        if n is not None and patterns.n != n:
+        if patterns.n != n:
             raise ValueError(f"pattern set holds {patterns.n}-bit codes, "
                              f"not {n}-bit")
         return patterns
-    patterns = tuple(patterns)
-    if n is None:
-        n = max((p.code.bit_length() for p in patterns), default=0) or 1
-    rows = [format(_check_code(p.code, n), f"0{n}b") for p in patterns]
+    rows, labels = [], []
+    for code, label in patterns:
+        rows.append(format(_check_code(code, n), f"0{n}b"))
+        labels.append(label)
     # character k of a row is bit n-1-k; the last pattern is each column's
     # most significant bit
     columns = [int("".join(bits), 2) for bits in zip(*reversed(rows))][::-1]
@@ -179,19 +179,18 @@ def pattern_set(patterns, n: int | None = None) -> PatternSet:
         for column in columns[low:low + 8]:
             table += [x ^ column for x in table]
         byte_xors.append(table)
-    labels = [p.label for p in reversed(patterns)]
     label_masks = {
-        label: int("".join(["1" if x == label else "0" for x in labels]), 2)
-        for label in dict.fromkeys(p.label for p in patterns)}
-    slices = _Slices(patterns, n, tuple(columns), tuple(byte_xors),
-                     label_masks)
-    return PatternSet(slices, (1 << len(patterns)) - 1)
+        label: int("".join(["1" if x == label else "0"
+                            for x in reversed(labels)]), 2)
+        for label in dict.fromkeys(labels)}
+    return PatternSet(_Slices(n, tuple(byte_xors), label_masks),
+                      (1 << len(rows)) - 1)
 
 
 def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
     """Bucket patterns by basin signature, in ascending signature order;
-    every pattern lands in exactly one bucket.  A plain list is made a
-    pattern set first."""
+    every pattern lands in exactly one bucket.  A list of (code, label)
+    pairs is made a pattern set first."""
     patterns = pattern_set(patterns, ds.n)
     byte_xors = patterns.slices.byte_xors
     buckets = {0: patterns.members}
@@ -217,17 +216,15 @@ def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
             for sig, members in buckets.items()}
 
 
-def label_counts(patterns) -> dict[str, int]:
+def label_counts(patterns: PatternSet) -> dict[str, int]:
     """Members of each label present, by popcount of the label's mask."""
-    patterns = pattern_set(patterns)
     members = patterns.members
     return {label: count for label, mask in patterns.slices.labels.items()
             if (count := (members & mask).bit_count())}
 
 
-def majority_label(patterns) -> str:
-    """Most frequent label; ties broken by the smallest label."""
-    counts = label_counts(patterns)
+def majority_label(counts: dict[str, int]) -> str:
+    """The most frequent label of `label_counts`; ties go to the smallest."""
     return min(counts, key=lambda lab: (-counts[lab], lab))
 
 
@@ -294,7 +291,7 @@ class PsmacaTree:
 
 def build_tree(training, n: int, config: TreeConfig | None = None,
                rng_seed: int = 0) -> PsmacaTree:
-    """Recursively partition the training set of n-bit patterns.
+    """Recursively partition the (code, label) pairs of n-bit codes.
 
     At each impure node a GA evolves a dependency string with
     m = ceil(log2 K') segments for the node's K' classes; pure buckets
@@ -302,20 +299,21 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
     """
     from . import ga  # deferred: ga imports this module's types
 
+    rng = random.Random(_check_seed(rng_seed))
     config = config or TreeConfig()
     training = pattern_set(training, n)
     if not training:
         raise ValueError("training set must be non-empty")
-    rng = random.Random(rng_seed)
 
     def grow(patterns: PatternSet, depth: int) -> TreeNode:
-        majority = majority_label(patterns)
         classes = label_counts(patterns)
+        majority = majority_label(classes)
         if (len(classes) == 1 or depth >= config.max_depth
                 or len(patterns) < config.min_samples):
             return TreeNode(label=majority)
 
-        m = min(max(1, math.ceil(math.log2(len(classes)))), n)
+        # ceil(log2 K') for K' >= 2 classes
+        m = min((len(classes) - 1).bit_length(), n)
         for _ in range(config.split_retries):
             best, _ = ga.evolve_maca(patterns, n, m, config,
                                      rng.getrandbits(32))

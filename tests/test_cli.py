@@ -267,6 +267,17 @@ class TestTrain:
         assert run_cli(["train", "--data", str(data), "--out", path]) == 2
         assert f"--out {path}" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, toy_files, capsys):
+        # Random(-3) seeds like Random(3): the model would record -3 for
+        # the tree of seed 3
+        _, data, _ = toy_files
+        model = tmp_path / "model.json"
+        assert run_cli(["train", "--data", str(data), "--out", str(model),
+                        "--seed", "-3"]) == 2
+        assert "seed must be a non-negative int, got -3" in \
+            capsys.readouterr().err
+        assert not model.exists()
+
     def test_determinism_byte_identical(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files
         dirs = tmp_path / "a", tmp_path / "b"
@@ -783,6 +794,25 @@ class TestEvaluate:
         assert [row["q3"] for row in rows] == [
             dataio.q3(p.structure, t.structure).q3
             for p, t in zip(predicted, targets.records)]
+
+    @pytest.mark.parametrize("name", ["a\tb.txt", "a\nb.txt", "a\rb.txt"],
+                             ids=["tab", "newline", "carriage-return"])
+    def test_comparison_data_name_fails_before_prediction(
+            self, tmp_path, toy_files, capsys, monkeypatch, name):
+        # the comparison header names --data: a tab would add a column, a
+        # line break a row
+        _, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        odd = tmp_path / name
+        odd.write_text(data.read_text())
+        monkeypatch.setattr(maca, "classify", no_prediction)
+        outputs = [tmp_path / "r.tsv", tmp_path / "cmp.tsv"]
+        assert run_cli(["evaluate", "--model", str(model), "--data", str(odd),
+                        "--report", str(outputs[0]),
+                        "--comparison", str(outputs[1])]) == 2
+        assert f"--data {str(odd)!r} holds a tab or a line break" in \
+            capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
 
     def test_tree_evaluation_runs(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files

@@ -257,6 +257,13 @@ class TestQ3:
         assert lines[-1] == "PSMACA\t83.25"
         assert all(l.endswith("NA") for l in lines[1:5])
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\r\nb", "a\x0bb",
+                                      "a\u2028b", "ab\n"])
+    def test_comparison_name_with_a_tab_or_line_break_rejected(self, name):
+        # each would add a column or split the header over two lines
+        with pytest.raises(ValueError, match="tab or a line break"):
+            dataio.comparison_tsv(name, 83.25)
+
 
 def small_model():
     # window 1: one residue, so 5-bit patterns

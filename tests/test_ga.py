@@ -449,6 +449,14 @@ class TestEvolveMaca:
             assert all(b1 <= b2 for b1, b2 in zip(history.best, history.best[1:]))
             assert all(0.0 <= v <= 1.0 for v in history.best + history.mean)
 
+    @pytest.mark.parametrize("seed", [-3, 2.0, True, "3"])
+    def test_seed_not_a_non_negative_int_rejected(self, seed):
+        # Random(-3) seeds like Random(3), and a float or str by its hash
+        pats = parity_patterns(4, (1, 1, 0, 0), 8, seed=3)
+        cfg = TreeConfig(population_size=4, generations=2)
+        with pytest.raises(ValueError, match="seed"):
+            ga.evolve_maca(pats, 4, 1, cfg, seed)
+
     def test_seed_determinism(self):
         pats = parity_patterns(5, (1, 0, 0, 1, 0), 25, seed=5)
         cfg = TreeConfig(population_size=10, generations=8)

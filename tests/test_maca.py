@@ -16,6 +16,11 @@ def all_patterns(n):
     return range(1 << n)
 
 
+def indices(members):
+    """The set bits of a member mask: the training indices of its patterns."""
+    return [i for i in range(members.bit_length()) if members >> i & 1]
+
+
 class TestBitLayout:
     def test_most_significant_bit_first(self):
         ds = DependencyString.from_bit_strings(["001", "011"])
@@ -182,11 +187,12 @@ class TestPackedKernel:
                    for i, p in enumerate(patterns)]
         buckets = maca.distribute(ds, labeled)
         # a partition: every pattern once, in the bucket of its signature
-        assert sorted(q.label for b in buckets.values() for q in b) == \
-            sorted(q.label for q in labeled)
+        assert sorted(i for b in buckets.values()
+                      for i in indices(b.members)) == list(range(len(labeled)))
         for sig, bucket in buckets.items():
-            assert all(oracle_signature(segments, unpack(q.code, ds.n))
-                       == unpack(sig, ds.m) for q in bucket)
+            assert all(oracle_signature(segments,
+                                        unpack(labeled[i].code, ds.n))
+                       == unpack(sig, ds.m) for i in indices(bucket.members))
 
     @given(dependency_strings())
     @settings(max_examples=200, deadline=None)
@@ -283,10 +289,6 @@ def masks(buckets):
     return [(sig, bucket.members) for sig, bucket in buckets.items()]
 
 
-def listed(buckets):
-    return [(sig, list(bucket)) for sig, bucket in buckets.items()]
-
-
 def labeled_patterns(n, min_size=0):
     return st.lists(st.builds(LabeledPattern, st.integers(0, (1 << n) - 1),
                               st.sampled_from("HEC")),
@@ -301,9 +303,10 @@ class TestBitSlicedOracle:
         ds, _ = data.draw(dependency_strings())
         patterns = data.draw(labeled_patterns(ds.n))
         training = maca.pattern_set(patterns, ds.n)
-        assert list(training) == patterns and len(training) == len(patterns)
-        assert listed(maca.distribute(ds, training)) == \
-            loop_distribute(ds, patterns)
+        assert training.members == (1 << len(patterns)) - 1
+        assert len(training) == len(patterns)
+        assert masks(maca.distribute(ds, training)) == \
+            loop_members(ds, patterns, range(len(patterns)))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -342,10 +345,16 @@ class TestBitSlicedOracle:
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         child = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
         for bucket in maca.distribute(ds, patterns).values():
-            members = list(bucket)
-            assert listed(maca.distribute(child.classifier1, bucket)) == \
-                listed(maca.distribute(child.classifier1, members)) == \
-                loop_distribute(child.classifier1, members)
+            picked = indices(bucket.members)
+            members = [patterns[i] for i in picked]
+            from_bucket = maca.distribute(child.classifier1, bucket)
+            from_list = maca.distribute(child.classifier1, members)
+            assert masks(from_bucket) == \
+                loop_members(child.classifier1, patterns, picked)
+            assert masks(from_list) == \
+                loop_members(child.classifier1, members, range(len(members)))
+            assert {sig: maca.label_counts(b) for sig, b in from_bucket.items()} \
+                == {sig: maca.label_counts(b) for sig, b in from_list.items()}
             assert maca.label_counts(bucket) == Counter(
                 p.label for p in members)
 
@@ -353,8 +362,32 @@ class TestBitSlicedOracle:
         training = maca.pattern_set([LabeledPattern(0b10, "E"),
                                      LabeledPattern(0b01, "H"),
                                      LabeledPattern(0b11, "E")], 2)
-        assert training.slices.labels == {"E": 0b101, "H": 0b010}
-        assert training.slices.columns == (0b110, 0b101)
+        slices = training.slices
+        assert list(slices.labels.items()) == [("E", 0b101), ("H", 0b010)]
+        # column b is the XOR table entry of bit b alone
+        assert [slices.byte_xors[b // 8][1 << b % 8] for b in range(2)] == \
+            [0b110, 0b101]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_pairs_train_like_labeled_patterns(self, data):
+        ds, _ = data.draw(dependency_strings())
+        patterns = data.draw(labeled_patterns(ds.n, min_size=1))
+        pairs = [(p.code, p.label) for p in patterns]
+        named = maca.pattern_set(patterns, ds.n)
+        plain = maca.pattern_set(pairs, ds.n)
+        assert list(plain.slices.labels.items()) == \
+            list(named.slices.labels.items())
+        assert plain.slices.byte_xors == named.slices.byte_xors
+        assert masks(maca.distribute(ds, plain)) == \
+            masks(maca.distribute(ds, named))
+        ch = ga.Chromosome(ds, 1)
+        assert ga.fitness(ch, pairs) == ga.fitness(ch, patterns)
+
+    def test_labeled_pattern_is_a_pair(self):
+        p = LabeledPattern(0b101, "H")
+        assert p == (0b101, "H") and (p.code, p.label) == (0b101, "H")
+        assert repr(p) == "LabeledPattern(code=5, label='H')"
 
     def test_codes_outside_n_bits_rejected(self):
         ds = DependencyString(0b11, (2,))
@@ -374,17 +407,20 @@ class TestBitSlicedOracle:
             ga.fitness(ch, training)
 
 
+def majority(patterns):
+    counts = maca.label_counts(maca.pattern_set(patterns, 1))
+    return maca.majority_label(counts)
+
+
 class TestMajorityLabel:
     def test_majority(self):
-        assert maca.majority_label(
-            [LabeledPattern(0, c) for c in "AAB"]) == "A"
+        assert majority([LabeledPattern(0, c) for c in "AAB"]) == "A"
 
     def test_tie_breaks_to_smallest(self):
-        assert maca.majority_label(
-            [LabeledPattern(0, c) for c in "BA"]) == "A"
+        assert majority([LabeledPattern(0, c) for c in "BA"]) == "A"
 
     def test_singleton(self):
-        assert maca.majority_label([LabeledPattern(1, "B")]) == "B"
+        assert majority([LabeledPattern(1, "B")]) == "B"
 
 
 def parity_dataset(n, mask_bits, count, seed):
@@ -426,6 +462,14 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             maca.build_tree([LabeledPattern(0b1, "A"),
                              LabeledPattern(0b10, "B")], 1, SMALL_GA)
+
+    @pytest.mark.parametrize("seed", [-3, 2.0, True, "3"])
+    def test_seed_not_a_non_negative_int_rejected(self, seed):
+        # Random(-3) seeds like Random(3): the model would record a seed
+        # that trained nothing of its own
+        pats = [LabeledPattern(0b01, "A"), LabeledPattern(0b10, "B")]
+        with pytest.raises(ValueError, match="seed"):
+            maca.build_tree(pats, 2, SMALL_GA, rng_seed=seed)
 
     def test_three_classes(self):
         rng = random.Random(9)
