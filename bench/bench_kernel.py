@@ -2,13 +2,15 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python -m pytest bench/bench_kernel.py
+    python -m pytest bench/bench_kernel.py
 
 It times `ga.fitness` of one chromosome on the first N training windows
 (N = 2400, 300, 34 and 8), as a `maca.pattern_set` built once, outside the
 timed call; `maca.build_tree` on all 2,400 windows with the `train`
-workload's GA settings (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA run
-that `build_tree` makes at the root of that tree, with the same settings,
+workload's GA settings (BUILD_ROUNDS rounds), and on the 4,800 width-5
+windows of `make_toy_dataset(40, 120, seed=1)` with the default
+`TreeConfig` (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA run
+that the 2,400-window `build_tree` makes at its root, with the same settings,
 node patterns, m and seed (one GA run of `generations` generations,
 EVOLVE_ROUNDS rounds); `ga.random_chromosome` per call (n = 25, m = 2);
 `ga.mutate` and `ga.crossover` per call on a seeded population of 30
@@ -38,7 +40,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_21.json at the repository root, with the Python version and core
+BENCH_22.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the tier-1 test run does not
 collect it.
 """
@@ -58,7 +60,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_21.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_22.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -81,12 +83,16 @@ def records():
     return dataio.make_toy_dataset(40, 60, seed=1).records
 
 
-@pytest.fixture(scope="module")
-def windows(records):
+def labeled_windows(records):
     return [maca.LabeledPattern(code, label)
             for r in records
             for code, label in zip(window_patterns(r.sequence, WINDOW),
                                    r.structure)]
+
+
+@pytest.fixture(scope="module")
+def windows(records):
+    return labeled_windows(records)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +114,9 @@ def layers():
         OUT.write_text(json.dumps({
             "python": platform.python_version(),
             "cores": os.cpu_count(),
-            "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25",
+            "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25; "
+                       "the default-config build: make_toy_dataset(40, 120, "
+                       "seed=1)",
             "pipeline": "targets make_toy_dataset(100, 300, seed=4), "
                         "bases make_toy_dataset(150, 150, seed=3)",
             "layers": results,
@@ -138,6 +146,18 @@ def test_build_tree(benchmark, windows, layers):
                               iterations=1)
     assert not tree.root.is_leaf
     record(layers, benchmark, "maca.build_tree[train input]")
+
+
+def test_build_tree_default_config(benchmark, layers):
+    # ROADMAP item 1's slow layer: a default-config build, 5-7 s a round
+    windows = labeled_windows(
+        dataio.make_toy_dataset(40, 120, seed=1).records)
+    assert len(windows) == 4800
+    tree = benchmark.pedantic(maca.build_tree, (windows, N_BITS),
+                              rounds=BUILD_ROUNDS, iterations=1)
+    assert not tree.root.is_leaf
+    record(layers, benchmark,
+           "maca.build_tree[4,800 windows, default TreeConfig]")
 
 
 def test_evolve_maca_at_root(benchmark, windows, layers):

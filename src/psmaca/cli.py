@@ -158,7 +158,6 @@ def cmd_train(args) -> int:
     pipeline = PipelineConfig(filter_length=args.filter_length)
     _check_outputs([("--out", args.out)], [("--data", args.data)])
     text = dataio.read_text(args.data)
-    # one (code, label) pair per window
     pairs = [pair for record in dataio.parse_paired(text)
              for pair in zip(window_patterns(record.sequence, args.window),
                              record.structure)]

@@ -241,11 +241,9 @@ COMPARISON_METHODS = ("DSP", "PHD", "SAM-T99", "SSPro", "PSMACA")
 
 
 def tsv_cell(text: str, what: str) -> str:
-    """`text` as one TSV cell: a tab or a line break in it would add a
-    column or a row."""
+    """One TSV cell: a tab or a line break would add a column or a row."""
     if "\t" in text or "".join(text.splitlines()) != text:
-        raise ValueError(f"{what} {text!r} holds a tab or a line break "
-                         "and cannot be one TSV cell")
+        raise ValueError(f"{what} {text!r} holds a tab or a line break")
     return text
 
 

@@ -24,8 +24,7 @@ mask of the patterns it labels.  A tree node's patterns are a `PatternSet`:
 that shared data plus one N-bit member mask.  Signature bit j of every
 member at once is the XOR of the columns mask j selects, so `distribute`
 splits the member mask once per segment, and a class count is a popcount
-of the members AND a label's mask.  No per-pattern loop runs after the set
-is built.
+of the members AND a label's mask, with no per-pattern loop.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ def _check_code(code: int, n: int) -> int:
 
 
 def _check_seed(seed) -> int:
-    # random.Random(-s) seeds like Random(s), and a float or str seeds by
-    # its hash, so two seeds would give one run
+    # Random(-s) seeds like Random(s), and a float or str by its hash
     if type(seed) is not int or seed < 0:
         raise ValueError(f"rng seed must be a non-negative int, got {seed!r}")
     return seed

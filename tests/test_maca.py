@@ -274,12 +274,12 @@ def loop_distribute(ds, patterns):
     return sorted(buckets.items())
 
 
-def loop_members(ds, patterns, indices):
+def loop_members(ds, patterns, picked):
     """The member mask of each signature the `_signature` loop puts the
-    patterns at `indices` under, as (signature, mask) pairs in ascending
-    signature order."""
+    patterns at indices `picked` under, as (signature, mask) pairs in
+    ascending signature order."""
     buckets = {}
-    for i in indices:
+    for i in picked:
         sig = maca._signature(ds.masks, patterns[i].code)
         buckets[sig] = buckets.get(sig, 0) | 1 << i
     return sorted(buckets.items())
@@ -316,15 +316,14 @@ class TestBitSlicedOracle:
         ds, _ = data.draw(dependency_strings())
         patterns = data.draw(labeled_patterns(ds.n))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
-        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng).classifier1
+        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n),
+                                     rng).classifier1
         buckets = maca.distribute(ds, patterns)
         assert masks(buckets) == \
             loop_members(ds, patterns, range(len(patterns)))
         for bucket in buckets.values():
-            indices = [i for i in range(len(patterns))
-                       if bucket.members >> i & 1]
             assert masks(maca.distribute(child, bucket)) == \
-                loop_members(child, patterns, indices)
+                loop_members(child, patterns, indices(bucket.members))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -353,8 +352,9 @@ class TestBitSlicedOracle:
                 loop_members(child.classifier1, patterns, picked)
             assert masks(from_list) == \
                 loop_members(child.classifier1, members, range(len(members)))
-            assert {sig: maca.label_counts(b) for sig, b in from_bucket.items()} \
-                == {sig: maca.label_counts(b) for sig, b in from_list.items()}
+            assert {sig: maca.label_counts(b)
+                    for sig, b in from_bucket.items()} == \
+                {sig: maca.label_counts(b) for sig, b in from_list.items()}
             assert maca.label_counts(bucket) == Counter(
                 p.label for p in members)
 
