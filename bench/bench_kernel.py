@@ -6,12 +6,13 @@ Run from the repository root:
 
 It times `ga.fitness` of one chromosome on the first N training windows
 (N = 2400, 300, 34 and 8), as a `maca.pattern_set` built once, outside the
-timed call; `maca.build_tree` on all 2,400 windows with the `train`
-workload's GA settings (BUILD_ROUNDS rounds), and on the 4,800 width-5
-windows of `make_toy_dataset(40, 120, seed=1)` with the default
-`TreeConfig` (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA run
-that the 2,400-window `build_tree` makes at its root, with the same settings,
-node patterns, m and seed (one GA run of `generations` generations,
+timed call; `maca.pattern_set` of the first N windows (N = 2400, and 30,
+the mean node size of the `train` tree); `maca.build_tree` on all 2,400
+windows with the `train` workload's GA settings (BUILD_ROUNDS rounds), and
+on the 4,800 width-5 windows of `make_toy_dataset(40, 120, seed=1)` with
+the default `TreeConfig` (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA
+run that the 2,400-window `build_tree` makes at its root, with the same
+settings, node patterns, m and seed (one GA run of `generations` generations,
 EVOLVE_ROUNDS rounds); `ga.random_chromosome` per call (n = 25, m = 2);
 `ga.mutate` and `ga.crossover` per call on a seeded population of 30
 chromosomes (n = 25, m = 2 and 4, the default mutation rate; each of these
@@ -40,9 +41,10 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_22.json at the repository root, with the Python version and core
-count.  The file is not named test_*.py, so the tier-1 test run does not
-collect it.
+BENCH_23.json at the repository root, with the Python version and core
+count.  The file is not named test_*.py, so the test suite does not
+collect it; `tests/test_bench.py` runs every layer but the default-config
+build once, with timing disabled, which writes no file.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_22.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_23.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
+# all the `train` windows, and the mean node size of the tree built on them
+PATTERN_SET_SIZES = (2400, 30)
 POPULATION = 30
 FILTER_LENGTH = 9
 PROBE_ROUNDS = 15
@@ -138,6 +142,13 @@ def test_fitness(benchmark, windows, layers, size):
     training = maca.pattern_set(windows[:size], N_BITS)
     assert 0 < benchmark(ga.fitness, ch, training) <= 1
     record(layers, benchmark, f"ga.fitness[N={size}]")
+
+
+@pytest.mark.parametrize("size", PATTERN_SET_SIZES)
+def test_pattern_set(benchmark, windows, layers, size):
+    training = benchmark(maca.pattern_set, windows[:size], N_BITS)
+    assert len(training) == size
+    record(layers, benchmark, f"maca.pattern_set[N={size}]")
 
 
 def test_build_tree(benchmark, windows, layers):

@@ -374,9 +374,10 @@ def load_model(path: str) -> ModelFile:
         raise ModelFormatError(
             f"model file holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    # exact type: true and 1.0 equal 1, but no writer puts either in a file
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported model format version {version}; "
+            f"unsupported model format version {version!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}")
     _check_keys(doc, {"format_version", "window", "tree", "pipeline",
                       "ga_config", "training_fingerprint"}, "model file")
@@ -392,12 +393,13 @@ def load_model(path: str) -> ModelFile:
         raise ModelFormatError(f"malformed model file: {e}") from None
     echo = doc["ga_config"]
     _check_keys(echo, {*_GA_FIELDS, "rng_seed"}, "model ga_config")
-    seed = echo["rng_seed"]
-    if type(seed) is not int:
-        raise ModelFormatError(
-            f"model ga_config rng_seed must be an integer, got {seed!r}")
+    try:  # the rule build_tree applies to the seed it is given
+        seed = maca._check_seed(echo["rng_seed"])
+    except ValueError as e:
+        raise ModelFormatError(f"model ga_config rng_seed: {e}") from None
     for name in _GA_FIELDS:
-        if echo[name] != getattr(tree.config, name):
+        value = getattr(tree.config, name)
+        if type(echo[name]) is not type(value) or echo[name] != value:
             raise ModelFormatError(
                 f"model ga_config {name} differs from tree.config's")
     return ModelFile(tree=tree, window=window, pipeline=pipeline, seed=seed,

@@ -73,7 +73,7 @@ def fitness(ch: Chromosome, training) -> float:
     total = len(training)
     if not total:
         raise ValueError("training set must be non-empty")
-    label_masks = training.slices.labels.values()
+    label_masks = training.labels.values()
     correct = 0
     for bucket in distribute(ch.classifier1, training).values():
         # the majority class's count: the most members under one label

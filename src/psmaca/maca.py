@@ -20,8 +20,10 @@ Training runs on the same layout transposed (bit-sliced).  A training set
 of N (code, label) pairs is built once per `build_tree` call and keeps only
 bits: pattern i, in training order, is bit i of every N-bit int.  Column b
 is the int whose bit i is bit b of code i, and each label has a member
-mask of the patterns it labels.  A tree node's patterns are a `PatternSet`:
-that shared data plus one N-bit member mask.  Signature bit j of every
+mask of the patterns it labels.  A tree node's patterns are a `PatternSet`
+of four flat fields: `n`, the columns' byte-XOR tables `byte_xors` and the
+label masks `labels`, all three shared by every set cut from one training
+set, and its own N-bit member mask `members`.  Signature bit j of every
 member at once is the XOR of the columns mask j selects, so `distribute`
 splits the member mask once per segment, and a class count is a popcount
 of the members AND a label's mask, with no per-pattern loop.
@@ -126,33 +128,22 @@ class LabeledPattern(NamedTuple):
 
 
 class PatternSet:
-    """Some patterns of one bit-sliced training set: pattern i is a member
-    when bit i of `members` is set.  Every set cut from the same training
-    set shares its `slices`."""
+    """Some patterns of one bit-sliced training set of n-bit codes: pattern
+    i is a member when bit i of `members` is set.  Every set cut from the
+    same training set shares its `n`, `byte_xors` and `labels`."""
 
-    __slots__ = ("slices", "members")
+    # byte_xors[k][v] is the XOR of columns 8k + b over the set bits b of
+    # v, so a mask's XOR takes one lookup per byte: 256 N-bit ints a byte;
+    # labels maps each label, in order of first appearance, to its patterns
+    __slots__ = ("n", "byte_xors", "labels", "members")
 
-    def __init__(self, slices: "_Slices", members: int):
-        self.slices, self.members = slices, members
-
-    @property
-    def n(self) -> int:
-        return self.slices.n
+    def __init__(self, n: int, byte_xors: tuple[list[int], ...],
+                 labels: dict[str, int], members: int):
+        self.n, self.byte_xors = n, byte_xors
+        self.labels, self.members = labels, members
 
     def __len__(self) -> int:
         return self.members.bit_count()
-
-
-@dataclass(frozen=True, eq=False)
-class _Slices:
-    """A training set transposed: pattern i is bit i of every N-bit int."""
-
-    n: int
-    # byte_xors[k][v] is the XOR of columns 8k + b over the set bits b of
-    # v, so a mask's XOR takes one lookup per byte: 256 N-bit ints a byte
-    byte_xors: tuple[list[int], ...]
-    # label -> the patterns it labels, labels in order of first appearance
-    labels: dict[str, int]
 
 
 def pattern_set(patterns, n: int) -> PatternSet:
@@ -181,8 +172,7 @@ def pattern_set(patterns, n: int) -> PatternSet:
         label: int("".join(["1" if x == label else "0"
                             for x in reversed(labels)]), 2)
         for label in dict.fromkeys(labels)}
-    return PatternSet(_Slices(n, tuple(byte_xors), label_masks),
-                      (1 << len(rows)) - 1)
+    return PatternSet(n, tuple(byte_xors), label_masks, (1 << len(rows)) - 1)
 
 
 def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
@@ -190,7 +180,7 @@ def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
     every pattern lands in exactly one bucket.  A list of (code, label)
     pairs is made a pattern set first."""
     patterns = pattern_set(patterns, ds.n)
-    byte_xors = patterns.slices.byte_xors
+    n, byte_xors, labels = patterns.n, patterns.byte_xors, patterns.labels
     buckets = {0: patterns.members}
     for mask in ds.masks:
         # signature bit j of every pattern at once: the parity of the code
@@ -209,15 +199,14 @@ def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
                 split[sig << 1 | 1] = ones
         buckets = split
     # each split keeps its buckets' order, 0 before 1: ascending signatures
-    slices = patterns.slices
-    return {sig: PatternSet(slices, members)
+    return {sig: PatternSet(n, byte_xors, labels, members)
             for sig, members in buckets.items()}
 
 
 def label_counts(patterns: PatternSet) -> dict[str, int]:
     """Members of each label present, by popcount of the label's mask."""
     members = patterns.members
-    return {label: count for label, mask in patterns.slices.labels.items()
+    return {label: count for label, mask in patterns.labels.items()
             if (count := (members & mask).bit_count())}
 
 

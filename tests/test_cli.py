@@ -481,6 +481,12 @@ class TestPredict:
          "ga_config population_size"),
         (lambda doc: doc["ga_config"].update(rng_seed="0"),
          "ga_config rng_seed"),
+        (lambda doc: doc.update(format_version=True), "format version True"),
+        (lambda doc: doc.update(format_version=1.0), "format version 1.0"),
+        (lambda doc: doc["ga_config"].update(rng_seed=-3),
+         "ga_config rng_seed"),
+        (lambda doc: doc["ga_config"].update(elitism_count=2.0),
+         "ga_config elitism_count"),
     ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
             "fingerprint-int", "ga-config-list", "max-depth-negative",
             "population-size-1", "population-size-str", "mutation-rate-1.5",
@@ -489,7 +495,9 @@ class TestPredict:
             "tree-n-float", "no-generations", "no-ridge",
             "unknown-top-level-key", "unknown-tree-key", "leaf-with-children",
             "ds-bare-string", "children-list", "ga-config-empty",
-            "ga-config-population-size-1", "rng-seed-str"])
+            "ga-config-population-size-1", "rng-seed-str",
+            "format-version-true", "format-version-float", "rng-seed-negative",
+            "ga-config-echo-float"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files

@@ -362,11 +362,27 @@ class TestBitSlicedOracle:
         training = maca.pattern_set([LabeledPattern(0b10, "E"),
                                      LabeledPattern(0b01, "H"),
                                      LabeledPattern(0b11, "E")], 2)
-        slices = training.slices
-        assert list(slices.labels.items()) == [("E", 0b101), ("H", 0b010)]
+        assert list(training.labels.items()) == [("E", 0b101), ("H", 0b010)]
         # column b is the XOR table entry of bit b alone
-        assert [slices.byte_xors[b // 8][1 << b % 8] for b in range(2)] == \
+        assert [training.byte_xors[b // 8][1 << b % 8] for b in range(2)] == \
             [0b110, 0b101]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_buckets_share_the_sets_tables(self, data):
+        # a bucket of the set, or of a bucket, holds the set's tables, not
+        # a copy of them
+        ds, _ = data.draw(dependency_strings())
+        patterns = data.draw(labeled_patterns(ds.n, min_size=1))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n),
+                                     rng).classifier1
+        training = maca.pattern_set(patterns, ds.n)
+        for bucket in maca.distribute(ds, training).values():
+            for cut in [bucket, *maca.distribute(child, bucket).values()]:
+                assert cut.n == training.n
+                assert cut.byte_xors is training.byte_xors
+                assert cut.labels is training.labels
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -376,9 +392,8 @@ class TestBitSlicedOracle:
         pairs = [(p.code, p.label) for p in patterns]
         named = maca.pattern_set(patterns, ds.n)
         plain = maca.pattern_set(pairs, ds.n)
-        assert list(plain.slices.labels.items()) == \
-            list(named.slices.labels.items())
-        assert plain.slices.byte_xors == named.slices.byte_xors
+        assert list(plain.labels.items()) == list(named.labels.items())
+        assert plain.byte_xors == named.byte_xors
         assert masks(maca.distribute(ds, plain)) == \
             masks(maca.distribute(ds, named))
         ch = ga.Chromosome(ds, 1)
