@@ -245,6 +245,9 @@ def cmd_evaluate(args) -> int:
         ("--model", args.model), ("--data", args.data),
         ("--train-data", args.train_data)))
     records = dataio.parse_paired(dataio.read_text(args.data))
+    if any(record.id == dataio.TOTAL_ID for record in records):
+        raise ValueError(f"record {dataio.TOTAL_ID!r} in {args.data} has the "
+                         "id of the report's total row")
     rows = [dataio.q3(route(record)[0], record.structure, record.id)
             for record in records]
     report = dataio.aggregate_metrics(rows)

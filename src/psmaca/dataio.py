@@ -5,7 +5,7 @@ sequence/structure records ("Amino Acids:" block followed by a structure
 block), versioned JSON model files, and TSV/JSON metric reports.  Files
 are read with read_text and written with write_text, both UTF-8.  A Q3
 score is one MetricsRow, per record or pooled over a report's records as
-its "ALL" row.
+its TOTAL_ID ("ALL") row.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .pipeline import PipelineConfig
 
 MODEL_FORMAT_VERSION = 1
 WRAP_COLUMNS = 60
+# the id of a report's pooled row, so no evaluated record may take it
+TOTAL_ID = "ALL"
 
 
 class ParseError(ValueError):
@@ -199,7 +201,7 @@ def q3(predicted: str, actual: str, record_id: str = "") -> MetricsRow:
 @dataclass(frozen=True)
 class MetricsReport:
     rows: tuple[MetricsRow, ...]
-    total: MetricsRow  # the "ALL" row, scored over every row's positions
+    total: MetricsRow  # the TOTAL_ID row, scored over every row's positions
 
 
 def aggregate_metrics(rows: list[MetricsRow]) -> MetricsReport:
@@ -209,7 +211,7 @@ def aggregate_metrics(rows: list[MetricsRow]) -> MetricsReport:
     for row in rows:
         pooled.update({(a, p): n for a, preds in row.confusion.items()
                        for p, n in preds.items()})
-    return MetricsReport(tuple(rows), _scored("ALL", pooled))
+    return MetricsReport(tuple(rows), _scored(TOTAL_ID, pooled))
 
 
 def _fmt(v: float | None) -> str:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .maca import (DependencyString, TreeConfig, _check_seed, distribute,
-                   pattern_set)
+from .maca import (DependencyString, PatternSet, TreeConfig, _check_seed,
+                   distribute, pattern_set)
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ def random_chromosome(n: int, m: int, rng: random.Random) -> Chromosome:
 
 
 def fitness(ch: Chromosome, training) -> float:
-    """Training accuracy when each basin predicts its majority class."""
-    training = pattern_set(training, ch.classifier1.n)
+    """Training accuracy when each basin predicts its majority class, on a
+    pattern set or on (code, label) pairs, which are made a set first."""
+    if not isinstance(training, PatternSet):
+        training = pattern_set(training, ch.classifier1.n)
     total = len(training)
     if not total:
         raise ValueError("training set must be non-empty")
@@ -162,12 +164,12 @@ def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
     return ch
 
 
-def evolve_maca(training, n: int, m: int, config: TreeConfig,
+def evolve_maca(training: PatternSet, m: int, config: TreeConfig,
                 rng_seed: int) -> tuple[Chromosome, FitnessHistory]:
     """Tournament(2) selection with elitism under `config`'s GA settings;
     returns the best individual ever seen plus the per-generation history."""
     rng = random.Random(_check_seed(rng_seed))
-    training = pattern_set(training, n)
+    n = training.n
     memo: dict[DependencyString, float] = {}
 
     def score(ch: Chromosome) -> float:

@@ -16,17 +16,19 @@ significant.  An int outside its n bits raises ValueError rather than
 spilling into a neighbouring value.  As text, an m-bit value is m ASCII
 '0'/'1' characters.
 
-Training runs on the same layout transposed (bit-sliced).  A training set
-of N (code, label) pairs is built once per `build_tree` call and keeps only
-bits: pattern i, in training order, is bit i of every N-bit int.  Column b
-is the int whose bit i is bit b of code i, and each label has a member
-mask of the patterns it labels.  A tree node's patterns are a `PatternSet`
-of four flat fields: `n`, the columns' byte-XOR tables `byte_xors` and the
-label masks `labels`, all three shared by every set cut from one training
-set, and its own N-bit member mask `members`.  Signature bit j of every
-member at once is the XOR of the columns mask j selects, so `distribute`
-splits the member mask once per segment, and a class count is a popcount
-of the members AND a label's mask, with no per-pattern loop.
+Training runs on the same layout transposed (bit-sliced).  `build_tree`
+takes N (code, label) pairs and makes them a training set once, with
+`pattern_set`; the set keeps only bits: pattern i, in training order, is
+bit i of every N-bit int.  Column b is the int whose bit i is bit b of code
+i, and each label has a member mask of the patterns it labels.  A tree
+node's patterns are a `PatternSet` of four flat fields: `n`, the columns'
+byte-XOR tables `byte_xors` and the label masks `labels`, all three shared
+by every set cut from one training set, and its own N-bit member mask
+`members`.  Signature bit j of every member at once is the XOR of the
+columns mask j selects, so `distribute` splits the member mask once per
+segment, and a class count is a popcount of the members AND a label's mask,
+with no per-pattern loop.  `distribute` and `ga.evolve_maca` take only a
+set, whose `n` they read; `ga.fitness` also takes pairs.
 """
 
 from __future__ import annotations
@@ -147,13 +149,7 @@ class PatternSet:
 
 
 def pattern_set(patterns, n: int) -> PatternSet:
-    """(code, label) pairs as a set over n-bit codes; a PatternSet over n
-    bits is returned as it is."""
-    if isinstance(patterns, PatternSet):
-        if patterns.n != n:
-            raise ValueError(f"pattern set holds {patterns.n}-bit codes, "
-                             f"not {n}-bit")
-        return patterns
+    """(code, label) pairs as a set over n-bit codes."""
     rows, labels = [], []
     for code, label in patterns:
         rows.append(format(_check_code(code, n), f"0{n}b"))
@@ -175,12 +171,13 @@ def pattern_set(patterns, n: int) -> PatternSet:
     return PatternSet(n, tuple(byte_xors), label_masks, (1 << len(rows)) - 1)
 
 
-def distribute(ds: DependencyString, patterns) -> dict[int, PatternSet]:
+def distribute(ds: DependencyString,
+               patterns: PatternSet) -> dict[int, PatternSet]:
     """Bucket patterns by basin signature, in ascending signature order;
-    every pattern lands in exactly one bucket.  A list of (code, label)
-    pairs is made a pattern set first."""
-    patterns = pattern_set(patterns, ds.n)
+    every pattern lands in exactly one bucket."""
     n, byte_xors, labels = patterns.n, patterns.byte_xors, patterns.labels
+    if n != ds.n:
+        raise ValueError(f"pattern set holds {n}-bit codes, not {ds.n}-bit")
     buckets = {0: patterns.members}
     for mask in ds.masks:
         # signature bit j of every pattern at once: the parity of the code
@@ -302,7 +299,7 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
         # ceil(log2 K') for K' >= 2 classes
         m = min((len(classes) - 1).bit_length(), n)
         for _ in range(config.split_retries):
-            best, _ = ga.evolve_maca(patterns, n, m, config,
+            best, _ = ga.evolve_maca(patterns, m, config,
                                      rng.getrandbits(32))
             buckets = distribute(best.classifier1, patterns)
             if len(buckets) > 1:

@@ -115,8 +115,10 @@ def test_criterion_5_ga_monotone_and_deterministic():
         patterns.append(LabeledPattern(pack(p), str(p[0] ^ p[3])))
     for seed in range(50):
         cfg = TreeConfig(population_size=12, generations=12)
-        best1, h1 = ga.evolve_maca(patterns, 6, 2, cfg, seed)
-        best2, h2 = ga.evolve_maca(patterns, 6, 2, cfg, seed)
+        best1, h1 = ga.evolve_maca(maca.pattern_set(patterns, 6), 2, cfg,
+                                   seed)
+        best2, h2 = ga.evolve_maca(maca.pattern_set(patterns, 6), 2, cfg,
+                                   seed)
         assert all(a <= b for a, b in zip(h1.best, h1.best[1:])), seed
         assert best1 == best2, seed
         assert (h1.best, h1.mean) == (h2.best, h2.mean), seed

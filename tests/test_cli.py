@@ -822,6 +822,26 @@ class TestEvaluate:
             capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
+    def test_record_named_like_the_total_row_fails_before_prediction(
+            self, tmp_path, toy_files, capsys, monkeypatch):
+        # the report's TSV would hold two ALL rows, one of them the total
+        dataset, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        first, second = dataset.records[:2]
+        paired = tmp_path / "targets.txt"
+        paired.write_text(dataio.dataset_to_paired_text(dataio.Dataset(
+            (dataio.ProteinRecord("ALL", first.sequence, first.structure),
+             second))))
+        monkeypatch.setattr(maca, "classify", no_prediction)
+        outputs = [tmp_path / "r.tsv", tmp_path / "r.json",
+                   tmp_path / "cmp.tsv"]
+        assert run_cli(["evaluate", "--model", str(model), "--data",
+                        str(paired), "--report", str(outputs[0]),
+                        "--json", str(outputs[1]),
+                        "--comparison", str(outputs[2])]) == 2
+        assert "record 'ALL'" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     def test_tree_evaluation_runs(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files
         model = train(tmp_path, data, capsys)

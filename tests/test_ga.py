@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmaca import dataio, ga
+from psmaca import dataio, ga, maca
 from psmaca.codec import window_patterns
 from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
 
@@ -421,13 +421,14 @@ class TestFitnessMemo:
             return real(ch, training)
 
         monkeypatch.setattr(ga, "fitness", counting)
-        ga.evolve_maca(pats, 15, 2,
+        ga.evolve_maca(maca.pattern_set(pats, 15), 2,
                        TreeConfig(population_size=20, generations=30), 4)
         assert calls and set(calls.values()) == {1}
 
     @pytest.mark.parametrize("seed", sorted(UNMEMOIZED_RUNS))
     def test_same_run_as_without_the_memo(self, seed):
-        best, history = ga.evolve_maca(toy_windows(), 15, 2, MEMO_GA, seed)
+        best, history = ga.evolve_maca(maca.pattern_set(toy_windows(), 15),
+                                       2, MEMO_GA, seed)
         assert (pinned_json(best), history.best, history.mean) == \
             UNMEMOIZED_RUNS[seed]
 
@@ -437,7 +438,7 @@ class TestEvolveMaca:
         mask = (1, 1, 0, 0)
         pats = parity_patterns(4, mask, 30, seed=3)
         cfg = TreeConfig(population_size=40, generations=10)
-        best, history = ga.evolve_maca(pats, 4, 1, cfg, 1)
+        best, history = ga.evolve_maca(maca.pattern_set(pats, 4), 1, cfg, 1)
         assert history.best[-1] == 1.0
         assert ga.fitness(best, pats) == 1.0
 
@@ -445,7 +446,8 @@ class TestEvolveMaca:
         pats = parity_patterns(6, (0, 1, 0, 1, 0, 0), 40, seed=4)
         for seed in range(10):
             cfg = TreeConfig(population_size=12, generations=15)
-            _, history = ga.evolve_maca(pats, 6, 2, cfg, seed)
+            _, history = ga.evolve_maca(maca.pattern_set(pats, 6), 2, cfg,
+                                        seed)
             assert all(b1 <= b2 for b1, b2 in zip(history.best, history.best[1:]))
             assert all(0.0 <= v <= 1.0 for v in history.best + history.mean)
 
@@ -455,20 +457,20 @@ class TestEvolveMaca:
         pats = parity_patterns(4, (1, 1, 0, 0), 8, seed=3)
         cfg = TreeConfig(population_size=4, generations=2)
         with pytest.raises(ValueError, match="seed"):
-            ga.evolve_maca(pats, 4, 1, cfg, seed)
+            ga.evolve_maca(maca.pattern_set(pats, 4), 1, cfg, seed)
 
     def test_seed_determinism(self):
         pats = parity_patterns(5, (1, 0, 0, 1, 0), 25, seed=5)
         cfg = TreeConfig(population_size=10, generations=8)
-        best1, h1 = ga.evolve_maca(pats, 5, 2, cfg, 123)
-        best2, h2 = ga.evolve_maca(pats, 5, 2, cfg, 123)
+        best1, h1 = ga.evolve_maca(maca.pattern_set(pats, 5), 2, cfg, 123)
+        best2, h2 = ga.evolve_maca(maca.pattern_set(pats, 5), 2, cfg, 123)
         assert best1 == best2
         assert h1.best == h2.best
         assert h1.mean == h2.mean
 
     @pytest.mark.parametrize("seed", sorted(HIGH_MUTATION_RUNS))
     def test_same_run_at_high_mutation(self, seed):
-        best, history = ga.evolve_maca(toy_windows(), 15, 4,
+        best, history = ga.evolve_maca(maca.pattern_set(toy_windows(), 15), 4,
                                        HIGH_MUTATION_GA, seed)
         assert (pinned_json(best), history.best, history.mean) == \
             HIGH_MUTATION_RUNS[seed]

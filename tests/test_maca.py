@@ -185,7 +185,7 @@ class TestPackedKernel:
                 pack(oracle_signature(segments, p))
         labeled = [LabeledPattern(pack(p), str(i))
                    for i, p in enumerate(patterns)]
-        buckets = maca.distribute(ds, labeled)
+        buckets = maca.distribute(ds, maca.pattern_set(labeled, ds.n))
         # a partition: every pattern once, in the bucket of its signature
         assert sorted(i for b in buckets.values()
                       for i in indices(b.members)) == list(range(len(labeled)))
@@ -235,7 +235,7 @@ class TestPackedKernel:
 class TestDistribute:
     def test_empty(self):
         ds = DependencyString(1, (1,))
-        assert maca.distribute(ds, []) == {}
+        assert maca.distribute(ds, maca.pattern_set([], ds.n)) == {}
 
     @pytest.mark.parametrize("segments", [
         (0b10_011, (2, 3)),
@@ -245,7 +245,7 @@ class TestDistribute:
     def test_full_space_bucket_sizes(self, segments):
         ds = DependencyString(*segments)
         pats = [LabeledPattern(p, "x") for p in all_patterns(ds.n)]
-        buckets = maca.distribute(ds, pats)
+        buckets = maca.distribute(ds, maca.pattern_set(pats, ds.n))
         assert len(buckets) == 1 << ds.m
         assert all(len(b) == 1 << (ds.n - ds.m) for b in buckets.values())
 
@@ -253,14 +253,14 @@ class TestDistribute:
         rng = random.Random(0)
         ds = DependencyString(0b101_11, (3, 2))
         pats = [LabeledPattern(rng.randrange(1 << 5), "x") for _ in range(100)]
-        buckets = maca.distribute(ds, pats)
+        buckets = maca.distribute(ds, maca.pattern_set(pats, ds.n))
         assert sum(len(b) for b in buckets.values()) == 100
 
     def test_identical_patterns_share_bucket(self):
         ds = DependencyString(0b11, (2,))
         a = LabeledPattern(0b10, "A")
         b = LabeledPattern(0b10, "B")
-        buckets = maca.distribute(ds, [a, b])
+        buckets = maca.distribute(ds, maca.pattern_set([a, b], ds.n))
         assert len(buckets) == 1
 
 
@@ -318,7 +318,7 @@ class TestBitSlicedOracle:
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         child = ga.random_chromosome(ds.n, rng.randint(1, ds.n),
                                      rng).classifier1
-        buckets = maca.distribute(ds, patterns)
+        buckets = maca.distribute(ds, maca.pattern_set(patterns, ds.n))
         assert masks(buckets) == \
             loop_members(ds, patterns, range(len(patterns)))
         for bucket in buckets.values():
@@ -343,11 +343,13 @@ class TestBitSlicedOracle:
         patterns = data.draw(labeled_patterns(ds.n))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         child = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
-        for bucket in maca.distribute(ds, patterns).values():
+        training = maca.pattern_set(patterns, ds.n)
+        for bucket in maca.distribute(ds, training).values():
             picked = indices(bucket.members)
             members = [patterns[i] for i in picked]
             from_bucket = maca.distribute(child.classifier1, bucket)
-            from_list = maca.distribute(child.classifier1, members)
+            from_list = maca.distribute(child.classifier1,
+                                        maca.pattern_set(members, ds.n))
             assert masks(from_bucket) == \
                 loop_members(child.classifier1, patterns, picked)
             assert masks(from_list) == \
@@ -407,8 +409,7 @@ class TestBitSlicedOracle:
     def test_codes_outside_n_bits_rejected(self):
         ds = DependencyString(0b11, (2,))
         patterns = [LabeledPattern(-1, "A"), LabeledPattern(0b100, "B")]
-        for call in (lambda: maca.distribute(ds, patterns),
-                     lambda: ga.fitness(ga.Chromosome(ds, 1), patterns),
+        for call in (lambda: ga.fitness(ga.Chromosome(ds, 1), patterns),
                      lambda: maca.pattern_set(patterns, 2)):
             with pytest.raises(ValueError, match="unsigned 2-bit"):
                 call()
@@ -496,6 +497,23 @@ class TestBuildTree:
         tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=5)
         acc = sum(maca.classify(tree, p.code) == p.label for p in pats) / len(pats)
         assert acc == 1.0
+
+    def test_one_pattern_set_per_build(self, monkeypatch):
+        # the GA and every node's split work on cuts of the one set the
+        # build makes of its pairs
+        calls = []
+        real = maca.pattern_set
+
+        def counting(patterns, n):
+            calls.append(n)
+            return real(patterns, n)
+
+        monkeypatch.setattr(maca, "pattern_set", counting)
+        monkeypatch.setattr(ga, "pattern_set", counting)
+        pats = parity_dataset(6, (1, 0, 1, 0, 0, 0), 40, seed=2)
+        tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=2)
+        assert not tree.root.is_leaf
+        assert calls == [6]
 
 
 class TestTreeConfig:
