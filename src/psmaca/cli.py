@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import ca, dataio, maca
 from .codec import DECODE_MODES, RESIDUE_BITS, check_window, window_patterns
@@ -201,8 +202,10 @@ def _route(args, bases, outputs=(), inputs=()):
     model = dataio.load_model(args.model)
     if not args.pipeline:
         def predict(sequence):
+            # maca.classify is looked up per record, so a wrapper installed
+            # on it after the model loads still sees every window
             codes = window_patterns(sequence, model.window)
-            return ("".join(maca.classify(model.tree, c) for c in codes),
+            return ("".join(map(partial(maca.classify, model.tree), codes)),
                     ["method: tree"])
     else:
         training = _load_training(model, bases, args.no_verify)

@@ -10,10 +10,10 @@ its TOTAL_ID ("ALL") row.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
+import string
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
@@ -86,8 +86,13 @@ def _lines(text: str) -> list[tuple[int, str]]:
             if line.strip()]
 
 
+_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
+
+
 def _join(lines: list[str]) -> str:
-    return "".join("".join(lines).split()).upper()
+    # ASCII letters only: str.upper() folds 'ſ' into 'S' and 'ß' into 'SS',
+    # where such a letter must fail as a residue or label of its own
+    return "".join("".join(lines).split()).translate(_ASCII_UPPER)
 
 
 def _read_records(lines: list[tuple[int, str]], build) -> list[ProteinRecord]:
@@ -119,7 +124,7 @@ def _read_records(lines: list[tuple[int, str]], build) -> list[ProteinRecord]:
 
 def parse_fasta(text: str) -> list[ProteinRecord]:
     """Parse FASTA text: '>' headers delimit records, sequence lines are
-    concatenated and uppercased, whitespace ignored."""
+    concatenated and uppercased (ASCII a-z only), whitespace ignored."""
     return _read_records(_lines(text),
                          lambda rec_id, body: ProteinRecord(rec_id, _join(body)))
 
@@ -261,6 +266,8 @@ def comparison_tsv(dataset_name: str, psmaca_q3: float) -> str:
 
 
 def fingerprint(text: str) -> str:
+    import hashlib  # deferred: the tree route never fingerprints
+
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -109,7 +109,8 @@ class DependencyString:
 
 
 def _signature(masks, code: int) -> int:
-    # the one signature kernel: bit j is the parity of code AND mask j
+    # the signature kernel, which `classify` runs inline: bit j is the
+    # parity of code AND mask j
     sig = 0
     for mask in masks:
         sig = sig << 1 | (code & mask).bit_count() & 1
@@ -321,8 +322,12 @@ def classify(tree: PsmacaTree, code: int) -> str:
     majority label."""
     _check_code(code, tree.n)
     node = tree.root
-    while node.ds is not None:
-        child = node.children.get(_signature(node.ds.masks, code))
+    while (ds := node.ds) is not None:
+        # `_signature` inline: one call per window, not one per node
+        sig = 0
+        for mask in ds.masks:
+            sig = sig << 1 | (code & mask).bit_count() & 1
+        child = node.children.get(sig)
         if child is None:
             return node.label
         node = child

@@ -185,35 +185,60 @@ class TestBasins:
 NUMPY_PROBE = ("import sys; from psmaca.cli import run_cli; "
                "code = run_cli(sys.argv[1:]); "
                "print(code, 'numpy' in sys.modules)")
+# hashlib may load before psmaca does, so the probe notes it first
+TRAINER_PROBE = ("import sys; hashlib_before = 'hashlib' in sys.modules; "
+                 "from psmaca.cli import run_cli; "
+                 "code = run_cli(sys.argv[1:]); "
+                 "print(code, 'psmaca.ga' in sys.modules, hashlib_before, "
+                 "'hashlib' in sys.modules)")
+COMMANDS = {
+    "train": ["train", "--data", "DATA", "--window", "3", "--out", "OUT",
+              "--population", "10", "--generations", "5"],
+    "predict": ["predict", "--model", "MODEL", "--fasta", "FASTA"],
+    "evaluate": ["evaluate", "--model", "MODEL", "--data", "DATA",
+                 "--report", "OUT"],
+    "simulate": ["simulate", "--rule", "30", "--width", "5", "--steps", "2"],
+    "basins": ["basins", "--rule", "90", "--width", "4"],
+    "evaluate-pipeline": ["evaluate", "--model", "MODEL", "--data", "DATA",
+                          "--report", "OUT", "--pipeline"],
+    "predict-pipeline": ["predict", "--model", "MODEL", "--fasta", "FASTA",
+                         "--pipeline", "--train-data", "DATA"],
+}
 
 
-@pytest.mark.parametrize("command", [
-    ["train", "--data", "DATA", "--window", "3", "--out", "OUT",
-     "--population", "10", "--generations", "5"],
-    ["predict", "--model", "MODEL", "--fasta", "FASTA"],
-    ["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "OUT"],
-    ["simulate", "--rule", "30", "--width", "5", "--steps", "2"],
-    ["basins", "--rule", "90", "--width", "4"],
-    ["evaluate", "--model", "MODEL", "--data", "DATA", "--report", "OUT",
-     "--pipeline"],
-    ["predict", "--model", "MODEL", "--fasta", "FASTA", "--pipeline",
-     "--train-data", "DATA"],
-], ids=["train", "predict", "evaluate", "simulate", "basins",
-        "evaluate-pipeline", "predict-pipeline"])
-def test_no_command_loads_numpy(tmp_path, toy_files, command):
-    # a fresh interpreter for each command: pytest's own has numpy loaded
+def run_fresh(tmp_path, toy_files, probe, command) -> list[str]:
+    """The words of the last line `probe` prints, run in a fresh
+    interpreter (pytest's own has numpy and every psmaca module loaded)
+    with `command`'s placeholders made paths."""
     _, data, fasta = toy_files
     model = train(tmp_path, data)
     paths = {"DATA": data, "MODEL": model, "FASTA": fasta,
              "OUT": tmp_path / "out"}
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE,
+        [sys.executable, "-c", probe,
          *(str(paths.get(arg, arg)) for arg in command)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
+    return done.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_no_command_loads_numpy(tmp_path, toy_files, command):
+    assert run_fresh(tmp_path, toy_files, NUMPY_PROBE, command) == \
+        ["0", "False"]
+
+
+@pytest.mark.parametrize("name", ["predict", "evaluate", "predict-pipeline",
+                                  "evaluate-pipeline"])
+def test_read_commands_load_no_trainer(tmp_path, toy_files, name):
+    # only train runs the GA, and only the signal route fingerprints
+    code, ga, hashlib_before, hashlib_after = run_fresh(
+        tmp_path, toy_files, TRAINER_PROBE, COMMANDS[name])
+    assert (code, ga) == ("0", "False")
+    if not name.endswith("pipeline"):
+        assert hashlib_after == hashlib_before
 
 
 class TestTrain:

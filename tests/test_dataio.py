@@ -131,6 +131,19 @@ class TestRecordReader:
         with pytest.raises(ParseError, match=message):
             parse(text.format(record.format("a")))
 
+    @pytest.mark.parametrize("letter", ["ſ", "ı", "ﬁ", "ß"],
+                             ids=["long-s", "dotless-i", "fi", "sharp-s"])
+    def test_non_ascii_letter_is_not_uppercased(self, parse, record, letter):
+        # str.upper() reads these as 'S', 'I', 'FI' and 'SS'; only ASCII a-z
+        # is uppercased, so each fails at its own position
+        for block, first, item in (("MF", "m", "residue"),
+                                   ("HH", "h", "structure label")):
+            if block in record:  # a FASTA record has no labels
+                text = record.format("a").replace(block, first + letter)
+                with pytest.raises(ParseError, match=f"illegal {item} "
+                                   f"'{letter}' at position 1"):
+                    parse(text)
+
     def test_record_error_names_record_and_line(self, parse, record):
         text = record.format("a") + record.format("b").replace("MF", "M1")
         with pytest.raises(ParseError,

@@ -156,10 +156,10 @@ def oracle_signature(segments, pattern):
 
 
 @st.composite
-def dependency_strings(draw, max_n=70):
+def dependency_strings(draw, max_n=70, min_n=1):
     """A dependency string and its segments as 0/1 tuples, the oracle's
     form."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
     edges = [0, *sorted(cuts), n]
     segments = []
@@ -557,6 +557,47 @@ class TestClassify:
         tree = maca.build_tree(pats, 5, SMALL_GA, rng_seed=7)
         for p in pats[:10]:
             assert maca.classify(tree, p.code) == maca.classify(tree, p.code)
+
+
+def reference_classify(tree, code):
+    """The walk `classify` runs inline: one `_signature` call per node."""
+    node = tree.root
+    while not node.is_leaf:
+        child = node.children.get(maca._signature(node.ds.masks, code))
+        if child is None:
+            return node.label
+        node = child
+    return node.label
+
+
+@st.composite
+def tree_nodes(draw, n, depth=0):
+    """A node over n-bit codes whose children cover a random few of its
+    signatures, so that walks also meet unseen ones."""
+    label = draw(st.sampled_from("HEC"))
+    if depth == 3 or draw(st.booleans()):
+        return maca.TreeNode(label)
+    ds, _ = draw(dependency_strings(min_n=n, max_n=n))
+    sigs = draw(st.sets(st.integers(0, (1 << ds.m) - 1), max_size=4))
+    return maca.TreeNode(label, ds, {sig: draw(tree_nodes(n, depth + 1))
+                                     for sig in sorted(sigs)})
+
+
+class TestClassifyOracle:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_walk(self, data):
+        n = data.draw(st.integers(1, 10))
+        tree = maca.PsmacaTree(data.draw(tree_nodes(n)), n, SMALL_GA)
+        codes = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                   min_size=1, max_size=16))
+        for code in codes:
+            assert maca.classify(tree, code) == reference_classify(tree, code)
+        outside = data.draw(st.one_of(st.integers(1 << n, 1 << n + 8),
+                                      st.integers(-(1 << n + 8), -1)))
+        with pytest.raises(ValueError, match=rf"^{outside} is not an "
+                                             rf"unsigned {n}-bit value$"):
+            maca.classify(tree, outside)
 
 
 class TestCodeWidth:
