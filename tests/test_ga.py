@@ -240,6 +240,41 @@ def oracle_mutate(ch, rate, rng):
     return ga.Chromosome(DependencyString(bits, tuple(widths)), classifier2)
 
 
+def oracle_evolve_maca(training, m, config, rng_seed):
+    # unmemoized, with tournaments drawn by randrange
+    rng = random.Random(rng_seed)
+    population = [oracle_random_chromosome(training.n, m, rng)
+                  for _ in range(config.population_size)]
+    scores = [ga.fitness(ch, training) for ch in population]
+    history = ga.FitnessHistory(best=[], mean=[])
+    best_ch, best_fit = None, -1.0
+
+    def tournament():
+        i, j = rng.randrange(len(population)), rng.randrange(len(population))
+        return population[i] if scores[i] >= scores[j] else population[j]
+
+    for generation in range(config.generations + 1):
+        order = sorted(range(len(population)), key=scores.__getitem__,
+                       reverse=True)
+        if scores[order[0]] > best_fit:
+            best_fit, best_ch = scores[order[0]], population[order[0]]
+        if generation == config.generations:
+            break
+        history.best.append(best_fit)
+        history.mean.append(sum(scores) / len(scores))
+        if best_fit >= 1.0:
+            break
+        next_pop = [population[i] for i in order[:config.elitism_count]]
+        while len(next_pop) < config.population_size:
+            p1, p2 = tournament(), tournament()
+            child = (oracle_crossover(p1, p2, rng)
+                     if rng.random() < config.crossover_rate else p1)
+            next_pop.append(oracle_mutate(child, config.mutation_rate, rng))
+        population = next_pop
+        scores = [ga.fitness(ch, training) for ch in population]
+    return best_ch, history
+
+
 RATES = (0.0, 0.02, 0.5, 1.0)
 
 
@@ -317,6 +352,21 @@ class TestSameDraws:
                                oracle_crossover, a, b)
             pop[rng.randrange(len(pop))] = same_draws(
                 rng.getrandbits(32), ga.mutate, oracle_mutate, child, rate)
+
+    # at a power-of-two size a tournament pick rejects about half its
+    # draws, so a pick that draws one bit too many or too few shows at once
+    @pytest.mark.parametrize("size", (2, 3, 8, 10, 16))
+    def test_evolve_maca(self, size):
+        training = maca.pattern_set(toy_windows(), 15)
+        config = TreeConfig(population_size=size, generations=8,
+                            mutation_rate=0.1, elitism_count=1)
+        for seed in range(3):
+            for m in (1, 2, 4):
+                best, history = ga.evolve_maca(training, m, config, seed)
+                want, want_history = oracle_evolve_maca(training, m, config,
+                                                        seed)
+                assert (best, history.best, history.mean) == \
+                    (want, want_history.best, want_history.mean)
 
 
 def toy_windows():
