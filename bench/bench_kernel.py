@@ -13,10 +13,11 @@ on the 4,800 width-5 windows of `make_toy_dataset(40, 120, seed=1)` with
 the default `TreeConfig` (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA
 run that the 2,400-window `build_tree` makes at its root, with the same
 settings, node patterns, m and seed (one GA run of `generations` generations,
-EVOLVE_ROUNDS rounds); `ga.random_chromosome` per call (n = 25, m = 2);
+EVOLVE_ROUNDS rounds); `ga.random_chromosome` per call (n = 25, m = 1,
+which every two-class node asks for, and m = 2);
 `ga.mutate` and `ga.crossover` per call on a seeded population of 30
 chromosomes (n = 25, m = 2 and 4, the default mutation rate; each of these
-three layers seeds one generator per 30 calls, as seeding one costs about
+layers seeds one generator per 30 calls, as seeding one costs about
 as much as a call), `dataio.load_model` of the model the benchmark's
 `predict_tree` workload reads, `maca.classify` per window,
 `codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
@@ -41,7 +42,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_25.json at the repository root, with the Python version and core
+BENCH_26.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the test suite does not
 collect it; `tests/test_bench.py` runs every layer but the default-config
 build once, with timing disabled, which writes no file.
@@ -62,7 +63,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_25.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_26.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -185,15 +186,16 @@ def test_evolve_maca_at_root(benchmark, windows, layers):
     record(layers, benchmark, "ga.evolve_maca[train root]")
 
 
-def test_random_chromosome(benchmark, layers):
+@pytest.mark.parametrize("m", (1, 2))
+def test_random_chromosome(benchmark, layers, m):
     def draw():
         rng = random.Random(0)
-        return [ga.random_chromosome(N_BITS, 2, rng)
+        return [ga.random_chromosome(N_BITS, m, rng)
                 for _ in range(POPULATION)]
 
     chromosomes = benchmark(draw)
-    assert all(ch.classifier1.m == 2 for ch in chromosomes)
-    record(layers, benchmark, f"ga.random_chromosome[n={N_BITS}, m=2]",
+    assert all(ch.classifier1.m == m for ch in chromosomes)
+    record(layers, benchmark, f"ga.random_chromosome[n={N_BITS}, m={m}]",
            per=POPULATION)
 
 

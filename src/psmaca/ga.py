@@ -4,10 +4,11 @@ A chromosome pairs a dependency string over n bits (classifier #1, the part
 that actually classifies) with an m-bit dependency vector (classifier #2,
 carried through evolution but with no assigned role).
 Fitness is training-set accuracy under majority-labeled basins.  It reads
-only classifier #1, so `evolve_maca` memoizes it per run: a dict from
-dependency string to score means each distinct dependency string is scored
-once, however often selection, elitism or a no-op mutation brings it back.
-The memo changes no RNG draw, score or history.
+only classifier #1, so `evolve_maca` memoizes it per run: a dict from a
+dependency string's (bits, widths) to score means each distinct dependency
+string is scored once, however often selection, elitism or a no-op mutation
+brings it back (a plain tuple key hashes faster than the dataclass).  The
+memo changes no RNG draw, score or history.
 
 The operators reuse what did not change, which is safe because chromosomes
 and dependency strings are immutable.  `mutate` returns its input when no
@@ -17,6 +18,10 @@ dependency string when the child's bits and widths equal that parent's.
 Reuse skips only object construction: every operator makes the same RNG
 draws in the same order as one that builds a new chromosome on every call,
 so a seed gives the same run, history and model bytes.
+
+Every integer draw goes through `_below`, which calls `getrandbits` as
+`randrange` does, without its argument handling: the same draws, so model
+bytes depend on `getrandbits`, `random` and `sample`, not on `randrange`.
 """
 
 from __future__ import annotations
@@ -50,10 +55,21 @@ class FitnessHistory:
     mean: list[float]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    # rng.randrange(n)'s value and draws: CPython's _randbelow_with_getrandbits
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_partition(n: int, m: int, rng: random.Random) -> list[int]:
     """m positive parts summing to n; uniform over compositions."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if m == 1:  # sample(..., 0) would draw nothing
+        return [n]
     cuts = sorted(rng.sample(range(1, n), m - 1))
     edges = [0] + cuts + [n]
     return [b - a for a, b in zip(edges, edges[1:])]
@@ -63,8 +79,9 @@ def random_chromosome(n: int, m: int, rng: random.Random) -> Chromosome:
     widths = tuple(random_partition(n, m, rng))
     bits = 0
     for width in widths:
-        bits = bits << width | rng.randrange(1, 1 << width)
-    return Chromosome(DependencyString(bits, widths), rng.randrange(1, 1 << m))
+        bits = bits << width | 1 + _below(rng, (1 << width) - 1)
+    return Chromosome(DependencyString(bits, widths),
+                      1 + _below(rng, (1 << m) - 1))
 
 
 def fitness(ch: Chromosome, training) -> float:
@@ -91,7 +108,7 @@ def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     ds_a, ds_b = a.classifier1, b.classifier1
     if ds_b.n != ds_a.n:
         raise ValueError("parents must cover the same pattern length")
-    k = rng.randrange(ds_a.m + 1)
+    k = _below(rng, ds_a.m + 1)
     low = ds_a.n - sum(ds_a.widths[:k])  # the bits below a's prefix
     j, tail = ds_b.m, 0  # b's segments j.. fit in the low `tail` bits
     while j and tail + ds_b.widths[j - 1] <= low:
@@ -101,7 +118,7 @@ def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     widths = ds_a.widths[:k] + ds_b.widths[j:]
     gap = low - tail
     if gap:  # a fresh DV fills the bits between prefix and suffix
-        bits |= rng.randrange(1, 1 << gap) << tail
+        bits |= (1 + _below(rng, (1 << gap) - 1)) << tail
         widths = ds_a.widths[:k] + (gap,) + ds_b.widths[j:]
     if bits == ds_a.bits and widths == ds_a.widths:
         ds = ds_a
@@ -109,14 +126,14 @@ def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
         ds = ds_b
     else:
         ds = DependencyString(bits, widths)
-    return Chromosome(ds, rng.randrange(1, 1 << len(widths)))
+    return Chromosome(ds, 1 + _below(rng, (1 << len(widths)) - 1))
 
 
 def _repair(bits: int, low: int, width: int, rng: random.Random) -> int:
     # set one random bit (draw 0 is the top one) of an all-zero segment
     if bits >> low & ((1 << width) - 1):
         return bits
-    return bits | 1 << (low + width - 1 - rng.randrange(width))
+    return bits | 1 << (low + width - 1 - _below(rng, width))
 
 
 def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
@@ -140,7 +157,7 @@ def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
     m = len(widths)
     if m >= 2 and random_() < rate:
         widths = list(widths)
-        i = rng.randrange(m - 1)  # boundary between i and i+1
+        i = _below(rng, m - 1)  # boundary between i and i+1
         # segment i gives its last bit (the boundary moves left), or
         # segment i+1 its first; a 1-bit segment gives none
         giver = i if random_() < 0.5 else i + 1
@@ -170,12 +187,13 @@ def evolve_maca(training: PatternSet, m: int, config: TreeConfig,
     returns the best individual ever seen plus the per-generation history."""
     rng = random.Random(_check_seed(rng_seed))
     n = training.n
-    memo: dict[DependencyString, float] = {}
+    memo: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def score(ch: Chromosome) -> float:
-        value = memo.get(ch.classifier1)
+        key = ch.classifier1.bits, ch.classifier1.widths
+        value = memo.get(key)
         if value is None:
-            value = memo[ch.classifier1] = fitness(ch, training)
+            value = memo[key] = fitness(ch, training)
         return value
 
     population = [random_chromosome(n, m, rng)
@@ -185,10 +203,10 @@ def evolve_maca(training: PatternSet, m: int, config: TreeConfig,
     history = FitnessHistory(best=[], mean=[])
     best_ch, best_fit = None, -1.0
 
-    randrange = rng.randrange
+    size = config.population_size  # every generation's population size
 
     def tournament() -> Chromosome:
-        i, j = randrange(len(population)), randrange(len(population))
+        i, j = _below(rng, size), _below(rng, size)
         return population[i] if scores[i] >= scores[j] else population[j]
 
     for generation in range(config.generations + 1):

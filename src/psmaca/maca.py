@@ -82,13 +82,16 @@ class DependencyString:
         if not self.widths:
             raise ValueError("dependency string needs at least one segment")
         object.__setattr__(self, "n", sum(self.widths))
-        if type(self.n) is not int:
-            raise ValueError(f"widths must be ints, got {self.widths!r}")
-        _check_code(self.bits, self.n)
         masks, low = [], self.n
         for width in self.widths:
+            # an exact int >= 1, which keeps `low` >= 0: a width wider
+            # than the bits left means that a later width is below 1
+            if type(width) is not int or not 0 < width <= low:
+                raise ValueError(
+                    f"widths must be ints >= 1, got {self.widths!r}")
             low -= width
             masks.append(self.bits & ((1 << width) - 1) << low)
+        _check_code(self.bits, self.n)
         if not all(masks):
             raise ValueError(f"all-zero segment in {self.bit_strings()}")
         object.__setattr__(self, "masks", tuple(masks))

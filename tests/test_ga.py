@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psmaca import dataio, ga, maca
@@ -367,6 +367,36 @@ class TestSameDraws:
                                                         seed)
                 assert (best, history.best, history.mean) == \
                     (want, want_history.best, want_history.mean)
+
+
+# n = 1 still draws; at n = 2**k and 2**k + 1 the helper draws k + 1 bits,
+# and at 2**k + 1 it rejects almost half of them
+edge_sizes = st.integers(0, 70).flatmap(
+    lambda k: st.sampled_from(sorted({max(1, 2**k - 1), 2**k, 2**k + 1})))
+
+
+class TestBelow:
+    """`ga._below` makes `randrange`'s draws, so a CPython that changes
+    `randrange` fails here by name before any model digest moves."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.one_of(edge_sizes, st.integers(1, 2**70)), seed=seeds)
+    @example(n=1, seed=0)
+    @example(n=2**70, seed=0)
+    def test_is_randrange(self, n, seed):
+        rng, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert ga._below(rng, n) == stdlib.randrange(n)
+        assert rng.getstate() == stdlib.getstate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=seeds)
+    def test_nonzero_vector_is_randrange_from_one(self, seed):
+        rng, stdlib = random.Random(seed), random.Random(seed)
+        for w in range(1, 41):
+            assert 1 + ga._below(rng, (1 << w) - 1) == \
+                stdlib.randrange(1, 1 << w)
+        assert rng.getstate() == stdlib.getstate()
 
 
 def toy_windows():

@@ -67,10 +67,14 @@ class TestDvValidity:
         (True, (1,), "bits must be an int"),
         (0b11, [1, 1], "widths must be a tuple"),
         (0b11, (1.0, 1), "widths must be ints"),
+        (3, (True, True), "widths must be ints"),
+        (5, (5, -2), "widths must be ints"),
+        (6, (-1, 4), "widths must be ints"),
     ])
     def test_exact_types(self, bits, widths, message):
         # a list of widths would be accepted and then crash the fitness
-        # memo, which hashes dependency strings
+        # memo, which hashes the widths; a bool or negative width would
+        # give a wrong mask or a bare "negative shift count"
         with pytest.raises(ValueError, match=message):
             DependencyString(bits, widths)
 
