@@ -42,7 +42,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_26.json at the repository root, with the Python version and core
+BENCH_27.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the test suite does not
 collect it; `tests/test_bench.py` runs every layer but the default-config
 build once, with timing disabled, which writes no file.
@@ -63,7 +63,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_26.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_27.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)

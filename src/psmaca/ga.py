@@ -2,13 +2,16 @@
 
 A chromosome pairs a dependency string over n bits (classifier #1, the part
 that actually classifies) with an m-bit dependency vector (classifier #2,
-carried through evolution but with no assigned role).
+carried through evolution but with no assigned role).  It is a plain
+`NamedTuple`, checked once, by its `DependencyString`: the operators below
+build every `classifier2` nonzero and within m bits, and no file or flag
+holds a chromosome.
 Fitness is training-set accuracy under majority-labeled basins.  It reads
 only classifier #1, so `evolve_maca` memoizes it per run: a dict from a
 dependency string's (bits, widths) to score means each distinct dependency
 string is scored once, however often selection, elitism or a no-op mutation
-brings it back (a plain tuple key hashes faster than the dataclass).  The
-memo changes no RNG draw, score or history.
+brings it back (a plain tuple key hashes faster than a `DependencyString`).
+The memo changes no RNG draw, score or history.
 
 The operators reuse what did not change, which is safe because chromosomes
 and dependency strings are immutable.  `mutate` returns its input when no
@@ -27,30 +30,18 @@ bytes depend on `getrandbits`, `random` and `sample`, not on `randrange`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .maca import (DependencyString, PatternSet, TreeConfig, _check_seed,
                    distribute, pattern_set)
 
 
-@dataclass(frozen=True)
-class Chromosome:
+class Chromosome(NamedTuple):
     classifier1: DependencyString
     classifier2: int
 
-    def __post_init__(self):
-        if not isinstance(self.classifier1, DependencyString):
-            raise ValueError(f"classifier1 must be a DependencyString, "
-                             f"got {self.classifier1!r}")
-        m = len(self.classifier1.widths)
-        if (type(self.classifier2) is not int
-                or not 0 < self.classifier2 < 1 << m):
-            raise ValueError(f"classifier2 must be a nonzero {m}-bit int, "
-                             f"got {self.classifier2!r}")
 
-
-@dataclass
-class FitnessHistory:
+class FitnessHistory(NamedTuple):
     best: list[float]
     mean: list[float]
 

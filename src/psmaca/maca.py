@@ -111,19 +111,13 @@ class DependencyString:
         return cls(int("".join(strings) or "0", 2), tuple(map(len, strings)))
 
 
-def _signature(masks, code: int) -> int:
-    # the signature kernel, which `classify` runs inline: bit j is the
-    # parity of code AND mask j
-    sig = 0
-    for mask in masks:
-        sig = sig << 1 | (code & mask).bit_count() & 1
-    return sig
-
-
 def basin_signature(ds: DependencyString, code: int) -> int:
     """Signature bit j = parity of (segment j AND the matching pattern bits)."""
     _check_code(code, ds.n)
-    return _signature(ds.masks, code)
+    sig = 0
+    for mask in ds.masks:
+        sig = sig << 1 | (code & mask).bit_count() & 1
+    return sig
 
 
 class LabeledPattern(NamedTuple):
@@ -326,7 +320,7 @@ def classify(tree: PsmacaTree, code: int) -> str:
     _check_code(code, tree.n)
     node = tree.root
     while (ds := node.ds) is not None:
-        # `_signature` inline: one call per window, not one per node
+        # `basin_signature` inline: one call per window, not one per node
         sig = 0
         for mask in ds.masks:
             sig = sig << 1 | (code & mask).bit_count() & 1

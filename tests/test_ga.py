@@ -83,16 +83,16 @@ class TestRandomChromosome:
 
 
 class TestChromosome:
-    @pytest.mark.parametrize("classifier1, classifier2, message", [
-        (DependencyString(0b1011, (2, 2)), 1.5, "classifier2 must be"),
-        (DependencyString(0b1011, (2, 2)), True, "classifier2 must be"),
-        (DependencyString(0b1011, (2, 2)), 4, "nonzero 2-bit"),
-        (DependencyString(0b1011, (2, 2)), 0, "nonzero 2-bit"),
-        ("xx", 1, "classifier1 must be a DependencyString"),
-    ])
-    def test_rejected(self, classifier1, classifier2, message):
-        with pytest.raises(ValueError, match=message):
-            ga.Chromosome(classifier1, classifier2)
+    def test_is_a_pair(self):
+        ds = DependencyString(0b1011, (2, 2))
+        ch = ga.Chromosome(ds, 1)
+        assert ch == (ds, 1)
+        assert hash(ch) == hash((ds, 1))
+        classifier1, classifier2 = ch
+        assert (classifier1, classifier2) == (ch.classifier1, ch.classifier2)
+        # the form the tracer and the logs show
+        assert repr(ch) == ("Chromosome(classifier1=DependencyString("
+                            "bits=11, widths=(2, 2)), classifier2=1)")
 
 
 class TestFitness:

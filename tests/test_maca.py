@@ -269,22 +269,22 @@ class TestDistribute:
 
 
 def loop_distribute(ds, patterns):
-    """`distribute` as a pattern-by-pattern loop over `_signature`, as
+    """`distribute` as a pattern-by-pattern loop over `basin_signature`, as
     (signature, members) pairs in ascending signature order: the oracle of
     the bit-sliced one."""
     buckets = {}
     for p in patterns:
-        buckets.setdefault(maca._signature(ds.masks, p.code), []).append(p)
+        buckets.setdefault(maca.basin_signature(ds, p.code), []).append(p)
     return sorted(buckets.items())
 
 
 def loop_members(ds, patterns, picked):
-    """The member mask of each signature the `_signature` loop puts the
+    """The member mask of each signature the `basin_signature` loop puts the
     patterns at indices `picked` under, as (signature, mask) pairs in
     ascending signature order."""
     buckets = {}
     for i in picked:
-        sig = maca._signature(ds.masks, patterns[i].code)
+        sig = maca.basin_signature(ds, patterns[i].code)
         buckets[sig] = buckets.get(sig, 0) | 1 << i
     return sorted(buckets.items())
 
@@ -564,10 +564,10 @@ class TestClassify:
 
 
 def reference_classify(tree, code):
-    """The walk `classify` runs inline: one `_signature` call per node."""
+    """The walk `classify` runs inline: one `basin_signature` call per node."""
     node = tree.root
     while not node.is_leaf:
-        child = node.children.get(maca._signature(node.ds.masks, code))
+        child = node.children.get(maca.basin_signature(node.ds, code))
         if child is None:
             return node.label
         node = child
