@@ -28,10 +28,16 @@ one (the memo is cleared before each of VECTOR_ROUNDS rounds over the 250
 sequences; the process-wide k-mer numbering stays), `pipeline.deconvolve`
 (L = 9) on one base,
 `maca.DependencyString` construction per object over the (bits, widths)
-of a seeded population of 30 (n = 25, m = 2), and two fresh-interpreter
+of a seeded population of 30 (n = 25, m = 2), two fresh-interpreter
 probes, one subprocess per round for PROBE_ROUNDS rounds: `import
 psmaca.cli` alone, and that import plus one `pipeline.predict_structure`
-call, which shows whether either route pulls in numpy.  The windows are
+call, which shows whether either route pulls in numpy, and the import of
+`psmaca.cli` alone as `python -X importtime` reports it (the cumulative
+time of the `psmaca.cli` line, which leaves out interpreter start-up and
+`site`), one fresh interpreter per round for IMPORT_ROUNDS rounds, in
+the environment the benchmark runs in: with PYTHONDONTWRITEBYTECODE set
+or stale `__pycache__` files, psmaca is compiled from source each round.
+The windows are
 the 2,400 width-5 windows (25-bit patterns) of the 40 records of
 `make_toy_dataset(40, 60, seed=1)`, the input of the benchmark's `train`
 workload at seed 1; the classified tree is trained on them with that
@@ -42,7 +48,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_27.json at the repository root, with the Python version and core
+BENCH_28.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the test suite does not
 collect it; `tests/test_bench.py` runs every layer but the default-config
 build once, with timing disabled, which writes no file.
@@ -54,6 +60,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -63,7 +70,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_27.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_28.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -71,7 +78,9 @@ FITNESS_SIZES = (2400, 300, 34, 8)
 PATTERN_SET_SIZES = (2400, 30)
 POPULATION = 30
 FILTER_LENGTH = 9
+RIDGE = pipeline.PipelineConfig._field_defaults["ridge"]
 PROBE_ROUNDS = 15
+IMPORT_ROUNDS = 25
 BUILD_ROUNDS = 3
 EVOLVE_ROUNDS = 15
 # the GA settings of the benchmark's `train` workload
@@ -207,7 +216,7 @@ def population(m: int) -> list[ga.Chromosome]:
 @pytest.mark.parametrize("m", (2, 4))
 def test_mutate(benchmark, layers, m):
     pop = population(m)
-    rate = maca.TreeConfig.mutation_rate
+    rate = maca.TreeConfig._field_defaults["mutation_rate"]
     def breed():
         rng = random.Random(1)
         return [ga.mutate(ch, rate, rng) for ch in pop]
@@ -312,7 +321,7 @@ def response(bases):
     base = bases[0]
     return pipeline.deconvolve(codec.structure_encode(base.structure),
                                codec.hydropathy_encode(base.sequence),
-                               FILTER_LENGTH, pipeline.PipelineConfig.ridge)
+                               FILTER_LENGTH, RIDGE)
 
 
 def test_deconvolve(benchmark, bases, layers, response):
@@ -320,7 +329,7 @@ def test_deconvolve(benchmark, bases, layers, response):
     output = codec.structure_encode(base.structure)
     signal = codec.hydropathy_encode(base.sequence)
     fitted = benchmark(pipeline.deconvolve, output, signal, FILTER_LENGTH,
-                       pipeline.PipelineConfig.ridge)
+                       RIDGE)
     assert fitted == response
     record(layers, benchmark,
            f"pipeline.deconvolve[L={FILTER_LENGTH}, {len(signal)} residues]")
@@ -352,3 +361,35 @@ def test_fresh_process(benchmark, layers, name, code):
     benchmark.pedantic(probe, rounds=PROBE_ROUNDS, iterations=1,
                        warmup_rounds=1)
     record(layers, benchmark, name)
+
+
+def importtime_s(module: str, env: dict) -> float:
+    """The cumulative `-X importtime` seconds of `module`, imported alone
+    in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", f"import {module}"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    # "import time: self [us] | cumulative | imported package"; the
+    # module's own line comes after those of everything it imports
+    for line in reversed(done.stderr.splitlines()):
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2].strip() == module:
+            return int(fields[1]) * 1e-6
+    raise AssertionError(f"no -X importtime line for {module}")
+
+
+def test_cli_importtime(benchmark, layers):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    samples = []
+    # the rounds' wall times include interpreter start-up; keep the
+    # import's own reading instead
+    benchmark.pedantic(
+        lambda: samples.append(importtime_s("psmaca.cli", env)),
+        rounds=IMPORT_ROUNDS, iterations=1)
+    assert all(sample > 0 for sample in samples)
+    if benchmark.stats is None:  # timing disabled: one untimed round
+        return
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    layers["cli import [-X importtime, cumulative]"] = {
+        "median_s": median, "iqr_s": q3 - q1, "rounds": len(samples)}

@@ -4,15 +4,16 @@ Radius-1 binary rules, each its Wolfram number: bit b of the rule is the
 output for neighborhood b, read as a 3-bit number (left, center, right),
 from 111 (bit 7) down to 000 (bit 0).  Lattice evolution with null or
 periodic boundaries, exhaustive state-transition graphs and attractor-basin
-enumeration for small lattice widths.
+enumeration for small lattice widths.  A graph and a basin are `NamedTuple`
+records; a graph checks that it covers every state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .maca import _check_code
+from .record import Checked
 
 BOUNDARIES = ("null", "periodic")
 
@@ -68,20 +69,22 @@ def evolve(state: int, n: int, rule: int, steps: int,
     return rows
 
 
-@dataclass(frozen=True)
-class StateTransitionGraph:
-    """Deterministic successor map over all 2^n lattice states."""
-
+class _GraphFields(NamedTuple):
     n: int
     successor: tuple[int, ...]
 
-    def __post_init__(self):
+
+class StateTransitionGraph(Checked, _GraphFields):
+    """Deterministic successor map over all 2^n lattice states."""
+
+    __slots__ = ()
+
+    def _check(self):
         if len(self.successor) != 1 << self.n:
             raise ValueError("successor map must cover all 2^n states")
 
 
-@dataclass(frozen=True)
-class AttractorBasin:
+class AttractorBasin(NamedTuple):
     """One attractor cycle together with every state that flows into it."""
 
     attractor_cycle: tuple[int, ...]

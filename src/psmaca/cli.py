@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 from . import ca, dataio, maca
@@ -73,10 +72,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     for flag, name in _TREE_FLAGS.items():
-        default = getattr(maca.TreeConfig, name)
+        default = maca.TreeConfig._field_defaults[name]
         p.add_argument(flag, dest=name, type=type(default), default=default)
     p.add_argument("--filter-length", type=int,
-                   default=PipelineConfig.filter_length)
+                   default=PipelineConfig._field_defaults["filter_length"])
     p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("predict", parents=[routed],
@@ -209,8 +208,8 @@ def _route(args, bases, outputs=(), inputs=()):
                     ["method: tree"])
     else:
         training = _load_training(model, bases, args.no_verify)
-        cfg = replace(model.pipeline,
-                      decode_mode=args.mode or model.pipeline.decode_mode)
+        cfg = model.pipeline._replace(
+            decode_mode=args.mode or model.pipeline.decode_mode)
 
         def predict(sequence):
             result = predict_structure(sequence, training, cfg)

@@ -18,6 +18,10 @@ from bisect import bisect_left
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 UNKNOWN_RESIDUE = "X"
 RESIDUE_BITS = 5  # bits per residue code, so a window of w residues is 5w bits
+# Training keeps 256 N-bit ints per byte of the 5w-bit window code
+# (`maca.pattern_set`): about 0.48 MiB per window residue at N = 23,310
+# windows, so 47 MiB at this ceiling, where window 99999 would need ~47 GiB.
+MAX_WINDOW = 99
 _CODE = {aa: code for code, aa in enumerate(AMINO_ACIDS + UNKNOWN_RESIDUE)}
 _RESIDUES = frozenset(_CODE)
 
@@ -64,6 +68,8 @@ def check_sequence(seq: str) -> str:
 def check_window(w) -> int:
     if type(w) is not int or w < 1 or w % 2 == 0:
         raise ValueError(f"window size must be an odd integer >= 1, got {w!r}")
+    if w > MAX_WINDOW:
+        raise ValueError(f"window size must be at most {MAX_WINDOW}, got {w}")
     return w
 
 

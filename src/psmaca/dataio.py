@@ -5,7 +5,8 @@ sequence/structure records ("Amino Acids:" block followed by a structure
 block), versioned JSON model files, and TSV/JSON metric reports.  Files
 are read with read_text and written with write_text, both UTF-8.  A Q3
 score is one MetricsRow, per record or pooled over a report's records as
-its TOTAL_ID ("ALL") row.
+its TOTAL_ID ("ALL") row.  Every record is a `NamedTuple`; a ProteinRecord
+and a Dataset check their fields on every path that builds one.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import random
 import re
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from . import maca
 from .codec import (AMINO_ACIDS, RESIDUE_BITS, STRUCTURE_LABELS,
                     check_sequence, check_structure, check_window)
 from .pipeline import PipelineConfig
+from .record import Checked
 
 MODEL_FORMAT_VERSION = 1
 WRAP_COLUMNS = 60
@@ -32,13 +34,16 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProteinRecord:
+class _RecordFields(NamedTuple):
     id: str
     sequence: str
     structure: str | None = None
 
-    def __post_init__(self):
+
+class ProteinRecord(Checked, _RecordFields):
+    __slots__ = ()
+
+    def _check(self):
         check_sequence(self.sequence)
         if self.structure is not None:
             check_structure(self.structure)
@@ -48,11 +53,14 @@ class ProteinRecord:
                     f"sequence length {len(self.sequence)}")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _DatasetFields(NamedTuple):
     records: tuple[ProteinRecord, ...]
 
-    def __post_init__(self):
+
+class Dataset(Checked, _DatasetFields):
+    __slots__ = ()
+
+    def _check(self):
         ids = [r.id for r in self.records]
         if len(ids) != len(set(ids)):
             raise ValueError("dataset ids must be unique")
@@ -169,8 +177,7 @@ def format_paired(record: ProteinRecord, annotations: list[str] | None = None) -
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     record_id: str
     q3: float
     per_class: dict[str, float | None]  # H/E/C accuracy; None when no support
@@ -203,8 +210,7 @@ def q3(predicted: str, actual: str, record_id: str = "") -> MetricsRow:
     return _scored(record_id, Counter(zip(actual, predicted)))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     rows: tuple[MetricsRow, ...]
     total: MetricsRow  # the TOTAL_ID row, scored over every row's positions
 
@@ -275,8 +281,7 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(NamedTuple):
     tree: maca.PsmacaTree
     window: int
     pipeline: PipelineConfig
@@ -300,7 +305,7 @@ def tree_to_dict(tree: maca.PsmacaTree) -> dict:
                 "children": {format(sig, f"0{node.ds.m}b"): node_to_dict(child)
                              for sig, child in node.children.items()}}
 
-    return {"n": tree.n, "config": asdict(tree.config),
+    return {"n": tree.n, "config": tree.config._asdict(),
             "root": node_to_dict(tree.root)}
 
 
@@ -318,7 +323,7 @@ def _check_keys(doc, keys: set, where: str) -> None:
 
 
 def _config(cls, doc, where: str):
-    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    _check_keys(doc, set(cls._fields), where)
     return cls(**doc)
 
 
@@ -365,7 +370,7 @@ def save_model(model: ModelFile, path: str) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "window": model.window,
         "tree": tree_to_dict(model.tree),
-        "pipeline": asdict(model.pipeline),
+        "pipeline": model.pipeline._asdict(),
         "ga_config": {**{name: getattr(model.tree.config, name)
                          for name in _GA_FIELDS}, "rng_seed": model.seed},
         "training_fingerprint": model.training_fingerprint,

@@ -29,14 +29,20 @@ columns mask j selects, so `distribute` splits the member mask once per
 segment, and a class count is a popcount of the members AND a label's mask,
 with no per-pattern loop.  `distribute` and `ga.evolve_maca` take only a
 set, whose `n` they read; `ga.fitness` also takes pairs.
+
+`DependencyString`, `TreeNode` and `PsmacaTree` are immutable `__slots__`
+records (`record.Frozen`), as `classify` reads their fields for every
+window; `TreeConfig` is a `NamedTuple` that checks its fields on every
+path that builds one (`record.Checked`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
+
+from .record import Checked, Frozen
 
 
 def _check_text(text) -> str:
@@ -58,43 +64,44 @@ def _check_seed(seed) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class DependencyString:
+class DependencyString(Frozen):
     """Ordered nonzero dependency vectors covering an n-bit pattern: `bits`
     is their n-bit concatenation, segment 0 most significant, and `widths`
-    holds one width per segment."""
+    holds one width per segment.  Equality, hashing and `repr` read only
+    (bits, widths)."""
 
-    bits: int
-    widths: tuple[int, ...]
-    # one mask per segment, over the whole n-bit pattern; the all-zero
-    # check needs every mask, so __post_init__ sets them all
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the pattern width, sum(widths), read by every GA operator and kernel
-    n: int = field(init=False, repr=False, compare=False)
+    # masks: one per segment, over the whole n-bit pattern; the all-zero
+    # check needs every mask, so __init__ sets them all.  n: the pattern
+    # width, sum(widths), read by every GA operator and kernel
+    __slots__ = ("bits", "widths", "masks", "n")
+    _fields = ("bits", "widths")
 
-    def __post_init__(self):
+    def __init__(self, bits: int, widths: tuple[int, ...]):
         # exact types: a float or bool is no bits, and only a tuple of
         # widths can key the GA's fitness memo
-        if type(self.bits) is not int:
-            raise ValueError(f"bits must be an int, got {self.bits!r}")
-        if type(self.widths) is not tuple:
-            raise ValueError(f"widths must be a tuple, got {self.widths!r}")
-        if not self.widths:
+        if type(bits) is not int:
+            raise ValueError(f"bits must be an int, got {bits!r}")
+        if type(widths) is not tuple:
+            raise ValueError(f"widths must be a tuple, got {widths!r}")
+        if not widths:
             raise ValueError("dependency string needs at least one segment")
-        object.__setattr__(self, "n", sum(self.widths))
-        masks, low = [], self.n
-        for width in self.widths:
+        n = low = sum(widths)
+        masks = []
+        for width in widths:
             # an exact int >= 1, which keeps `low` >= 0: a width wider
             # than the bits left means that a later width is below 1
             if type(width) is not int or not 0 < width <= low:
-                raise ValueError(
-                    f"widths must be ints >= 1, got {self.widths!r}")
+                raise ValueError(f"widths must be ints >= 1, got {widths!r}")
             low -= width
-            masks.append(self.bits & ((1 << width) - 1) << low)
-        _check_code(self.bits, self.n)
+            masks.append(bits & ((1 << width) - 1) << low)
+        _check_code(bits, n)
+        _set = object.__setattr__
+        _set(self, "bits", bits)
+        _set(self, "widths", widths)
+        _set(self, "n", n)
         if not all(masks):
             raise ValueError(f"all-zero segment in {self.bit_strings()}")
-        object.__setattr__(self, "masks", tuple(masks))
+        _set(self, "masks", tuple(masks))
 
     @property
     def m(self) -> int:
@@ -210,26 +217,27 @@ def majority_label(counts: dict[str, int]) -> str:
     return min(counts, key=lambda lab: (-counts[lab], lab))
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Frozen):
     """Internal nodes carry a dependency string and children keyed by
     signature; leaves carry only a label.  An internal node's `label` is
     the fallback for signatures never seen in training."""
 
-    label: str
-    ds: DependencyString | None = None
-    children: dict[int, "TreeNode"] = field(default_factory=dict)
+    __slots__ = _fields = ("label", "ds", "children")
+
+    def __init__(self, label: str, ds: DependencyString | None = None,
+                 children: dict[int, TreeNode] | None = None):
+        _set = object.__setattr__
+        _set(self, "label", label)
+        _set(self, "ds", ds)
+        # a new dict for each node given none: no two leaves share one
+        _set(self, "children", {} if children is None else children)
 
     @property
     def is_leaf(self) -> bool:
         return self.ds is None
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    """Tree settings; `population_size` to `elitism_count` set the GA run at
-    each impure node."""
-
+class _TreeConfigFields(NamedTuple):
     max_depth: int = 8
     min_samples: int = 2
     population_size: int = 30
@@ -240,13 +248,20 @@ class TreeConfig:
     # GA restarts at a node whose best split leaves everything in one basin
     split_retries: int = 5
 
-    def __post_init__(self):
+
+class TreeConfig(Checked, _TreeConfigFields):
+    """Tree settings; `population_size` to `elitism_count` set the GA run at
+    each impure node.  `TreeConfig._field_defaults` holds the defaults."""
+
+    __slots__ = ()
+
+    def _check(self):
         # exact types: a bool is no int, and a rate may also be an int
-        for f in fields(self):
-            kind, value = type(f.default), getattr(self, f.name)
+        for name, default in self._field_defaults.items():
+            kind, value = type(default), getattr(self, name)
             if type(value) not in (int, kind):
                 raise ValueError(
-                    f"{f.name} must be {kind.__name__}, got {value!r}")
+                    f"{name} must be {kind.__name__}, got {value!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.min_samples < 1:
@@ -264,11 +279,14 @@ class TreeConfig:
             raise ValueError("need 1 <= elitism_count < population_size")
 
 
-@dataclass(frozen=True)
-class PsmacaTree:
-    root: TreeNode
-    n: int
-    config: TreeConfig
+class PsmacaTree(Frozen):
+    __slots__ = _fields = ("root", "n", "config")
+
+    def __init__(self, root: TreeNode, n: int, config: TreeConfig):
+        _set = object.__setattr__
+        _set(self, "root", root)
+        _set(self, "n", n)
+        _set(self, "config", config)
 
 
 def build_tree(training, n: int, config: TreeConfig | None = None,

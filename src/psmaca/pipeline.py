@@ -15,6 +15,10 @@ The filter is short (9 taps by default), so its normal equations are a
 small positive definite system, built and solved in plain Python floats:
 the Gram matrix from lagged dot products, unpivoted elimination for the
 taps, and cyclic Jacobi eigenvalues for the ridge-free conditioning check.
+
+A ResponseFilter, a PipelineConfig and a PredictionResult are
+`NamedTuple` records; the first two check their fields on every path that
+builds one.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .codec import (
     DECODE_MODES,
@@ -34,6 +38,7 @@ from .codec import (
     structure_decode,
     structure_encode,
 )
+from .record import Checked
 
 # ill-conditioning threshold for the unregularized normal matrix
 _COND_LIMIT = 1e12
@@ -47,26 +52,35 @@ class IllConditionedError(ValueError):
     """Normal equations are numerically singular; raise the ridge weight."""
 
 
-@dataclass(frozen=True)
-class ResponseFilter:
+class _FilterFields(NamedTuple):
     taps: tuple[float, ...]
 
-    def __post_init__(self):
+
+class ResponseFilter(Checked, _FilterFields):
+    __slots__ = ()
+
+    def _check(self):
         if not self.taps:
             raise ValueError("filter needs at least one tap")
         if any(not math.isfinite(t) for t in self.taps):
             raise ValueError("filter taps must be finite")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
     filter_length: int = 9
     ridge: float = 1e-6
     decode_mode: str = "nearest_centroid"
     scale_name: str = HYDROPATHY_SCALE
     kmer_size: int = 3
 
-    def __post_init__(self):
+
+class PipelineConfig(Checked, _PipelineConfigFields):
+    """Signal-route settings; `PipelineConfig._field_defaults` holds the
+    defaults."""
+
+    __slots__ = ()
+
+    def _check(self):
         for name in ("filter_length", "kmer_size"):
             value = getattr(self, name)
             if type(value) is not int:  # a bool is refused too
@@ -88,8 +102,7 @@ class PipelineConfig:
                              f"the only scale is {HYDROPATHY_SCALE!r}")
 
 
-@dataclass(frozen=True)
-class PredictionResult:
+class PredictionResult(NamedTuple):
     predicted: str
     trace: tuple[float, ...]
     base_id: str

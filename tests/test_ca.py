@@ -211,6 +211,13 @@ class TestStateTransitionGraph:
         g = ca.state_transition_graph(204, 3)
         assert g.successor == tuple(range(8))
 
+    def test_successor_map_must_cover_every_state(self):
+        for build in (lambda: ca.StateTransitionGraph(2, (0, 1, 2)),
+                      lambda: ca.StateTransitionGraph._make((2, (0, 1, 2))),
+                      lambda: ca.state_transition_graph(204, 2)._replace(n=3)):
+            with pytest.raises(ValueError, match="all 2\\^n states"):
+                build()
+
     def test_rule_90_periodic_is_neighbor_xor(self):
         n = 4
         g = ca.state_transition_graph(90, n, "periodic")

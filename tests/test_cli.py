@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from functools import reduce
 from operator import getitem
 
@@ -191,6 +190,14 @@ TRAINER_PROBE = ("import sys; hashlib_before = 'hashlib' in sys.modules; "
                  "code = run_cli(sys.argv[1:]); "
                  "print(code, 'psmaca.ga' in sys.modules, hashlib_before, "
                  "'hashlib' in sys.modules)")
+# records are NamedTuples or slots classes, not dataclasses, whose import
+# (with inspect, ast, dis and tokenize) and class set-up cost every command
+# about 20 ms; either may load before psmaca does, so the probe notes both
+RECORD_PROBE = ("import sys; names = ('dataclasses', 'inspect'); "
+                "before = [name in sys.modules for name in names]; "
+                "from psmaca.cli import run_cli; "
+                "code = run_cli(sys.argv[1:]); "
+                "print(code, *before, *(name in sys.modules for name in names))")
 COMMANDS = {
     "train": ["train", "--data", "DATA", "--window", "3", "--out", "OUT",
               "--population", "10", "--generations", "5"],
@@ -228,6 +235,13 @@ def run_fresh(tmp_path, toy_files, probe, command) -> list[str]:
 def test_no_command_loads_numpy(tmp_path, toy_files, command):
     assert run_fresh(tmp_path, toy_files, NUMPY_PROBE, command) == \
         ["0", "False"]
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_no_command_loads_dataclasses(tmp_path, toy_files, command):
+    code, *loaded = run_fresh(tmp_path, toy_files, RECORD_PROBE, command)
+    assert code == "0"
+    assert loaded[2:] == loaded[:2]
 
 
 @pytest.mark.parametrize("name", ["predict", "evaluate", "predict-pipeline",
@@ -282,6 +296,18 @@ class TestTrain:
         assert (f"window size must be an odd integer >= 1, got {window}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("above", [2, 4])
+    def test_window_over_the_ceiling_fails_before_reading(
+            self, tmp_path, capsys, monkeypatch, above):
+        # a training set grows with the window: 99999 would need ~47 GiB
+        monkeypatch.setattr(dataio, "read_text", no_reading)
+        window = codec.MAX_WINDOW + above
+        assert run_cli(["train", "--data", str(tmp_path / "nonexistent"),
+                        "--out", str(tmp_path / "m.json"),
+                        "--window", str(window)]) == 2
+        assert (f"window size must be at most {codec.MAX_WINDOW}, "
+                f"got {window}" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("out", ["nodir/m.json", ""],
                              ids=["missing-directory", "directory"])
     def test_bad_out_fails_before_training(self, tmp_path, toy_files, capsys,
@@ -322,7 +348,7 @@ class TestTrain:
         _, data, _ = toy_files
         model = train(tmp_path, data, capsys)
         loaded = dataio.load_model(model)
-        tree_fields = asdict(loaded.tree.config)
+        tree_fields = loaded.tree.config._asdict()
         ga_fields = ("population_size", "generations", "crossover_rate",
                      "mutation_rate", "elitism_count")
         assert json.loads(model.read_text())["ga_config"] == {

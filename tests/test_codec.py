@@ -200,6 +200,14 @@ class TestWindowPatterns:
         with pytest.raises(ValueError, match="odd integer >= 1"):
             codec.window_patterns("ACD", w)
 
+    def test_window_has_a_ceiling(self):
+        assert codec.check_window(codec.MAX_WINDOW) == codec.MAX_WINDOW
+        for w in (codec.MAX_WINDOW + 2, codec.MAX_WINDOW + 4):
+            with pytest.raises(ValueError, match="at most"):
+                codec.check_window(w)
+            with pytest.raises(ValueError, match="at most"):
+                codec.window_patterns("ACD", w)
+
     @given(st.tuples(residues, residues).map("X".join),
            st.sampled_from([1, 3, 5, 7]))
     @settings(max_examples=200, deadline=None)

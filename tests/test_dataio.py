@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psmaca import dataio, maca
-from psmaca.codec import AMINO_ACIDS, window_patterns
+from psmaca.codec import AMINO_ACIDS, MAX_WINDOW, window_patterns
 from psmaca.dataio import (
     Dataset,
     ModelFile,
@@ -28,11 +28,17 @@ class TestProteinRecord:
     def test_sequence_alphabet_checked(self):
         with pytest.raises(ValueError):
             ProteinRecord("a", "ACZ")
+        with pytest.raises(ValueError):
+            ProteinRecord._make(("a", "ACZ"))
+        with pytest.raises(ValueError):
+            ProteinRecord("a", "ACD")._replace(sequence="ACZ")
 
     def test_duplicate_ids_rejected(self):
         r = ProteinRecord("a", "ACD")
         with pytest.raises(ValueError):
             Dataset((r, r))
+        with pytest.raises(ValueError):
+            Dataset._make([(r, r)])
 
 
 class TestParseFasta:
@@ -347,8 +353,9 @@ class TestModelFile:
         (lambda doc: doc["tree"]["root"].pop("label"), "node lacks label"),
         (lambda doc: doc.update(window=2), "odd integer >= 1, got 2"),
         (lambda doc: doc.update(window=True), "odd integer >= 1, got True"),
+        (lambda doc: doc.update(window=MAX_WINDOW + 2), "at most"),
     ], ids=["no-window", "pipeline-key", "tree-config-key", "node-label",
-            "window-even", "window-bool"])
+            "window-even", "window-bool", "window-over-ceiling"])
     def test_malformed_model_names_the_problem(self, tmp_path, edit, problem):
         path = tmp_path / "model.json"
         dataio.save_model(small_model(), path)

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -89,21 +88,23 @@ class TestMasksField:
 
     def test_masks_are_read_only(self):
         ds = DependencyString(0b10_11, (2, 2))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ds.masks = (0, 0)
+        with pytest.raises(AttributeError):
+            del ds.masks
         with pytest.raises(TypeError, match="masks"):
             DependencyString(0b10_11, (2, 2), masks=(0b10_00, 0b00_11))
 
     def test_replace_recomputes_masks(self):
         ds = DependencyString(0b10_11, (2, 2))
         assert ds.masks == (0b10_00, 0b00_11)
-        assert replace(ds, bits=0b01_10).masks == (0b01_00, 0b00_10)
-        assert replace(ds, widths=(1, 3)).masks == (0b1_000, 0b0_011)
+        assert DependencyString(0b01_10, ds.widths).masks == (0b01_00, 0b00_10)
+        assert DependencyString(ds.bits, (1, 3)).masks == (0b1_000, 0b0_011)
 
     def test_replace_rejects_an_all_zero_segment(self):
         ds = DependencyString(0b10_11, (2, 2))
         with pytest.raises(ValueError, match="all-zero segment"):
-            replace(ds, bits=0b10_00)
+            DependencyString(0b10_00, ds.widths)
 
 
 class TestBasinSignature:
@@ -531,11 +532,32 @@ class TestTreeConfig:
     def test_nonsense_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TreeConfig(**{field: value})
+        # the NamedTuple rebuild paths check too
+        with pytest.raises(ValueError, match=field):
+            TreeConfig()._replace(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            TreeConfig._make({**TreeConfig._field_defaults,
+                              field: value}.values())
 
     def test_smallest_values_accepted(self):
         TreeConfig(max_depth=0, min_samples=1, split_retries=1,
                    population_size=2, generations=1, elitism_count=1,
                    crossover_rate=0, mutation_rate=1)
+
+
+class TestTreeNode:
+    def test_no_two_nodes_share_a_children_dict(self):
+        a, b = maca.TreeNode("H"), maca.TreeNode(label="E", ds=None)
+        assert a.children == b.children == {}
+        assert a.children is not b.children
+        with pytest.raises(AttributeError):
+            a.children = b.children
+        pats = parity_dataset(5, (0, 1, 1, 0, 0), 30, seed=7)
+        nodes, stack = [], [maca.build_tree(pats, 5, SMALL_GA, 7).root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].children.values())
+        assert len({id(node.children) for node in nodes}) == len(nodes) > 1
 
 
 class TestClassify:

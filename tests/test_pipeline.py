@@ -407,6 +407,10 @@ class TestConvolve:
     def test_non_finite_taps_rejected(self):
         with pytest.raises(ValueError):
             ResponseFilter((1.0, math.nan))
+        with pytest.raises(ValueError):
+            ResponseFilter._make([(1.0, math.nan)])
+        with pytest.raises(ValueError):
+            ResponseFilter((1.0,))._replace(taps=())
 
 
 class TestRoundTrip:
@@ -500,6 +504,10 @@ class TestPredictStructure:
             PipelineConfig(decode_mode="zzz")
         with pytest.raises(ValueError, match="scale 'zzz'"):
             PipelineConfig(scale_name="zzz")
+        with pytest.raises(ValueError, match="kmer_size"):
+            PipelineConfig()._replace(kmer_size=0)
+        with pytest.raises(ValueError, match="filter_length"):
+            PipelineConfig._make([0])
         # a valid scale file outside the bundled set does not load
         outside = tmp_path / "scale.tsv"
         outside.write_text("".join(f"{aa}\t1.0\n" for aa in AMINO_ACIDS))
