@@ -418,6 +418,78 @@ class TestModelFile:
         assert a.read_bytes() == b.read_bytes()
 
 
+def oracle_label_runs(length, rng):
+    labels = ""
+    while len(labels) < length:
+        labels += rng.choice("HEC") * rng.randint(2, 4)
+    return labels[:length]
+
+
+def oracle_make_toy_dataset(n_records, length, seed):
+    rng = random.Random(seed)
+    records = []
+    seen_seqs = set()
+    for i in range(n_records):
+        while True:
+            seq = "".join(rng.choice(AMINO_ACIDS) for _ in range(length))
+            if seq not in seen_seqs:
+                seen_seqs.add(seq)
+                break
+        records.append(ProteinRecord(f"toy{i:02d}", seq,
+                                     oracle_label_runs(length, rng)))
+    return Dataset(tuple(records))
+
+
+def oracle_make_impulse_dataset(n_records, length, seed):
+    rng = random.Random(seed)
+    heads = rng.sample(AMINO_ACIDS, n_records)
+    return Dataset(tuple(
+        ProteinRecord(f"imp{i:02d}", head + "X" * (length - 1),
+                      oracle_label_runs(length, rng))
+        for i, head in enumerate(heads)))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestSameDraws:
+    """The generators make the draws of `rng.choice` and `rng.randint`, so
+    every pinned digest built on toy data holds for any way they draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(length=st.integers(1, 80), data=st.data(), seed=seeds)
+    def test_make_toy_dataset(self, length, data, seed):
+        n = data.draw(st.integers(0, min(40, len(AMINO_ACIDS) ** length)))
+        assert dataio.make_toy_dataset(n, length, seed) == \
+            oracle_make_toy_dataset(n, length, seed)
+
+    # all 20 sequences of length 1 take many redrawn duplicates, and 60 of
+    # the 400 of length 2 take a few
+    @pytest.mark.parametrize("n, length", [(20, 1), (60, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_make_toy_dataset_redraws(self, n, length, seed):
+        assert dataio.make_toy_dataset(n, length, seed) == \
+            oracle_make_toy_dataset(n, length, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, len(AMINO_ACIDS)), length=st.integers(1, 80),
+           seed=seeds)
+    def test_make_impulse_dataset(self, n, length, seed):
+        assert dataio.make_impulse_dataset(n, length, seed) == \
+            oracle_make_impulse_dataset(n, length, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+           seed=seeds)
+    def test_label_runs(self, lengths, seed):
+        # one generator through several calls, as a dataset draws them
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for length in lengths:
+            assert dataio._label_runs(length, rng) == \
+                oracle_label_runs(length, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+
+
 class TestToyDatasets:
     def test_generator_is_seeded(self):
         assert dataio.make_toy_dataset(5, 9, 7) == dataio.make_toy_dataset(5, 9, 7)
