@@ -28,16 +28,18 @@ one (the memo is cleared before each of VECTOR_ROUNDS rounds over the 250
 sequences; the process-wide k-mer numbering stays), `pipeline.deconvolve`
 (L = 9) on one base,
 `maca.DependencyString` construction per object over the (bits, widths)
-of a seeded population of 30 (n = 25, m = 2), two fresh-interpreter
-probes, one subprocess per round for PROBE_ROUNDS rounds: `import
-psmaca.cli` alone, and that import plus one `pipeline.predict_structure`
-call, which shows whether either route pulls in numpy, and the import of
-`psmaca.cli` alone as `python -X importtime` reports it (the cumulative
-time of the `psmaca.cli` line, which leaves out interpreter start-up and
-`site`), one fresh interpreter per round for IMPORT_ROUNDS rounds, in
-the environment the benchmark runs in: with PYTHONDONTWRITEBYTECODE set
-or stale `__pycache__` files, psmaca is compiled from source each round.
-The windows are
+of a seeded population of 30 (n = 25, m = 2), `dataio.make_toy_dataset`
+of the 500 200-residue records that the benchmark's `predict_tree`
+workload predicts at seed 1 (`make_toy_dataset(500, 200, seed=2)`), two
+fresh-interpreter probes, one subprocess per round for PROBE_ROUNDS
+rounds: `import psmaca.cli` alone, and that import plus one
+`pipeline.predict_structure` call, which shows whether either route pulls
+in numpy, and the import of `psmaca.cli` alone as `python -X importtime`
+reports it (the cumulative time of the `psmaca.cli` line, which leaves
+out interpreter start-up and `site`), one fresh interpreter per round for
+IMPORT_ROUNDS rounds, in the environment the benchmark runs in: with
+PYTHONDONTWRITEBYTECODE set or stale `__pycache__` files, psmaca is
+compiled from source each round.  The windows are
 the 2,400 width-5 windows (25-bit patterns) of the 40 records of
 `make_toy_dataset(40, 60, seed=1)`, the input of the benchmark's `train`
 workload at seed 1; the classified tree is trained on them with that
@@ -48,7 +50,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_28.json at the repository root, with the Python version and core
+BENCH_29.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the test suite does not
 collect it; `tests/test_bench.py` runs every layer but the default-config
 build once, with timing disabled, which writes no file.
@@ -70,7 +72,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_28.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_29.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -248,6 +250,13 @@ def test_crossover(benchmark, layers, m):
     assert all(ch.classifier1.n == N_BITS for ch in children)
     record(layers, benchmark, f"ga.crossover[n={N_BITS}, m={m}]",
            per=len(pairs))
+
+
+def test_make_toy_dataset(benchmark, layers):
+    # the predict_tree workload's targets at seed 1
+    dataset = benchmark(dataio.make_toy_dataset, 500, 200, 2)
+    assert len(dataset.records) == 500
+    record(layers, benchmark, "dataio.make_toy_dataset[500x200]")
 
 
 def test_load_model(benchmark, layers, tmp_path):

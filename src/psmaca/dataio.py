@@ -16,11 +16,13 @@ import random
 import re
 import string
 from collections import Counter
+from itertools import repeat
 from typing import NamedTuple
 
 from . import maca
 from .codec import (AMINO_ACIDS, RESIDUE_BITS, STRUCTURE_LABELS,
                     check_sequence, check_structure, check_window)
+from .maca import _below
 from .pipeline import PipelineConfig
 from .record import Checked
 
@@ -420,12 +422,31 @@ def load_model(path: str) -> ModelFile:
                      training_fingerprint=fingerprint)
 
 
+# getrandbits(5) values 0-19 are residues, in AMINO_ACIDS order; 20-31 are
+# the values rng.choice(AMINO_ACIDS) rejects and draws again
+_RESIDUE_OF = bytes.maketrans(bytes(range(len(AMINO_ACIDS))),
+                              AMINO_ACIDS.encode())
+_REJECTED = bytes(range(len(AMINO_ACIDS), 32))
+
+
+def _residues(length: int, rng: random.Random) -> str:
+    """`length` residues, with the draws of `length` calls of
+    `rng.choice(AMINO_ACIDS)`: each batch asks only for the residues still
+    missing, so it makes no draw that those calls would not make."""
+    seq = b""
+    while len(seq) < length:
+        draws = bytes(map(rng.getrandbits, repeat(5, length - len(seq))))
+        seq += draws.translate(_RESIDUE_OF, _REJECTED)
+    return seq.decode()
+
+
 def _label_runs(length: int, rng: random.Random) -> str:
     """`length` H/E/C labels in runs of 2-4, closer to real secondary
-    structure than independent draws."""
+    structure than independent draws.  A run makes the draws of
+    `rng.choice("HEC") * rng.randint(2, 4)`."""
     labels = ""
     while len(labels) < length:
-        labels += rng.choice("HEC") * rng.randint(2, 4)
+        labels += "HEC"[_below(rng, 3)] * (2 + _below(rng, 3))
     return labels[:length]
 
 
@@ -438,6 +459,14 @@ def make_toy_dataset(n_records: int = 8, length: int = 9,
     deconvolution system is exactly invertible (lower-triangular with a
     nonzero diagonal), so predicting a training record against itself
     reproduces its structure exactly.
+
+    The draws are those of `rng.choice` and `rng.randint` on
+    `random.Random(seed)`, made straight from `getrandbits`: per record,
+    `rng.choice(AMINO_ACIDS)` per residue (a sequence already drawn is
+    drawn again whole), then per label run `rng.choice("HEC")` and
+    `rng.randint(2, 4)`.  Every pinned digest built on toy data depends
+    on these draws: `perfbench/golden.json`, `tests/test_golden.py` and
+    the model pins in `tests/test_dataio.py`.
     """
     if n_records > len(AMINO_ACIDS) ** length:
         raise ValueError(f"at most {len(AMINO_ACIDS)}^{length} distinct "
@@ -446,12 +475,10 @@ def make_toy_dataset(n_records: int = 8, length: int = 9,
     records = []
     seen_seqs: set[str] = set()
     for i in range(n_records):
-        while True:
-            seq = "".join(rng.choice(AMINO_ACIDS)
-                          for _ in range(length))
-            if seq not in seen_seqs:
-                seen_seqs.add(seq)
-                break
+        seq = _residues(length, rng)
+        while seq in seen_seqs:
+            seq = _residues(length, rng)
+        seen_seqs.add(seq)
         records.append(ProteinRecord(f"toy{i:02d}", seq,
                                      _label_runs(length, rng)))
     return Dataset(tuple(records))

@@ -22,9 +22,10 @@ Reuse skips only object construction: every operator makes the same RNG
 draws in the same order as one that builds a new chromosome on every call,
 so a seed gives the same run, history and model bytes.
 
-Every integer draw goes through `_below`, which calls `getrandbits` as
-`randrange` does, without its argument handling: the same draws, so model
-bytes depend on `getrandbits`, `random` and `sample`, not on `randrange`.
+Every integer draw goes through `maca._below`, which calls `getrandbits`
+as `randrange` does, without its argument handling: the same draws, so
+model bytes depend on `getrandbits`, `random` and `sample`, not on
+`randrange`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .maca import (DependencyString, PatternSet, TreeConfig, _check_seed,
-                   distribute, pattern_set)
+from .maca import (DependencyString, PatternSet, TreeConfig, _below,
+                   _check_seed, distribute, pattern_set)
 
 
 class Chromosome(NamedTuple):
@@ -44,15 +45,6 @@ class Chromosome(NamedTuple):
 class FitnessHistory(NamedTuple):
     best: list[float]
     mean: list[float]
-
-
-def _below(rng: random.Random, n: int) -> int:
-    # rng.randrange(n)'s value and draws: CPython's _randbelow_with_getrandbits
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
 
 
 def random_partition(n: int, m: int, rng: random.Random) -> list[int]:

@@ -64,6 +64,17 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _below(rng: random.Random, n: int) -> int:
+    # rng.randrange(n)'s value and draws: CPython's _randbelow_with_getrandbits
+    # (`ga` and `dataio`'s toy data both draw with it; it lives here because
+    # `predict` and `evaluate` load `dataio` and must not load `ga`)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class DependencyString(Frozen):
     """Ordered nonzero dependency vectors covering an n-bit pattern: `bits`
     is their n-bit concatenation, segment 0 most significant, and `widths`

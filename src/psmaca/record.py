@@ -8,7 +8,8 @@ Most records are `typing.NamedTuple` classes.  One with rules subclasses
 `class TreeConfig(Checked, _TreeConfigFields)`, and defines `_check`,
 which raises ValueError on a bad field.  The constructor runs `_check`,
 and so do `_make` and `_replace`, whose NamedTuple forms would build the
-tuple without calling `__new__`.
+tuple without calling `__new__`.  A missing, extra or misspelt argument
+raises TypeError under the record's own name, not its fields class's.
 
 A record read in a hot loop is a `Frozen` `__slots__` class instead: a
 slot reads faster than a NamedTuple field, and a NamedTuple subclass
@@ -23,7 +24,13 @@ class Checked:
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        try:
+            self = super().__new__(cls, *args, **kwargs)
+        except TypeError as e:  # a missing, extra or misspelt argument
+            # the fields' generated __new__ names their private class
+            private = super(Checked, cls).__new__.__qualname__
+            raise TypeError(str(e).replace(
+                private, f"{cls.__name__}.__new__")) from None
         self._check()
         return self
 

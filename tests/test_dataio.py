@@ -425,13 +425,17 @@ def oracle_label_runs(length, rng):
     return labels[:length]
 
 
+def oracle_residues(length, rng):
+    return "".join(rng.choice(AMINO_ACIDS) for _ in range(length))
+
+
 def oracle_make_toy_dataset(n_records, length, seed):
     rng = random.Random(seed)
     records = []
     seen_seqs = set()
     for i in range(n_records):
         while True:
-            seq = "".join(rng.choice(AMINO_ACIDS) for _ in range(length))
+            seq = oracle_residues(length, rng)
             if seq not in seen_seqs:
                 seen_seqs.add(seq)
                 break
@@ -481,10 +485,13 @@ class TestSameDraws:
     @settings(max_examples=200, deadline=None)
     @given(lengths=st.lists(st.integers(1, 300), min_size=1, max_size=4),
            seed=seeds)
-    def test_label_runs(self, lengths, seed):
-        # one generator through several calls, as a dataset draws them
+    def test_record_draws(self, lengths, seed):
+        # one generator through several records, as a dataset draws them
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         for length in lengths:
+            assert dataio._residues(length, rng) == \
+                oracle_residues(length, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
             assert dataio._label_runs(length, rng) == \
                 oracle_label_runs(length, oracle_rng)
             assert rng.getstate() == oracle_rng.getstate()
