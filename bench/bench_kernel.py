@@ -30,13 +30,12 @@ sequences; the process-wide k-mer numbering stays), `pipeline.deconvolve`
 `maca.DependencyString` construction per object over the (bits, widths)
 of a seeded population of 30 (n = 25, m = 2), `dataio.make_toy_dataset`
 of the 500 200-residue records that the benchmark's `predict_tree`
-workload predicts at seed 1 (`make_toy_dataset(500, 200, seed=2)`), two
-fresh-interpreter probes, one subprocess per round for PROBE_ROUNDS
-rounds: `import psmaca.cli` alone, and that import plus one
-`pipeline.predict_structure` call, which shows whether either route pulls
-in numpy, and the import of `psmaca.cli` alone as `python -X importtime`
-reports it (the cumulative time of the `psmaca.cli` line, which leaves
-out interpreter start-up and `site`), one fresh interpreter per round for
+workload predicts at seed 1 (`make_toy_dataset(500, 200, seed=2)`),
+`dataio.ProteinRecord` construction per record over the fields of those
+500 records (`predict` builds one record per input and one per output),
+and the import of `psmaca.cli` alone as `python -X importtime` reports
+it (the cumulative time of the `psmaca.cli` line, which leaves out
+interpreter start-up and `site`), one fresh interpreter per round for
 IMPORT_ROUNDS rounds, in the environment the benchmark runs in: with
 PYTHONDONTWRITEBYTECODE set or stale `__pycache__` files, psmaca is
 compiled from source each round.  The windows are
@@ -50,7 +49,7 @@ untimed pass over every target, so a k-mer memo is warm.  The
 deconvolved base is the first of those bases (150 residues), and its
 filter is the one convolved with each target's hydropathy signal.  The
 median and interquartile range of each layer, in seconds, go to
-BENCH_29.json at the repository root, with the Python version and core
+BENCH_30.json at the repository root, with the Python version and core
 count.  The file is not named test_*.py, so the test suite does not
 collect it; `tests/test_bench.py` runs every layer but the default-config
 build once, with timing disabled, which writes no file.
@@ -72,7 +71,7 @@ import pytest
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
 from psmaca.codec import RESIDUE_BITS, window_patterns
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_29.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_30.json"
 WINDOW = 5
 N_BITS = RESIDUE_BITS * WINDOW
 FITNESS_SIZES = (2400, 300, 34, 8)
@@ -81,17 +80,12 @@ PATTERN_SET_SIZES = (2400, 30)
 POPULATION = 30
 FILTER_LENGTH = 9
 RIDGE = pipeline.PipelineConfig._field_defaults["ridge"]
-PROBE_ROUNDS = 15
 IMPORT_ROUNDS = 25
 BUILD_ROUNDS = 3
 EVOLVE_ROUNDS = 15
 # the GA settings of the benchmark's `train` workload
 TRAIN_CONFIG = maca.TreeConfig(population_size=10, generations=10, max_depth=8)
 VECTOR_ROUNDS = 20
-# the predict probe: one target against a few toy bases
-PREDICT_PROBE = ("import psmaca.cli; from psmaca import dataio, pipeline; "
-                 "bases = dataio.make_toy_dataset(20, 150, seed=3).records; "
-                 "pipeline.predict_structure(bases[0].sequence, bases)")
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +253,16 @@ def test_make_toy_dataset(benchmark, layers):
     record(layers, benchmark, "dataio.make_toy_dataset[500x200]")
 
 
+def test_protein_record_construct(benchmark, layers):
+    # the fields of the predict_tree workload's targets at seed 1
+    fields = [tuple(r) for r in dataio.make_toy_dataset(500, 200, 2).records]
+    built = benchmark(
+        lambda: [dataio.ProteinRecord(*values) for values in fields])
+    assert list(map(tuple, built)) == fields
+    record(layers, benchmark, "dataio.ProteinRecord[construct]",
+           per=len(fields))
+
+
 def test_load_model(benchmark, layers, tmp_path):
     # the predict_tree workload's model: make_toy_dataset(10, 60, seed=0)
     # trained with seed 0 at its GA settings
@@ -353,23 +357,6 @@ def test_convolve_per_target(benchmark, layers, response):
     record(layers, benchmark,
            f"pipeline.convolve[L={FILTER_LENGTH}, per target]",
            per=len(signals))
-
-
-@pytest.mark.parametrize("name, code", [
-    ("cli import [fresh process]", "import psmaca.cli"),
-    ("cli import + predict_structure [fresh process]", PREDICT_PROBE),
-], ids=["import", "import-predict"])
-def test_fresh_process(benchmark, layers, name, code):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-
-    def probe():
-        subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                       timeout=60)
-
-    benchmark.pedantic(probe, rounds=PROBE_ROUNDS, iterations=1,
-                       warmup_rounds=1)
-    record(layers, benchmark, name)
 
 
 def importtime_s(module: str, env: dict) -> float:

@@ -5,7 +5,7 @@ output for neighborhood b, read as a 3-bit number (left, center, right),
 from 111 (bit 7) down to 000 (bit 0).  Lattice evolution with null or
 periodic boundaries, exhaustive state-transition graphs and attractor-basin
 enumeration for small lattice widths.  A graph and a basin are `NamedTuple`
-records; a graph checks that it covers every state.
+records; a graph checks that it covers every state (`record.checked`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .maca import _check_code
-from .record import Checked
+from .record import checked
 
 BOUNDARIES = ("null", "periodic")
 
@@ -69,15 +69,12 @@ def evolve(state: int, n: int, rule: int, steps: int,
     return rows
 
 
-class _GraphFields(NamedTuple):
-    n: int
-    successor: tuple[int, ...]
-
-
-class StateTransitionGraph(Checked, _GraphFields):
+@checked
+class StateTransitionGraph(NamedTuple):
     """Deterministic successor map over all 2^n lattice states."""
 
-    __slots__ = ()
+    n: int
+    successor: tuple[int, ...]
 
     def _check(self):
         if len(self.successor) != 1 << self.n:

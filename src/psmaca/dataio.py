@@ -6,7 +6,8 @@ block), versioned JSON model files, and TSV/JSON metric reports.  Files
 are read with read_text and written with write_text, both UTF-8.  A Q3
 score is one MetricsRow, per record or pooled over a report's records as
 its TOTAL_ID ("ALL") row.  Every record is a `NamedTuple`; a ProteinRecord
-and a Dataset check their fields on every path that builds one.
+and a Dataset check their fields on every path that builds one
+(`record.checked`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .codec import (AMINO_ACIDS, RESIDUE_BITS, STRUCTURE_LABELS,
                     check_sequence, check_structure, check_window)
 from .maca import _below
 from .pipeline import PipelineConfig
-from .record import Checked
+from .record import checked
 
 MODEL_FORMAT_VERSION = 1
 WRAP_COLUMNS = 60
@@ -36,14 +37,11 @@ class ParseError(ValueError):
     pass
 
 
-class _RecordFields(NamedTuple):
+@checked
+class ProteinRecord(NamedTuple):
     id: str
     sequence: str
     structure: str | None = None
-
-
-class ProteinRecord(Checked, _RecordFields):
-    __slots__ = ()
 
     def _check(self):
         check_sequence(self.sequence)
@@ -55,12 +53,9 @@ class ProteinRecord(Checked, _RecordFields):
                     f"sequence length {len(self.sequence)}")
 
 
-class _DatasetFields(NamedTuple):
+@checked
+class Dataset(NamedTuple):
     records: tuple[ProteinRecord, ...]
-
-
-class Dataset(Checked, _DatasetFields):
-    __slots__ = ()
 
     def _check(self):
         ids = [r.id for r in self.records]

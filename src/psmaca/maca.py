@@ -33,7 +33,7 @@ set, whose `n` they read; `ga.fitness` also takes pairs.
 `DependencyString`, `TreeNode` and `PsmacaTree` are immutable `__slots__`
 records (`record.Frozen`), as `classify` reads their fields for every
 window; `TreeConfig` is a `NamedTuple` that checks its fields on every
-path that builds one (`record.Checked`).
+path that builds one (`record.checked`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import random
 from itertools import islice
 from typing import NamedTuple
 
-from .record import Checked, Frozen
+from .record import Frozen, checked
 
 
 def _check_text(text) -> str:
@@ -248,7 +248,11 @@ class TreeNode(Frozen):
         return self.ds is None
 
 
-class _TreeConfigFields(NamedTuple):
+@checked
+class TreeConfig(NamedTuple):
+    """Tree settings; `population_size` to `elitism_count` set the GA run at
+    each impure node.  `TreeConfig._field_defaults` holds the defaults."""
+
     max_depth: int = 8
     min_samples: int = 2
     population_size: int = 30
@@ -258,13 +262,6 @@ class _TreeConfigFields(NamedTuple):
     elitism_count: int = 2
     # GA restarts at a node whose best split leaves everything in one basin
     split_retries: int = 5
-
-
-class TreeConfig(Checked, _TreeConfigFields):
-    """Tree settings; `population_size` to `elitism_count` set the GA run at
-    each impure node.  `TreeConfig._field_defaults` holds the defaults."""
-
-    __slots__ = ()
 
     def _check(self):
         # exact types: a bool is no int, and a rate may also be an int

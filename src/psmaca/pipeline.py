@@ -18,7 +18,7 @@ taps, and cyclic Jacobi eigenvalues for the ridge-free conditioning check.
 
 A ResponseFilter, a PipelineConfig and a PredictionResult are
 `NamedTuple` records; the first two check their fields on every path that
-builds one.
+builds one (`record.checked`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .codec import (
     structure_decode,
     structure_encode,
 )
-from .record import Checked
+from .record import checked
 
 # ill-conditioning threshold for the unregularized normal matrix
 _COND_LIMIT = 1e12
@@ -52,12 +52,9 @@ class IllConditionedError(ValueError):
     """Normal equations are numerically singular; raise the ridge weight."""
 
 
-class _FilterFields(NamedTuple):
+@checked
+class ResponseFilter(NamedTuple):
     taps: tuple[float, ...]
-
-
-class ResponseFilter(Checked, _FilterFields):
-    __slots__ = ()
 
     def _check(self):
         if not self.taps:
@@ -66,19 +63,16 @@ class ResponseFilter(Checked, _FilterFields):
             raise ValueError("filter taps must be finite")
 
 
-class _PipelineConfigFields(NamedTuple):
+@checked
+class PipelineConfig(NamedTuple):
+    """Signal-route settings; `PipelineConfig._field_defaults` holds the
+    defaults."""
+
     filter_length: int = 9
     ridge: float = 1e-6
     decode_mode: str = "nearest_centroid"
     scale_name: str = HYDROPATHY_SCALE
     kmer_size: int = 3
-
-
-class PipelineConfig(Checked, _PipelineConfigFields):
-    """Signal-route settings; `PipelineConfig._field_defaults` holds the
-    defaults."""
-
-    __slots__ = ()
 
     def _check(self):
         for name in ("filter_length", "kmer_size"):

@@ -1,42 +1,41 @@
 """Immutable records that are cheap to import and to define: every command
 loads them, and the standard library's code-generating record decorator
 cost each command about 20 ms of start-up (its import pulls in `inspect`,
-`ast`, `dis` and `tokenize`).
+`ast`, `dis` and `tokenize`).  There is one helper per kind of record.
 
-Most records are `typing.NamedTuple` classes.  One with rules subclasses
-`Checked` and a NamedTuple of its fields, as in
-`class TreeConfig(Checked, _TreeConfigFields)`, and defines `_check`,
-which raises ValueError on a bad field.  The constructor runs `_check`,
+Most records are `typing.NamedTuple` classes.  One with rules is declared
+`@checked class TreeConfig(NamedTuple)` and defines `_check`, which raises
+ValueError on a bad field.  `checked` makes the constructor run `_check`,
 and so do `_make` and `_replace`, whose NamedTuple forms would build the
-tuple without calling `__new__`.  A missing, extra or misspelt argument
-raises TypeError under the record's own name, not its fields class's.
+tuple without calling `__new__`, and `copy` and `pickle`, which call
+`__new__`.
 
 A record read in a hot loop is a `Frozen` `__slots__` class instead: a
 slot reads faster than a NamedTuple field, and a NamedTuple subclass
 unpacks slower than a plain tuple.
 """
 
+from functools import wraps
 
-class Checked:
-    """Mixin that runs a NamedTuple record's `_check` on every path that
-    builds one."""
 
-    __slots__ = ()
+def checked(cls):
+    """Make a NamedTuple class run its `_check` on every path that builds
+    one.  The generated `__new__` keeps the class's name in argument errors
+    and its fields in `help()`."""
+    new = cls.__new__
 
+    @wraps(new)
     def __new__(cls, *args, **kwargs):
-        try:
-            self = super().__new__(cls, *args, **kwargs)
-        except TypeError as e:  # a missing, extra or misspelt argument
-            # the fields' generated __new__ names their private class
-            private = super(Checked, cls).__new__.__qualname__
-            raise TypeError(str(e).replace(
-                private, f"{cls.__name__}.__new__")) from None
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    cls.__new__ = __new__
+    cls._make = classmethod(_make)
+    return cls
 
 
 class Frozen:
