@@ -1,61 +1,14 @@
-"""Layer timings of the MACA signature kernel, measured with pytest-benchmark.
+"""Layer timings of psmaca's kernels: `python3 bench/bench_kernel.py`.
 
-Run from the repository root:
-
-    python -m pytest bench/bench_kernel.py
-
-It times `ga.fitness` of one chromosome on the first N training windows
-(N = 2400, 300, 34 and 8), as a `maca.pattern_set` built once, outside the
-timed call; `maca.pattern_set` of the first N windows (N = 2400, and 30,
-the mean node size of the `train` tree); `maca.build_tree` on all 2,400
-windows with the `train` workload's GA settings (BUILD_ROUNDS rounds), and
-on the 4,800 width-5 windows of `make_toy_dataset(40, 120, seed=1)` with
-the default `TreeConfig` (BUILD_ROUNDS rounds); `ga.evolve_maca`, the GA
-run that the 2,400-window `build_tree` makes at its root, with the same
-settings, node patterns, m and seed (one GA run of `generations` generations,
-EVOLVE_ROUNDS rounds); `ga.random_chromosome` per call (n = 25, m = 1,
-which every two-class node asks for, and m = 2);
-`ga.mutate` and `ga.crossover` per call on a seeded population of 30
-chromosomes (n = 25, m = 2 and 4, the default mutation rate; each of these
-layers seeds one generator per 30 calls, as seeding one costs about
-as much as a call), `dataio.load_model` of the model the benchmark's
-`predict_tree` workload reads, `maca.classify` per window,
-`codec.window_patterns` per record, `ca.state_transition_graph` of rule 30
-at width 8 with each boundary, `pipeline.select_base` and
-`pipeline.convolve` per target, `pipeline.similarity` per (target, base)
-pair on a warm k-mer memo, `pipeline._kmer_vector` per sequence on a cold
-one (the memo is cleared before each of VECTOR_ROUNDS rounds over the 250
-sequences; the process-wide k-mer numbering stays), `pipeline.deconvolve`
-(L = 9) on one base,
-`maca.DependencyString` construction per object over the (bits, widths)
-of a seeded population of 30 (n = 25, m = 2), `dataio.make_toy_dataset`
-of the 500 200-residue records that the benchmark's `predict_tree`
-workload predicts at seed 1 (`make_toy_dataset(500, 200, seed=2)`),
-`dataio.ProteinRecord` construction per record over the fields of those
-500 records (`predict` builds one record per input and one per output),
-and the import of `psmaca.cli` alone as `python -X importtime` reports
-it (the cumulative time of the `psmaca.cli` line, which leaves out
-interpreter start-up and `site`), one fresh interpreter per round for
-IMPORT_ROUNDS rounds, in the environment the benchmark runs in: with
-PYTHONDONTWRITEBYTECODE set or stale `__pycache__` files, psmaca is
-compiled from source each round.  The windows are
-the 2,400 width-5 windows (25-bit patterns) of the 40 records of
-`make_toy_dataset(40, 60, seed=1)`, the input of the benchmark's `train`
-workload at seed 1; the classified tree is trained on them with that
-workload's GA settings.  Base selection runs on the `evaluate_pipeline`
-inputs at seed 1: the 100 targets of `make_toy_dataset(100, 300, seed=4)`
-against the 150 bases of `make_toy_dataset(150, 150, seed=3)`, after one
-untimed pass over every target, so a k-mer memo is warm.  The
-deconvolved base is the first of those bases (150 residues), and its
-filter is the one convolved with each target's hydropathy signal.  The
-median and interquartile range of each layer, in seconds, go to
-BENCH_30.json at the repository root, with the Python version and core
-count.  The file is not named test_*.py, so the test suite does not
-collect it; `tests/test_bench.py` runs every layer but the default-config
-build once, with timing disabled, which writes no file.
+LAYERS lists every layer.  A builder makes the layer's input (a timed lambda
+takes it as default arguments), runs its check once and returns the timed
+call and the items one call covers.  PROCESSES fresh interpreters in turn
+build every layer, each from further round the table, and time each with
+`timeit` (GC on): autorange, then one round in each of REPEAT passes over
+the table (a slow build: the first only).  After each, IMPORTS more
+interpreters read the `-X importtime` layer.  The median of each layer's
+per-process medians and their IQR, in seconds per item, go to OUT.
 """
-
-from __future__ import annotations
 
 import json
 import os
@@ -64,328 +17,271 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
+import timeit
+from concurrent.futures import ProcessPoolExecutor
+from functools import cache, partial
+from multiprocessing import get_context
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-import pytest
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from psmaca import ca, cli, codec, dataio, ga, maca, pipeline
-from psmaca.codec import RESIDUE_BITS, window_patterns
+from psmaca import ca, cli, codec, dataio, ga, maca, pipeline  # noqa: E402
 
-OUT = Path(__file__).resolve().parents[1] / "BENCH_30.json"
+OUT = ROOT / "BENCH_31.json"
+PROCESSES = 5
+REPEAT = 5
+IMPORTS = 5  # after each process: 25 interpreters in all
+IMPORT = "cli import [-X importtime, cumulative]"
 WINDOW = 5
-N_BITS = RESIDUE_BITS * WINDOW
-FITNESS_SIZES = (2400, 300, 34, 8)
-# all the `train` windows, and the mean node size of the tree built on them
-PATTERN_SET_SIZES = (2400, 30)
+N_BITS = codec.RESIDUE_BITS * WINDOW
 POPULATION = 30
 FILTER_LENGTH = 9
+MUTATION_RATE = maca.TreeConfig._field_defaults["mutation_rate"]
 RIDGE = pipeline.PipelineConfig._field_defaults["ridge"]
-IMPORT_ROUNDS = 25
-BUILD_ROUNDS = 3
-EVOLVE_ROUNDS = 15
 # the GA settings of the benchmark's `train` workload
-TRAIN_CONFIG = maca.TreeConfig(population_size=10, generations=10, max_depth=8)
-VECTOR_ROUNDS = 20
+TRAIN_GA = maca.TreeConfig(population_size=10, generations=10, max_depth=8)
 
 
-@pytest.fixture(scope="module")
-def records():
-    return dataio.make_toy_dataset(40, 60, seed=1).records
+class Layer(NamedTuple):
+    name: str
+    build: Callable[[], tuple[Callable[[], object], int]]
+    slow: bool = False  # a build of seconds or more: one round a process
 
 
-def labeled_windows(records):
-    return [maca.LabeledPattern(code, label)
-            for r in records
-            for code, label in zip(window_patterns(r.sequence, WINDOW),
-                                   r.structure)]
+def pairs(records) -> list[tuple[int, str]]:
+    """The (code, label) training pairs of records' width-5 windows."""
+    return [pair for r in records for pair in
+            zip(codec.window_patterns(r.sequence, WINDOW), r.structure)]
 
 
-@pytest.fixture(scope="module")
-def windows(records):
-    return labeled_windows(records)
+# at seed 1: `train`'s input and tree, `evaluate_pipeline`'s, `predict_tree`'s
+records = cache(lambda: dataio.make_toy_dataset(40, 60, seed=1).records)
+windows = cache(lambda: pairs(records()))
+tree = cache(lambda: maca.build_tree(windows(), N_BITS, TRAIN_GA, rng_seed=1))
+bases = cache(lambda: dataio.make_toy_dataset(150, 150, seed=3).records)
+targets = cache(lambda: [
+    r.sequence for r in dataio.make_toy_dataset(100, 300, seed=4).records])
+predicted = cache(lambda: dataio.make_toy_dataset(500, 200, seed=2).records)
+deconvolve_args = cache(lambda: (
+    codec.structure_encode(bases()[0].structure),
+    codec.hydropathy_encode(bases()[0].sequence), FILTER_LENGTH, RIDGE))
 
 
-@pytest.fixture(scope="module")
-def bases():
-    return dataio.make_toy_dataset(150, 150, seed=3).records
-
-
-@pytest.fixture(scope="module")
-def targets():
-    return [r.sequence for r in
-            dataio.make_toy_dataset(100, 300, seed=4).records]
-
-
-@pytest.fixture(scope="module")
-def layers():
-    results: dict[str, dict] = {}
-    yield results
-    if results:
-        OUT.write_text(json.dumps({
-            "python": platform.python_version(),
-            "cores": os.cpu_count(),
-            "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25; "
-                       "the default-config build: make_toy_dataset(40, 120, "
-                       "seed=1)",
-            "pipeline": "targets make_toy_dataset(100, 300, seed=4), "
-                        "bases make_toy_dataset(150, 150, seed=3)",
-            "layers": results,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def record(layers, benchmark, name: str, per: int = 1) -> None:
-    """Keep the median and IQR of one timed layer, divided by `per` items."""
-    if benchmark.stats is None:  # timing disabled
-        return
-    stats = benchmark.stats.stats
-    layers[name] = {"median_s": stats.median / per, "iqr_s": stats.iqr / per,
-                    "rounds": stats.rounds}
-
-
-@pytest.mark.parametrize("size", FITNESS_SIZES)
-def test_fitness(benchmark, windows, layers, size):
-    ch = ga.random_chromosome(N_BITS, 2, random.Random(0))
-    training = maca.pattern_set(windows[:size], N_BITS)
-    assert 0 < benchmark(ga.fitness, ch, training) <= 1
-    record(layers, benchmark, f"ga.fitness[N={size}]")
-
-
-@pytest.mark.parametrize("size", PATTERN_SET_SIZES)
-def test_pattern_set(benchmark, windows, layers, size):
-    training = benchmark(maca.pattern_set, windows[:size], N_BITS)
-    assert len(training) == size
-    record(layers, benchmark, f"maca.pattern_set[N={size}]")
-
-
-def test_build_tree(benchmark, windows, layers):
-    tree = benchmark.pedantic(maca.build_tree, (windows, N_BITS, TRAIN_CONFIG),
-                              {"rng_seed": 1}, rounds=BUILD_ROUNDS,
-                              iterations=1)
-    assert not tree.root.is_leaf
-    record(layers, benchmark, "maca.build_tree[train input]")
-
-
-def test_build_tree_default_config(benchmark, layers):
-    # ROADMAP item 1's slow layer: a default-config build, 5-7 s a round
-    windows = labeled_windows(
-        dataio.make_toy_dataset(40, 120, seed=1).records)
-    assert len(windows) == 4800
-    tree = benchmark.pedantic(maca.build_tree, (windows, N_BITS),
-                              rounds=BUILD_ROUNDS, iterations=1)
-    assert not tree.root.is_leaf
-    record(layers, benchmark,
-           "maca.build_tree[4,800 windows, default TreeConfig]")
-
-
-def test_evolve_maca_at_root(benchmark, windows, layers):
-    # the root's GA run in test_build_tree: all windows, m for their three
-    # classes, and the first seed build_tree draws from rng_seed 1
-    training = maca.pattern_set(windows, N_BITS)
-    assert len(maca.label_counts(training)) == 3
-    seed = random.Random(1).getrandbits(32)
-    best, history = benchmark.pedantic(
-        ga.evolve_maca, (training, 2, TRAIN_CONFIG, seed),
-        rounds=EVOLVE_ROUNDS, iterations=1, warmup_rounds=1)
-    tree = maca.build_tree(windows, N_BITS, TRAIN_CONFIG, rng_seed=1)
-    assert best.classifier1 == tree.root.ds
-    record(layers, benchmark, "ga.evolve_maca[train root]")
-
-
-@pytest.mark.parametrize("m", (1, 2))
-def test_random_chromosome(benchmark, layers, m):
-    def draw():
-        rng = random.Random(0)
-        return [ga.random_chromosome(N_BITS, m, rng)
-                for _ in range(POPULATION)]
-
-    chromosomes = benchmark(draw)
-    assert all(ch.classifier1.m == m for ch in chromosomes)
-    record(layers, benchmark, f"ga.random_chromosome[n={N_BITS}, m={m}]",
-           per=POPULATION)
-
-
-def population(m: int) -> list[ga.Chromosome]:
-    rng = random.Random(m)
+def population(m: int, seed: int) -> list[ga.Chromosome]:
+    rng = random.Random(seed)
     return [ga.random_chromosome(N_BITS, m, rng) for _ in range(POPULATION)]
 
 
-@pytest.mark.parametrize("m", (2, 4))
-def test_mutate(benchmark, layers, m):
-    pop = population(m)
-    rate = maca.TreeConfig._field_defaults["mutation_rate"]
-    def breed():
+def once(call, check, per: int = 1):
+    """Run `call` once, assert `check` of its result, and hand it on."""
+    assert check(call())
+    return call, per
+
+
+def warm(call, per: int):
+    """`call` after one untimed pass, checked to repeat that pass."""
+    return once(call, call().__eq__, per)
+
+
+def default_build(count: int, length: int):
+    training = pairs(dataio.make_toy_dataset(count, length, seed=1).records)
+    assert len(training) == count * length
+    def call():  # checked every round: a round is one build
+        assert not maca.build_tree(training, N_BITS).root.is_leaf
+    return call, 1
+
+
+def evolve_at_root():
+    # all windows, m for their 3 classes, build_tree's first seed at rng_seed 1
+    training = maca.pattern_set(windows(), N_BITS)
+    assert len(maca.label_counts(training)) == 3
+    seed = random.Random(1).getrandbits(32)
+    return once(partial(ga.evolve_maca, training, 2, TRAIN_GA, seed),
+                lambda run: run[0].classifier1 == tree().root.ds)
+
+
+def breed(operator, m: int):
+    # one generator per 30 calls, as seeding one costs about as much as a call
+    pop = population(m, m)
+    args = ([(ch, MUTATION_RATE) for ch in pop] if operator is ga.mutate
+            else list(zip(pop, pop[1:] + pop[:1])))
+    def call():
         rng = random.Random(1)
-        return [ga.mutate(ch, rate, rng) for ch in pop]
-
-    children = benchmark(breed)
-    assert all(ch.classifier1.n == N_BITS for ch in children)
-    record(layers, benchmark, f"ga.mutate[n={N_BITS}, m={m}]", per=POPULATION)
+        return [operator(a, b, rng) for a, b in args]
+    return once(call, lambda chs: all(ch.classifier1.n == N_BITS for ch in chs),
+                len(args))
 
 
-def test_dependency_string_construct(benchmark, layers):
-    pairs = [(ch.classifier1.bits, ch.classifier1.widths)
-             for ch in population(2)]
-    built = benchmark(
-        lambda: [maca.DependencyString(bits, widths) for bits, widths in pairs])
-    assert [(ds.bits, ds.widths) for ds in built] == pairs
-    record(layers, benchmark, f"maca.DependencyString[construct, n={N_BITS}]",
-           per=len(pairs))
-
-
-@pytest.mark.parametrize("m", (2, 4))
-def test_crossover(benchmark, layers, m):
-    pop = population(m)
-    pairs = list(zip(pop, pop[1:] + pop[:1]))
-    def breed():
-        rng = random.Random(1)
-        return [ga.crossover(a, b, rng) for a, b in pairs]
-
-    children = benchmark(breed)
-    assert all(ch.classifier1.n == N_BITS for ch in children)
-    record(layers, benchmark, f"ga.crossover[n={N_BITS}, m={m}]",
-           per=len(pairs))
-
-
-def test_make_toy_dataset(benchmark, layers):
-    # the predict_tree workload's targets at seed 1
-    dataset = benchmark(dataio.make_toy_dataset, 500, 200, 2)
-    assert len(dataset.records) == 500
-    record(layers, benchmark, "dataio.make_toy_dataset[500x200]")
-
-
-def test_protein_record_construct(benchmark, layers):
-    # the fields of the predict_tree workload's targets at seed 1
-    fields = [tuple(r) for r in dataio.make_toy_dataset(500, 200, 2).records]
-    built = benchmark(
-        lambda: [dataio.ProteinRecord(*values) for values in fields])
-    assert list(map(tuple, built)) == fields
-    record(layers, benchmark, "dataio.ProteinRecord[construct]",
-           per=len(fields))
-
-
-def test_load_model(benchmark, layers, tmp_path):
-    # the predict_tree workload's model: make_toy_dataset(10, 60, seed=0)
-    # trained with seed 0 at its GA settings
-    data, model = tmp_path / "train.txt", tmp_path / "model.json"
+def load_model():
+    tmp = tempfile.TemporaryDirectory()
+    data, model = Path(tmp.name, "train.txt"), Path(tmp.name, "model.json")
     data.write_text(dataio.dataset_to_paired_text(
         dataio.make_toy_dataset(10, 60, seed=0)))
     assert cli.run_cli(["train", "--data", str(data), "--out", str(model),
                         "--seed", "0", "--population", "10",
                         "--generations", "10", "--max-depth", "8"]) == 0
-    loaded = benchmark(dataio.load_model, str(model))
-    assert loaded.window == WINDOW
-    record(layers, benchmark, "dataio.load_model[predict_tree model]")
+    def call():  # holds `tmp`, so the directory lasts as long as the call
+        return dataio.load_model(os.path.join(tmp.name, "model.json"))
+    return once(call, lambda loaded: loaded.window == WINDOW)
 
 
-def test_classify_per_window(benchmark, windows, layers):
-    tree = maca.build_tree(windows, N_BITS, TRAIN_CONFIG, rng_seed=1)
-    codes = [w.code for w in windows]
-    labels = benchmark(lambda: [maca.classify(tree, c) for c in codes])
-    assert len(labels) == len(windows)
-    record(layers, benchmark, "maca.classify[per window]", per=len(windows))
+def kmer_vectors_cold():
+    sequences = [b.sequence for b in bases()] + targets()
+    def call():  # the process-wide k-mer numbering stays
+        pipeline._kmer_vector.cache_clear()
+        return [pipeline._kmer_vector(s, 3) for s in sequences]
+    return once(call, lambda built: len(built) == 250, len(sequences))
 
 
-def test_window_patterns_per_record(benchmark, records, layers):
-    sequences = [r.sequence for r in records]
-    patterns = benchmark(lambda: [window_patterns(s, WINDOW) for s in sequences])
-    assert sum(map(len, patterns)) == 2400
-    record(layers, benchmark, "codec.window_patterns[per record]",
-           per=len(sequences))
-
-
-@pytest.mark.parametrize("boundary", ca.BOUNDARIES)
-def test_state_transition_graph(benchmark, layers, boundary):
-    graph = benchmark(ca.state_transition_graph, 30, 8, boundary)
-    assert len(graph.successor) == 256
-    record(layers, benchmark,
-           f"ca.state_transition_graph[rule 30, n=8, {boundary}]")
-
-
-def test_select_base_per_target(benchmark, bases, targets, layers):
-    warm = [pipeline.select_base(t, bases)[0].id for t in targets]
-    chosen = benchmark(lambda: [pipeline.select_base(t, bases)[0].id
-                                for t in targets])
-    assert chosen == warm
-    record(layers, benchmark, "pipeline.select_base[per target]",
-           per=len(targets))
-
-
-def test_similarity_per_pair(benchmark, bases, targets, layers):
-    pairs = [(t, b.sequence) for t in targets for b in bases]
-    warm = [pipeline.similarity(a, b) for a, b in pairs]
-    scores = benchmark(lambda: [pipeline.similarity(a, b) for a, b in pairs])
-    assert scores == warm
-    record(layers, benchmark, "pipeline.similarity[per pair]", per=len(pairs))
-
-
-def test_kmer_vector_cold(benchmark, bases, targets, layers):
-    sequences = [b.sequence for b in bases] + targets
-    built = benchmark.pedantic(
-        lambda: [pipeline._kmer_vector(s, 3) for s in sequences],
-        setup=pipeline._kmer_vector.cache_clear, rounds=VECTOR_ROUNDS,
-        iterations=1, warmup_rounds=1)
-    assert len(built) == len(sequences)
-    record(layers, benchmark, "pipeline._kmer_vector[per sequence, cold]",
-           per=len(sequences))
-
-
-@pytest.fixture(scope="module")
-def response(bases):
-    base = bases[0]
-    return pipeline.deconvolve(codec.structure_encode(base.structure),
-                               codec.hydropathy_encode(base.sequence),
-                               FILTER_LENGTH, RIDGE)
-
-
-def test_deconvolve(benchmark, bases, layers, response):
-    base = bases[0]
-    output = codec.structure_encode(base.structure)
-    signal = codec.hydropathy_encode(base.sequence)
-    fitted = benchmark(pipeline.deconvolve, output, signal, FILTER_LENGTH,
-                       RIDGE)
-    assert fitted == response
-    record(layers, benchmark,
-           f"pipeline.deconvolve[L={FILTER_LENGTH}, {len(signal)} residues]")
-
-
-def test_convolve_per_target(benchmark, layers, response):
-    signals = [codec.hydropathy_encode(r.sequence) for r in
-               dataio.make_toy_dataset(100, 300, seed=4).records]
-    traces = benchmark(lambda: [pipeline.convolve(s, response)
-                                for s in signals])
-    assert list(map(len, traces)) == list(map(len, signals))
-    record(layers, benchmark,
-           f"pipeline.convolve[L={FILTER_LENGTH}, per target]",
-           per=len(signals))
-
-
-def importtime_s(module: str, env: dict) -> float:
-    """The cumulative `-X importtime` seconds of `module`, imported alone
-    in a fresh interpreter."""
+def importtime_s() -> float:
+    """The cumulative `-X importtime` seconds of `import psmaca.cli` in a
+    fresh interpreter with this environment: with PYTHONDONTWRITEBYTECODE
+    set, as perfbench's ops may run, psmaca compiles from source each time."""
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", f"import {module}"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    # "import time: self [us] | cumulative | imported package"; the
-    # module's own line comes after those of everything it imports
-    for line in reversed(done.stderr.splitlines()):
-        fields = line.split("|")
-        if len(fields) == 3 and fields[2].strip() == module:
-            return int(fields[1]) * 1e-6
-    raise AssertionError(f"no -X importtime line for {module}")
+        [sys.executable, "-X", "importtime", "-c", "import psmaca.cli"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True, timeout=60)
+    # "import time: self [us] | cumulative | name"; its own line comes last
+    _, cumulative, name = done.stderr.splitlines()[-1].split("|")
+    assert name.strip() == "psmaca.cli", name
+    return int(cumulative) * 1e-6
 
 
-def test_cli_importtime(benchmark, layers):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    samples = []
-    # the rounds' wall times include interpreter start-up; keep the
-    # import's own reading instead
-    benchmark.pedantic(
-        lambda: samples.append(importtime_s("psmaca.cli", env)),
-        rounds=IMPORT_ROUNDS, iterations=1)
-    assert all(sample > 0 for sample in samples)
-    if benchmark.stats is None:  # timing disabled: one untimed round
-        return
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    layers["cli import [-X importtime, cumulative]"] = {
-        "median_s": median, "iqr_s": q3 - q1, "rounds": len(samples)}
+LAYERS = [
+    # one m = 2 chromosome on the first N `train` windows, as a pattern set
+    *(Layer(f"ga.fitness[N={n}]", lambda n=n: once(
+        partial(ga.fitness, ga.random_chromosome(N_BITS, 2, random.Random(0)),
+                maca.pattern_set(windows()[:n], N_BITS)),
+        lambda f: 0 < f <= 1)) for n in (2400, 300, 34, 8)),
+    # all `train` windows, and the mean node size of the tree built on them
+    *(Layer(f"maca.pattern_set[N={n}]", lambda n=n: once(
+        partial(maca.pattern_set, windows()[:n], N_BITS),
+        lambda built: len(built) == n)) for n in (2400, 30)),
+    # all `train` windows at the `train` workload's GA settings
+    Layer("maca.build_tree[train input]", lambda: once(
+        partial(maca.build_tree, windows(), N_BITS, TRAIN_GA, rng_seed=1),
+        lambda built: not built.root.is_leaf)),
+    # make_toy_dataset(40, 120, seed=1), the default TreeConfig
+    Layer("maca.build_tree[4,800 windows, default TreeConfig]",
+          partial(default_build, 40, 120), slow=True),
+    # make_toy_dataset(126, 185, seed=1): RS126's size, the default TreeConfig
+    Layer("maca.build_tree[23,310 windows, default TreeConfig]",
+          partial(default_build, 126, 185), slow=True),
+    # the one GA run (10 generations) of the `train` build at its root
+    Layer("ga.evolve_maca[train root]", evolve_at_root),
+    # per call, 30 from one generator (m = 1: every two-class node asks for it)
+    *(Layer(f"ga.random_chromosome[n={N_BITS}, m={m}]", lambda m=m: once(
+        partial(population, m, 0),
+        lambda chs: all(c.classifier1.m == m for c in chs), POPULATION))
+      for m in (1, 2)),
+    # per call over a seeded population of 30, the default mutation rate
+    *(Layer(f"ga.mutate[n={N_BITS}, m={m}]", partial(breed, ga.mutate, m))
+      for m in (2, 4)),
+    # per call over the 30 neighbouring pairs of a seeded population
+    *(Layer(f"ga.crossover[n={N_BITS}, m={m}]", partial(breed, ga.crossover, m))
+      for m in (2, 4)),
+    # per object, over the (bits, widths) of a seeded population of 30
+    Layer(f"maca.DependencyString[construct, n={N_BITS}]", lambda: once(
+        lambda fields=[(c.classifier1.bits, c.classifier1.widths)
+                       for c in population(2, 2)]:
+        [maca.DependencyString(bits, widths) for bits, widths in fields],
+        lambda built: built == [c.classifier1 for c in population(2, 2)],
+        POPULATION)),
+    # the 500 x 200 residues `predict_tree` predicts at seed 1
+    Layer("dataio.make_toy_dataset[500x200]", lambda: once(
+        partial(dataio.make_toy_dataset, 500, 200, 2),
+        lambda dataset: dataset.records == predicted())),
+    # per record, over the fields of those 500 records
+    Layer("dataio.ProteinRecord[construct]", lambda: once(
+        lambda fields=list(map(tuple, predicted())):
+        [dataio.ProteinRecord(*values) for values in fields],
+        lambda built: built == list(predicted()), len(predicted()))),
+    # the `predict_tree` workload's model, trained on its own toy data
+    Layer("dataio.load_model[predict_tree model]", load_model),
+    # per `train` window, on the tree the `train` build makes
+    Layer("maca.classify[per window]", lambda: once(
+        lambda t=tree(), codes=[code for code, _ in windows()]:
+        [maca.classify(t, c) for c in codes],
+        lambda labels: len(labels) == len(windows()), len(windows()))),
+    # per `train` record
+    Layer("codec.window_patterns[per record]", lambda: once(
+        lambda sequences=[r.sequence for r in records()]:
+        [codec.window_patterns(s, WINDOW) for s in sequences],
+        lambda patterns: sum(map(len, patterns)) == 2400, len(records()))),
+    # rule 30 at width 8, with each boundary
+    *(Layer(f"ca.state_transition_graph[rule 30, n=8, {b}]", lambda b=b: once(
+        partial(ca.state_transition_graph, 30, 8, b),
+        lambda graph: len(graph.successor) == 256)) for b in ca.BOUNDARIES),
+    # `evaluate_pipeline`'s 100 targets against its 150 bases, k-mers memoized
+    Layer("pipeline.select_base[per target]", lambda: warm(
+        lambda ts=targets(), bs=bases():
+        [pipeline.select_base(t, bs)[0].id for t in ts], len(targets()))),
+    Layer("pipeline.similarity[per pair]", lambda: warm(
+        lambda both=[(t, b.sequence) for t in targets() for b in bases()]:
+        [pipeline.similarity(a, b) for a, b in both],
+        len(targets()) * len(bases()))),
+    # per sequence of those 250, the memo cleared at each call
+    Layer("pipeline._kmer_vector[per sequence, cold]", kmer_vectors_cold),
+    # the first base's filter, fitted from its 150 residues
+    Layer(f"pipeline.deconvolve[L={FILTER_LENGTH}, 150 residues]",
+          lambda: warm(partial(pipeline.deconvolve, *deconvolve_args()), 1)),
+    # that filter over each target's hydropathy signal
+    Layer(f"pipeline.convolve[L={FILTER_LENGTH}, per target]", lambda: once(
+        lambda f=pipeline.deconvolve(*deconvolve_args()),
+        signals=list(map(codec.hydropathy_encode, targets())):
+        [pipeline.convolve(s, f) for s in signals],
+        lambda traces: list(map(len, traces)) == list(map(len, targets())),
+        len(targets()))),
+    # the import alone, without interpreter start-up and `site`
+    Layer(IMPORT, lambda: once(importtime_s, lambda s: s > 0)),
+]
+
+
+def time_layers(start: int) -> dict[str, tuple[float, int]]:
+    """Each layer's median s per item here, and rounds, over REPEAT passes."""
+    timers, rounds = {}, {}
+    for name, build, slow in LAYERS[start:] + LAYERS[:start]:
+        if name != IMPORT:
+            call, per = build()
+            timer = timeit.Timer(call, "gc.enable()")
+            number = 1 if slow else timer.autorange()[0]
+            timers[name], rounds[name] = (timer, number, per, slow), []
+    for i in range(REPEAT):
+        for name, (timer, number, per, slow) in timers.items():
+            if i == 0 or not slow:  # a slow build: the first pass only
+                rounds[name].append(timer.timeit(number) / number / per)
+    return {name: (statistics.median(r), len(r)) for name, r in rounds.items()}
+
+
+def summary(runs: list[tuple[float, int]]) -> dict:
+    """The median and IQR of per-process medians, given with their rounds."""
+    q1, median, q3 = statistics.quantiles([m for m, _ in runs], n=4)
+    return {"median_s": median, "iqr_s": q3 - q1, "processes": len(runs),
+            "rounds": sum(rounds for _, rounds in runs)}
+
+
+def main() -> None:
+    runs, imports = [], []
+    for i in range(PROCESSES):  # a fresh interpreter each
+        with ProcessPoolExecutor(1, get_context("spawn")) as pool:
+            runs.append(pool.submit(time_layers,
+                                    i * len(LAYERS) // PROCESSES).result())
+        imports += [(importtime_s(), 1) for _ in range(IMPORTS)]
+    layers = {name: summary([run[name] for run in runs]) for name in runs[0]}
+    layers[IMPORT] = summary(imports)
+    OUT.write_text(json.dumps({
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25; "
+                   "default-config builds: (40, 120) and (126, 185), seed 1",
+        "pipeline": "targets make_toy_dataset(100, 300, seed=4), "
+                    "bases make_toy_dataset(150, 150, seed=3)",
+        "layers": layers,
+    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
