@@ -6,7 +6,11 @@ carried through evolution but with no assigned role).  It is a plain
 `NamedTuple`, checked once, by its `DependencyString`: the operators below
 build every `classifier2` nonzero and within m bits, and no file or flag
 holds a chromosome.
-Fitness is training-set accuracy under majority-labeled basins.  It reads
+Fitness is training-set accuracy under majority-labeled basins, on a
+`maca.PatternSet`.  Nothing in psmaca builds a `maca.LabeledPattern` or
+passes `fitness` a list: its branch for (code, label) pairs, like that
+type, stays only for `perfbench/test_perfbench.py::TestWrappers`, which
+scores a list of them, until the benchmark drops that call.  It reads
 only classifier #1, so `evolve_maca` memoizes it per run: a dict from a
 dependency string's (bits, widths) to score means each distinct dependency
 string is scored once, however often selection, elitism or a no-op mutation

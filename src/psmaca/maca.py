@@ -30,6 +30,11 @@ segment, and a class count is a popcount of the members AND a label's mask,
 with no per-pattern loop.  `distribute` and `ga.evolve_maca` take only a
 set, whose `n` they read; `ga.fitness` also takes pairs.
 
+A training pair is a plain `(code, label)` tuple.  Nothing in psmaca builds
+a `LabeledPattern`: it and `ga.fitness`'s pairs branch stay only for
+`perfbench/test_perfbench.py::TestWrappers`, which scores a list of them,
+until the benchmark drops that call.
+
 `DependencyString`, `TreeNode` and `PsmacaTree` are immutable `__slots__`
 records (`record.Frozen`), as `classify` reads their fields for every
 window; `TreeConfig` is a `NamedTuple` that checks its fields on every
@@ -139,7 +144,10 @@ def basin_signature(ds: DependencyString, code: int) -> int:
 
 
 class LabeledPattern(NamedTuple):
-    """A (code, label) training pair; a plain pair trains the same."""
+    """A (code, label) training pair; a plain pair trains the same.
+    Nothing in psmaca builds one: it stays only for the benchmark's
+    `perfbench/test_perfbench.py::TestWrappers`, which scores a list of
+    them with `ga.fitness`."""
 
     code: int
     label: str

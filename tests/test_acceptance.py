@@ -8,7 +8,7 @@ import numpy as np
 
 from psmaca import ca, codec, dataio, ga, maca, pipeline
 from psmaca.cli import run_cli
-from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
+from psmaca.maca import DependencyString, TreeConfig
 
 from tuple_bits import pack
 
@@ -99,9 +99,10 @@ def test_criterion_4_tree_purity():
         for _ in range(40):
             p = tuple(rng.randint(0, 1) for _ in range(n))
             parity = sum(a & b for a, b in zip(p, mask)) & 1
-            patterns.append(LabeledPattern(pack(p), str(parity)))
+            patterns.append((pack(p), str(parity)))
         tree = maca.build_tree(patterns, n, config, rng_seed=case)
-        assert all(maca.classify(tree, p.code) == p.label for p in patterns), case
+        assert all(maca.classify(tree, code) == label
+                   for code, label in patterns), case
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(f"4 tree purity on 200 separable sets ({elapsed:.1f}s)")
@@ -112,7 +113,7 @@ def test_criterion_5_ga_monotone_and_deterministic():
     patterns = []
     for _ in range(30):
         p = tuple(rng.randint(0, 1) for _ in range(6))
-        patterns.append(LabeledPattern(pack(p), str(p[0] ^ p[3])))
+        patterns.append((pack(p), str(p[0] ^ p[3])))
     for seed in range(50):
         cfg = TreeConfig(population_size=12, generations=12)
         best1, h1 = ga.evolve_maca(maca.pattern_set(patterns, 6), 2, cfg,

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,16 @@ class TestSimulate:
         assert capsys.readouterr() == (
             "", "data error: rule number must be in [0, 255], got -1\n")
 
+    def test_unexpected_exception_is_internal_error(self, capsys,
+                                                    monkeypatch):
+        def broken(args):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(cli, "cmd_simulate", broken)
+        assert run_cli(["simulate", "--rule", "30", "--width", "5",
+                        "--steps", "1"]) == 3
+        assert capsys.readouterr() == ("", "internal error: invariant broken\n")
+
     def test_missing_flag_is_usage_error(self, capsys):
         assert run_cli(["simulate", "--rule", "30"]) == 1
 
@@ -181,23 +193,19 @@ class TestBasins:
         assert capsys.readouterr().out == expected
 
 
-NUMPY_PROBE = ("import sys; from psmaca.cli import run_cli; "
-               "code = run_cli(sys.argv[1:]); "
-               "print(code, 'numpy' in sys.modules)")
-# hashlib may load before psmaca does, so the probe notes it first
-TRAINER_PROBE = ("import sys; hashlib_before = 'hashlib' in sys.modules; "
-                 "from psmaca.cli import run_cli; "
-                 "code = run_cli(sys.argv[1:]); "
-                 "print(code, 'psmaca.ga' in sys.modules, hashlib_before, "
-                 "'hashlib' in sys.modules)")
-# records are NamedTuples or slots classes, not dataclasses, whose import
-# (with inspect, ast, dis and tokenize) and class set-up cost every command
-# about 20 ms; either may load before psmaca does, so the probe notes both
-RECORD_PROBE = ("import sys; names = ('dataclasses', 'inspect'); "
-                "before = [name in sys.modules for name in names]; "
-                "from psmaca.cli import run_cli; "
-                "code = run_cli(sys.argv[1:]); "
-                "print(code, *before, *(name in sys.modules for name in names))")
+# one fresh interpreter per command notes each module below before psmaca
+# loads and after the command ran: numpy (no command needs it), dataclasses
+# and inspect (records are NamedTuples or slots classes, not dataclasses,
+# whose import, with inspect, ast, dis and tokenize, and class set-up cost
+# every command about 20 ms), psmaca.ga (only train runs the GA) and hashlib
+# (only the signal route fingerprints); any but psmaca.ga may load before
+# psmaca does
+PROBED = ("numpy", "dataclasses", "inspect", "psmaca.ga", "hashlib")
+PROBE = (f"import sys; names = {PROBED!r}; "
+         "before = [name in sys.modules for name in names]; "
+         "from psmaca.cli import run_cli; "
+         "code = run_cli(sys.argv[1:]); "
+         "print(code, *before, *(name in sys.modules for name in names))")
 COMMANDS = {
     "train": ["train", "--data", "DATA", "--window", "3", "--out", "OUT",
               "--population", "10", "--generations", "5"],
@@ -213,46 +221,70 @@ COMMANDS = {
 }
 
 
-def run_fresh(tmp_path, toy_files, probe, command) -> list[str]:
-    """The words of the last line `probe` prints, run in a fresh
-    interpreter (pytest's own has numpy and every psmaca module loaded)
-    with `command`'s placeholders made paths."""
-    _, data, fasta = toy_files
-    model = train(tmp_path, data)
-    paths = {"DATA": data, "MODEL": model, "FASTA": fasta,
-             "OUT": tmp_path / "out"}
+@pytest.fixture(scope="module")
+def probes(tmp_path_factory) -> dict[str, tuple[int, dict, dict]]:
+    """Each command of `COMMANDS`, run once by `PROBE` in a fresh
+    interpreter (pytest's own has numpy and every psmaca module loaded),
+    its placeholders made paths to one toy data set and one model: its
+    exit code and which `PROBED` modules were loaded before psmaca was
+    and after the command ran."""
+    folder = tmp_path_factory.mktemp("probe")
+    _, data, fasta = write_toy_files(folder)
+    paths = {"DATA": data, "MODEL": train(folder, data), "FASTA": fasta}
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", probe,
-         *(str(paths.get(arg, arg)) for arg in command)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1].split()
+    out = {}
+    for name, command in COMMANDS.items():
+        paths["OUT"] = folder / f"{name}.out"
+        done = subprocess.run(
+            [sys.executable, "-c", PROBE,
+             *(str(paths.get(arg, arg)) for arg in command)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        code, *loaded = done.stdout.splitlines()[-1].split()
+        loaded = [word == "True" for word in loaded]
+        out[name] = (int(code), dict(zip(PROBED, loaded)),
+                     dict(zip(PROBED, loaded[len(PROBED):])))
+    return out
 
 
-@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
-def test_no_command_loads_numpy(tmp_path, toy_files, command):
-    assert run_fresh(tmp_path, toy_files, NUMPY_PROBE, command) == \
-        ["0", "False"]
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_command_loads_numpy(probes, name):
+    code, _, after = probes[name]
+    assert (code, after["numpy"]) == (0, False)
 
 
-@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
-def test_no_command_loads_dataclasses(tmp_path, toy_files, command):
-    code, *loaded = run_fresh(tmp_path, toy_files, RECORD_PROBE, command)
-    assert code == "0"
-    assert loaded[2:] == loaded[:2]
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_command_loads_dataclasses(probes, name):
+    code, before, after = probes[name]
+    assert code == 0
+    for module in ("dataclasses", "inspect"):
+        assert after[module] == before[module]
 
 
 @pytest.mark.parametrize("name", ["predict", "evaluate", "predict-pipeline",
                                   "evaluate-pipeline"])
-def test_read_commands_load_no_trainer(tmp_path, toy_files, name):
+def test_read_commands_load_no_trainer(probes, name):
     # only train runs the GA, and only the signal route fingerprints
-    code, ga, hashlib_before, hashlib_after = run_fresh(
-        tmp_path, toy_files, TRAINER_PROBE, COMMANDS[name])
-    assert (code, ga) == ("0", "False")
+    code, before, after = probes[name]
+    assert (code, after["psmaca.ga"]) == (0, False)
     if not name.endswith("pipeline"):
-        assert hashlib_after == hashlib_before
+        assert after["hashlib"] == before["hashlib"]
+
+
+def test_no_module_names_labeled_pattern():
+    # training pairs are plain (code, label) tuples: `maca.LabeledPattern`
+    # is defined, and named in docstrings, but no other code of the
+    # package names it
+    named = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a name, an attribute, an imported name or a definition
+            if "LabeledPattern" in (getattr(node, "id", None),
+                                    getattr(node, "attr", None),
+                                    getattr(node, "name", None)):
+                named.append((path.name, type(node).__name__))
+    assert named == [("maca.py", "ClassDef")]
 
 
 class TestTrain:

@@ -132,6 +132,10 @@ class TestStructureDecode:
         with pytest.raises(ValueError):
             codec.structure_decode([float("inf")], "paper_bands")
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^signal must be non-empty$"):
+            codec.structure_decode([])
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             codec.structure_decode([100], "bands")

@@ -16,7 +16,7 @@ from psmaca.dataio import (
     parse_fasta,
     parse_paired,
 )
-from psmaca.maca import LabeledPattern, TreeConfig
+from psmaca.maca import TreeConfig
 from psmaca.pipeline import PipelineConfig
 
 
@@ -105,6 +105,9 @@ class TestParsePaired:
     def test_missing_structure_block(self):
         with pytest.raises(ParseError):
             parse_paired(">r\nAmino Acids:\nMFRT\n")
+        # nor is a record without a structure written as paired text
+        with pytest.raises(ValueError, match="no structure to format"):
+            dataio.format_paired(ProteinRecord("r", "MFRT"))
 
 
 # one valid record per format, with its id left to fill in
@@ -240,6 +243,8 @@ class TestQ3:
         tsv = dataio.metrics_tsv(report)
         assert tsv.splitlines()[0] == "id\tq3\tqH\tqE\tqC"
         assert tsv.splitlines()[-1].startswith("ALL\t50.00")
+        with pytest.raises(ValueError, match="no metric rows"):
+            dataio.aggregate_metrics([])
 
     def test_report_bytes_pinned(self):
         # E has no support anywhere, and all three rows score 4/6
@@ -286,10 +291,7 @@ class TestQ3:
 
 def small_model():
     # window 1: one residue, so 5-bit patterns
-    pats = [LabeledPattern(0b00000, "C"),
-            LabeledPattern(0b11000, "H"),
-            LabeledPattern(0b01000, "H"),
-            LabeledPattern(0b10000, "C")]
+    pats = [(0b00000, "C"), (0b11000, "H"), (0b01000, "H"), (0b10000, "C")]
     tree = maca.build_tree(pats, 5,
                            TreeConfig(population_size=10, generations=10),
                            rng_seed=3)
@@ -302,15 +304,15 @@ class TestTreeSerialization:
     def test_round_trip(self):
         # window 1: 5-bit patterns, labeled by the parity of the top two bits
         rng = random.Random(11)
-        pats = [LabeledPattern(code, "HE"[(code >> 3).bit_count() & 1])
+        pats = [(code, "HE"[(code >> 3).bit_count() & 1])
                 for code in (rng.randrange(1 << 5) for _ in range(40))]
         tree = maca.build_tree(pats, 5, TreeConfig(population_size=20,
                                                    generations=25), rng_seed=11)
         assert not tree.root.is_leaf
         rebuilt = dataio.tree_from_dict(dataio.tree_to_dict(tree), window=1)
         assert dataio.tree_to_dict(rebuilt) == dataio.tree_to_dict(tree)
-        for p in pats:
-            assert maca.classify(rebuilt, p.code) == maca.classify(tree, p.code)
+        for code, _ in pats:
+            assert maca.classify(rebuilt, code) == maca.classify(tree, code)
 
 
 class TestModelFile:
@@ -373,7 +375,7 @@ class TestModelFile:
 
     def test_saved_bytes_pinned(self, tmp_path):
         text = dataio.dataset_to_paired_text(dataio.make_toy_dataset(3, 12))
-        patterns = [LabeledPattern(code, label)
+        patterns = [(code, label)
                     for r in parse_paired(text)
                     for code, label in zip(window_patterns(r.sequence, 5),
                                            r.structure)]
@@ -390,7 +392,7 @@ class TestModelFile:
         # deep enough for three-class nodes, so GA splits with m >= 2
         text = dataio.dataset_to_paired_text(
             dataio.make_toy_dataset(12, 40, seed=3))
-        patterns = [LabeledPattern(code, label)
+        patterns = [(code, label)
                     for r in parse_paired(text)
                     for code, label in zip(window_patterns(r.sequence, 5),
                                            r.structure)]
@@ -526,8 +528,11 @@ class TestToyDatasets:
         d = dataio.make_toy_dataset(6, 9, 1)
         assert parse_paired(dataio.dataset_to_paired_text(d)) == list(d.records)
 
-    def test_bundled_files_parse(self):
-        from importlib import resources
-        for name in ("toy_dataset.txt", "impulse_dataset.txt"):
-            text = (resources.files("psmaca") / "data" / name).read_text()
-            assert len(parse_paired(text)) == 8
+    def test_default_datasets_pinned(self):
+        # the bytes of the toy_dataset.txt and impulse_dataset.txt files
+        # the package once shipped, which these calls write
+        texts = [dataio.dataset_to_paired_text(make()) for make in
+                 (dataio.make_toy_dataset, dataio.make_impulse_dataset)]
+        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
+            "138811fecf2656b41ff8e80680d51b45e8a38aee4bc8c50c4749e811ced15c02",
+            "439db5b30a21effc7eefe49c965052f1e2af0017970c15e73831618578c5f381"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from psmaca import dataio, ga, maca
 from psmaca.codec import window_patterns
-from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
+from psmaca.maca import DependencyString, TreeConfig
 
 from tuple_bits import pack
 
@@ -31,8 +31,7 @@ def parity_patterns(n, mask, count, seed):
     pats = []
     for _ in range(count):
         p = tuple(rng.randint(0, 1) for _ in range(n))
-        pats.append(LabeledPattern(pack(p),
-                                   str(sum(a & b for a, b in zip(p, mask)) & 1)))
+        pats.append((pack(p), str(sum(a & b for a, b in zip(p, mask)) & 1)))
     return pats
 
 
@@ -97,33 +96,34 @@ class TestChromosome:
 
 class TestFitness:
     def test_single_class_always_perfect(self):
-        pats = [LabeledPattern(code, "A") for code in range(1 << 2)]
+        training = maca.pattern_set([(code, "A") for code in range(1 << 2)], 2)
         for seed in range(5):
             ch = ga.random_chromosome(2, 1, random.Random(seed))
-            assert ga.fitness(ch, pats) == 1.0
+            assert ga.fitness(ch, training) == 1.0
 
     def test_matching_dv_is_perfect(self):
         mask = (1, 0, 1, 0)
-        pats = parity_patterns(4, mask, 40, seed=1)
+        training = maca.pattern_set(parity_patterns(4, mask, 40, seed=1), 4)
         ch = ga.Chromosome(DependencyString(pack(mask), (4,)), 1)
-        assert ga.fitness(ch, pats) == 1.0
+        assert ga.fitness(ch, training) == 1.0
 
     def test_conflicting_duplicates(self):
-        pats = [LabeledPattern(0b10, "A"), LabeledPattern(0b10, "B")]
+        training = maca.pattern_set([(0b10, "A"), (0b10, "B")], 2)
         ch = ga.Chromosome(DependencyString(0b11, (2,)), 1)
-        assert ga.fitness(ch, pats) == 0.5
+        assert ga.fitness(ch, training) == 0.5
 
     def test_permutation_invariance(self):
         pats = parity_patterns(5, (0, 1, 1, 0, 0), 30, seed=2)
         ch = ga.random_chromosome(5, 2, random.Random(5))
         shuffled = list(pats)
         random.Random(9).shuffle(shuffled)
-        assert ga.fitness(ch, pats) == ga.fitness(ch, shuffled)
+        assert ga.fitness(ch, maca.pattern_set(pats, 5)) == \
+            ga.fitness(ch, maca.pattern_set(shuffled, 5))
 
     def test_empty_rejected(self):
         ch = ga.random_chromosome(2, 1, random.Random(0))
         with pytest.raises(ValueError):
-            ga.fitness(ch, [])
+            ga.fitness(ch, maca.pattern_set([], 2))
 
 
 class TestCrossover:
@@ -173,6 +173,12 @@ class TestMutate:
         out = ga.mutate(ch, 1.0, random.Random(5))
         assert out.classifier1 == DependencyString(1, (1,))
         assert out.classifier2 == 1
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        ch = ga.random_chromosome(4, 2, random.Random(0))
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, 1\]"):
+            ga.mutate(ch, rate, random.Random(1))
 
 
 # The operators as they ran when every call built a new chromosome, kept as
@@ -371,7 +377,7 @@ class TestSameDraws:
 
 def toy_windows():
     """120 three-class windows of width 3 (15-bit patterns)."""
-    return [LabeledPattern(code, label)
+    return [(code, label)
             for r in dataio.make_toy_dataset(6, 20, seed=7).records
             for code, label in zip(window_patterns(r.sequence, 3), r.structure)]
 
@@ -490,7 +496,7 @@ class TestEvolveMaca:
         cfg = TreeConfig(population_size=40, generations=10)
         best, history = ga.evolve_maca(maca.pattern_set(pats, 4), 1, cfg, 1)
         assert history.best[-1] == 1.0
-        assert ga.fitness(best, pats) == 1.0
+        assert ga.fitness(best, maca.pattern_set(pats, 4)) == 1.0
 
     def test_best_fitness_non_decreasing(self):
         pats = parity_patterns(6, (0, 1, 0, 1, 0, 0), 40, seed=4)

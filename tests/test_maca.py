@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psmaca import ga, maca
-from psmaca.maca import DependencyString, LabeledPattern, TreeConfig
+from psmaca.maca import DependencyString, TreeConfig
 
 from tuple_bits import pack, unpack
 
@@ -84,6 +84,8 @@ class TestMasksField:
         assert a is not b and a == b and hash(a) == hash(b)
         assert {a: "memo"}[b] == "memo"
         assert a != DependencyString(0b10_11, (4,))
+        # another type is never equal, not even one that equals `bits`
+        assert (DependencyString(1, (1,)) == 1) is False
         assert repr(a) == "DependencyString(bits=11, widths=(2, 2))"
 
     def test_masks_are_read_only(self):
@@ -188,15 +190,14 @@ class TestPackedKernel:
         for p in patterns:
             assert maca.basin_signature(ds, pack(p)) == \
                 pack(oracle_signature(segments, p))
-        labeled = [LabeledPattern(pack(p), str(i))
-                   for i, p in enumerate(patterns)]
+        labeled = [(pack(p), str(i)) for i, p in enumerate(patterns)]
         buckets = maca.distribute(ds, maca.pattern_set(labeled, ds.n))
         # a partition: every pattern once, in the bucket of its signature
         assert sorted(i for b in buckets.values()
                       for i in indices(b.members)) == list(range(len(labeled)))
         for sig, bucket in buckets.items():
             assert all(oracle_signature(segments,
-                                        unpack(labeled[i].code, ds.n))
+                                        unpack(labeled[i][0], ds.n))
                        == unpack(sig, ds.m) for i in indices(bucket.members))
 
     @given(dependency_strings())
@@ -249,7 +250,7 @@ class TestDistribute:
     ])
     def test_full_space_bucket_sizes(self, segments):
         ds = DependencyString(*segments)
-        pats = [LabeledPattern(p, "x") for p in all_patterns(ds.n)]
+        pats = [(p, "x") for p in all_patterns(ds.n)]
         buckets = maca.distribute(ds, maca.pattern_set(pats, ds.n))
         assert len(buckets) == 1 << ds.m
         assert all(len(b) == 1 << (ds.n - ds.m) for b in buckets.values())
@@ -257,14 +258,14 @@ class TestDistribute:
     def test_partition_no_loss(self):
         rng = random.Random(0)
         ds = DependencyString(0b101_11, (3, 2))
-        pats = [LabeledPattern(rng.randrange(1 << 5), "x") for _ in range(100)]
+        pats = [(rng.randrange(1 << 5), "x") for _ in range(100)]
         buckets = maca.distribute(ds, maca.pattern_set(pats, ds.n))
         assert sum(len(b) for b in buckets.values()) == 100
 
     def test_identical_patterns_share_bucket(self):
         ds = DependencyString(0b11, (2,))
-        a = LabeledPattern(0b10, "A")
-        b = LabeledPattern(0b10, "B")
+        a = (0b10, "A")
+        b = (0b10, "B")
         buckets = maca.distribute(ds, maca.pattern_set([a, b], ds.n))
         assert len(buckets) == 1
 
@@ -274,8 +275,9 @@ def loop_distribute(ds, patterns):
     (signature, members) pairs in ascending signature order: the oracle of
     the bit-sliced one."""
     buckets = {}
-    for p in patterns:
-        buckets.setdefault(maca.basin_signature(ds, p.code), []).append(p)
+    for code, label in patterns:
+        sig = maca.basin_signature(ds, code)
+        buckets.setdefault(sig, []).append((code, label))
     return sorted(buckets.items())
 
 
@@ -285,7 +287,7 @@ def loop_members(ds, patterns, picked):
     ascending signature order."""
     buckets = {}
     for i in picked:
-        sig = maca.basin_signature(ds, patterns[i].code)
+        sig = maca.basin_signature(ds, patterns[i][0])
         buckets[sig] = buckets.get(sig, 0) | 1 << i
     return sorted(buckets.items())
 
@@ -295,7 +297,7 @@ def masks(buckets):
 
 
 def labeled_patterns(n, min_size=0):
-    return st.lists(st.builds(LabeledPattern, st.integers(0, (1 << n) - 1),
+    return st.lists(st.tuples(st.integers(0, (1 << n) - 1),
                               st.sampled_from("HEC")),
                     min_size=min_size, max_size=40)
 
@@ -335,7 +337,7 @@ class TestBitSlicedOracle:
     def test_fitness_is_the_majority_count(self, data):
         ds, _ = data.draw(dependency_strings())
         patterns = data.draw(labeled_patterns(ds.n, min_size=1))
-        correct = sum(max(Counter(p.label for p in bucket).values())
+        correct = sum(max(Counter(label for _, label in bucket).values())
                       for _, bucket in loop_distribute(ds, patterns))
         ch = ga.Chromosome(ds, 1)
         assert ga.fitness(ch, maca.pattern_set(patterns, ds.n)) == \
@@ -363,12 +365,11 @@ class TestBitSlicedOracle:
                     for sig, b in from_bucket.items()} == \
                 {sig: maca.label_counts(b) for sig, b in from_list.items()}
             assert maca.label_counts(bucket) == Counter(
-                p.label for p in members)
+                label for _, label in members)
 
     def test_labels_are_member_masks_in_training_order(self):
-        training = maca.pattern_set([LabeledPattern(0b10, "E"),
-                                     LabeledPattern(0b01, "H"),
-                                     LabeledPattern(0b11, "E")], 2)
+        training = maca.pattern_set([(0b10, "E"), (0b01, "H"), (0b11, "E")],
+                                    2)
         assert list(training.labels.items()) == [("E", 0b101), ("H", 0b010)]
         # column b is the XOR table entry of bit b alone
         assert [training.byte_xors[b // 8][1 << b % 8] for b in range(2)] == \
@@ -395,8 +396,8 @@ class TestBitSlicedOracle:
     @settings(max_examples=200, deadline=None)
     def test_plain_pairs_train_like_labeled_patterns(self, data):
         ds, _ = data.draw(dependency_strings())
-        patterns = data.draw(labeled_patterns(ds.n, min_size=1))
-        pairs = [(p.code, p.label) for p in patterns]
+        pairs = data.draw(labeled_patterns(ds.n, min_size=1))
+        patterns = [maca.LabeledPattern(code, label) for code, label in pairs]
         named = maca.pattern_set(patterns, ds.n)
         plain = maca.pattern_set(pairs, ds.n)
         assert list(plain.labels.items()) == list(named.labels.items())
@@ -407,20 +408,20 @@ class TestBitSlicedOracle:
         assert ga.fitness(ch, pairs) == ga.fitness(ch, patterns)
 
     def test_labeled_pattern_is_a_pair(self):
-        p = LabeledPattern(0b101, "H")
+        p = maca.LabeledPattern(0b101, "H")
         assert p == (0b101, "H") and (p.code, p.label) == (0b101, "H")
         assert repr(p) == "LabeledPattern(code=5, label='H')"
 
     def test_codes_outside_n_bits_rejected(self):
         ds = DependencyString(0b11, (2,))
-        patterns = [LabeledPattern(-1, "A"), LabeledPattern(0b100, "B")]
+        patterns = [(-1, "A"), (0b100, "B")]
         for call in (lambda: ga.fitness(ga.Chromosome(ds, 1), patterns),
                      lambda: maca.pattern_set(patterns, 2)):
             with pytest.raises(ValueError, match="unsigned 2-bit"):
                 call()
 
     def test_set_of_another_width_rejected(self):
-        training = maca.pattern_set([LabeledPattern(0b11, "A")], 2)
+        training = maca.pattern_set([(0b11, "A")], 2)
         ch = ga.Chromosome(DependencyString(0b111, (3,)), 1)
         with pytest.raises(ValueError, match="2-bit codes, not 3-bit"):
             maca.distribute(ch.classifier1, training)
@@ -435,13 +436,13 @@ def majority(patterns):
 
 class TestMajorityLabel:
     def test_majority(self):
-        assert majority([LabeledPattern(0, c) for c in "AAB"]) == "A"
+        assert majority([(0, c) for c in "AAB"]) == "A"
 
     def test_tie_breaks_to_smallest(self):
-        assert majority([LabeledPattern(0, c) for c in "BA"]) == "A"
+        assert majority([(0, c) for c in "BA"]) == "A"
 
     def test_singleton(self):
-        assert majority([LabeledPattern(1, "B")]) == "B"
+        assert majority([(1, "B")]) == "B"
 
 
 def parity_dataset(n, mask_bits, count, seed):
@@ -451,7 +452,7 @@ def parity_dataset(n, mask_bits, count, seed):
     for _ in range(count):
         p = tuple(rng.randint(0, 1) for _ in range(n))
         label = str(sum(a & b for a, b in zip(p, mask_bits)) & 1)
-        pats.append(LabeledPattern(pack(p), label))
+        pats.append((pack(p), label))
     return pats
 
 
@@ -460,7 +461,7 @@ SMALL_GA = TreeConfig(population_size=20, generations=25)
 
 class TestBuildTree:
     def test_single_class_is_one_leaf(self):
-        pats = [LabeledPattern(0b01, "A"), LabeledPattern(0b11, "A")]
+        pats = [(0b01, "A"), (0b11, "A")]
         tree = maca.build_tree(pats, 2, SMALL_GA, rng_seed=1)
         assert tree.root.is_leaf
         assert tree.root.label == "A"
@@ -468,10 +469,10 @@ class TestBuildTree:
     def test_parity_separable_reaches_full_accuracy(self):
         pats = parity_dataset(6, (1, 0, 1, 0, 0, 0), 40, seed=2)
         tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=2)
-        assert all(maca.classify(tree, p.code) == p.label for p in pats)
+        assert all(maca.classify(tree, code) == label for code, label in pats)
 
     def test_conflicting_duplicates_become_majority_leaf(self):
-        pats = [LabeledPattern(0b10, "A")] * 2 + [LabeledPattern(0b10, "B")]
+        pats = [(0b10, "A")] * 2 + [(0b10, "B")]
         tree = maca.build_tree(pats, 2, SMALL_GA, rng_seed=3)
         assert maca.classify(tree, 0b10) == "A"
 
@@ -481,14 +482,13 @@ class TestBuildTree:
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError):
-            maca.build_tree([LabeledPattern(0b1, "A"),
-                             LabeledPattern(0b10, "B")], 1, SMALL_GA)
+            maca.build_tree([(0b1, "A"), (0b10, "B")], 1, SMALL_GA)
 
     @pytest.mark.parametrize("seed", [-3, 2.0, True, "3"])
     def test_seed_not_a_non_negative_int_rejected(self, seed):
         # Random(-3) seeds like Random(3): the model would record a seed
         # that trained nothing of its own
-        pats = [LabeledPattern(0b01, "A"), LabeledPattern(0b10, "B")]
+        pats = [(0b01, "A"), (0b10, "B")]
         with pytest.raises(ValueError, match="seed"):
             maca.build_tree(pats, 2, SMALL_GA, rng_seed=seed)
 
@@ -498,9 +498,10 @@ class TestBuildTree:
         for _ in range(60):
             p = tuple(rng.randint(0, 1) for _ in range(6))
             label = "HEC"[(p[0] << 1 | p[1]) % 3]
-            pats.append(LabeledPattern(pack(p), label))
+            pats.append((pack(p), label))
         tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=5)
-        acc = sum(maca.classify(tree, p.code) == p.label for p in pats) / len(pats)
+        acc = sum(maca.classify(tree, code) == label
+                  for code, label in pats) / len(pats)
         assert acc == 1.0
 
     def test_one_pattern_set_per_build(self, monkeypatch):
@@ -581,8 +582,8 @@ class TestClassify:
     def test_deterministic(self):
         pats = parity_dataset(5, (0, 1, 1, 0, 0), 30, seed=7)
         tree = maca.build_tree(pats, 5, SMALL_GA, rng_seed=7)
-        for p in pats[:10]:
-            assert maca.classify(tree, p.code) == maca.classify(tree, p.code)
+        for code, _ in pats[:10]:
+            assert maca.classify(tree, code) == maca.classify(tree, code)
 
 
 def reference_classify(tree, code):
@@ -639,7 +640,7 @@ class TestCodeWidth:
         tree = maca.PsmacaTree(maca.TreeNode(label="C"), n=3, config=SMALL_GA)
         call = {
             "build_tree": lambda: maca.build_tree(
-                [LabeledPattern(0b111, "H"), LabeledPattern(code, "E")], 3,
+                [(0b111, "H"), (code, "E")], 3,
                 SMALL_GA),
             "classify": lambda: maca.classify(tree, code),
             "basin_signature": lambda: maca.basin_signature(ds, code),

@@ -262,6 +262,9 @@ class TestDeconvolve:
     def test_singular_at_zero_ridge_raises(self):
         with pytest.raises(pipeline.IllConditionedError):
             pipeline.deconvolve([0.0] * 20, [0.0] * 20, 4, ridge=0.0)
+        # the solver itself refuses a zero pivot
+        with pytest.raises(pipeline.IllConditionedError, match="singular"):
+            pipeline._solve([[0.0]], [1.0])
 
     def test_ridge_shrinks_taps(self):
         rng = np.random.default_rng(2)
@@ -280,6 +283,13 @@ class TestDeconvolve:
     def test_signal_shorter_than_filter(self):
         with pytest.raises(ValueError):
             pipeline.deconvolve([1.0, 2.0], [1.0, 2.0], 5)
+
+    @pytest.mark.parametrize("L, ridge, problem", [
+        (0, 0.0, "at least one tap"), (1, -1.0, "ridge must be >= 0")],
+        ids=["no-taps", "negative-ridge"])
+    def test_no_taps_or_negative_ridge_rejected(self, L, ridge, problem):
+        with pytest.raises(ValueError, match=problem):
+            pipeline.deconvolve([1.0, 2.0], [1.0, 2.0], L, ridge)
 
 
 def convolution_matrix(x, L):
