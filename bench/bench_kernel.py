@@ -40,7 +40,6 @@ N_BITS = codec.RESIDUE_BITS * WINDOW
 POPULATION = 30
 FILTER_LENGTH = 9
 MUTATION_RATE = maca.TreeConfig._field_defaults["mutation_rate"]
-RIDGE = pipeline.PipelineConfig._field_defaults["ridge"]
 # the GA settings of the benchmark's `train` workload
 TRAIN_GA = maca.TreeConfig(population_size=10, generations=10, max_depth=8)
 
@@ -67,7 +66,8 @@ targets = cache(lambda: [
 predicted = cache(lambda: dataio.make_toy_dataset(500, 200, seed=2).records)
 deconvolve_args = cache(lambda: (
     codec.structure_encode(bases()[0].structure),
-    codec.hydropathy_encode(bases()[0].sequence), FILTER_LENGTH, RIDGE))
+    codec.hydropathy_encode(bases()[0].sequence), FILTER_LENGTH,
+    pipeline.RIDGE))
 
 
 def population(m: int, seed: int) -> list[ga.Chromosome]:
@@ -132,7 +132,8 @@ def kmer_vectors_cold():
     sequences = [b.sequence for b in bases()] + targets()
     def call():  # the process-wide k-mer numbering stays
         pipeline._kmer_vector.cache_clear()
-        return [pipeline._kmer_vector(s, 3) for s in sequences]
+        return [pipeline._kmer_vector(s, pipeline.KMER_SIZE)
+                for s in sequences]
     return once(call, lambda built: len(built) == 250, len(sequences))
 
 

@@ -20,11 +20,11 @@ from collections import Counter
 from itertools import repeat
 from typing import NamedTuple
 
-from . import maca
+from . import codec, maca
 from .codec import (AMINO_ACIDS, RESIDUE_BITS, STRUCTURE_LABELS,
                     check_sequence, check_structure, check_window)
 from .maca import _below
-from .pipeline import PipelineConfig
+from .pipeline import KMER_SIZE, RIDGE, PipelineConfig
 from .record import checked
 
 MODEL_FORMAT_VERSION = 1
@@ -289,6 +289,11 @@ class ModelFile(NamedTuple):
 # the GA settings of tree.config that the ga_config block echoes
 _GA_FIELDS = ("population_size", "generations", "crossover_rate",
               "mutation_rate", "elitism_count")
+# the keys format version 1 writes beside each config's fields, each with
+# the constant it must hold
+_FIXED = {maca.TreeConfig: {"split_retries": maca.SPLIT_RETRIES},
+          PipelineConfig: {"ridge": RIDGE, "kmer_size": KMER_SIZE,
+                           "scale_name": codec.HYDROPATHY_SCALE}}
 _LABELS = tuple(STRUCTURE_LABELS)  # `in` on the string would accept "HE"
 
 
@@ -302,7 +307,8 @@ def tree_to_dict(tree: maca.PsmacaTree) -> dict:
                 "children": {format(sig, f"0{node.ds.m}b"): node_to_dict(child)
                              for sig, child in node.children.items()}}
 
-    return {"n": tree.n, "config": tree.config._asdict(),
+    return {"n": tree.n,
+            "config": {**tree.config._asdict(), **_FIXED[maca.TreeConfig]},
             "root": node_to_dict(tree.root)}
 
 
@@ -319,9 +325,19 @@ def _check_keys(doc, keys: set, where: str) -> None:
                     f"{where} {problem} {', '.join(sorted(names))}")
 
 
+def _check_values(doc: dict, values: dict, where: str) -> None:
+    """Reject an object whose keys do not hold `values`, type and all."""
+    for name, value in values.items():
+        got = doc[name]
+        if type(got) is not type(value) or got != value:
+            raise ModelFormatError(f"{where} {name} must be {value!r}, "
+                                   f"got {got!r}")
+
+
 def _config(cls, doc, where: str):
-    _check_keys(doc, set(cls._fields), where)
-    return cls(**doc)
+    _check_keys(doc, {*cls._fields, *_FIXED[cls]}, where)
+    _check_values(doc, _FIXED[cls], where)
+    return cls(**{name: doc[name] for name in cls._fields})
 
 
 def _node_from_dict(doc, n: int) -> maca.TreeNode:
@@ -367,7 +383,7 @@ def save_model(model: ModelFile, path: str) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "window": model.window,
         "tree": tree_to_dict(model.tree),
-        "pipeline": model.pipeline._asdict(),
+        "pipeline": {**model.pipeline._asdict(), **_FIXED[PipelineConfig]},
         "ga_config": {**{name: getattr(model.tree.config, name)
                          for name in _GA_FIELDS}, "rng_seed": model.seed},
         "training_fingerprint": model.training_fingerprint,
@@ -408,11 +424,8 @@ def load_model(path: str) -> ModelFile:
         seed = maca._check_seed(echo["rng_seed"])
     except ValueError as e:
         raise ModelFormatError(f"model ga_config rng_seed: {e}") from None
-    for name in _GA_FIELDS:
-        value = getattr(tree.config, name)
-        if type(echo[name]) is not type(value) or echo[name] != value:
-            raise ModelFormatError(
-                f"model ga_config {name} differs from tree.config's")
+    _check_values(echo, {name: getattr(tree.config, name)
+                         for name in _GA_FIELDS}, "model ga_config")
     return ModelFile(tree=tree, window=window, pipeline=pipeline, seed=seed,
                      training_fingerprint=fingerprint)
 

@@ -256,6 +256,10 @@ class TreeNode(Frozen):
         return self.ds is None
 
 
+# GA restarts at a node whose best split leaves everything in one basin
+SPLIT_RETRIES = 5
+
+
 @checked
 class TreeConfig(NamedTuple):
     """Tree settings; `population_size` to `elitism_count` set the GA run at
@@ -268,8 +272,6 @@ class TreeConfig(NamedTuple):
     crossover_rate: float = 0.9
     mutation_rate: float = 0.02
     elitism_count: int = 2
-    # GA restarts at a node whose best split leaves everything in one basin
-    split_retries: int = 5
 
     def _check(self):
         # exact types: a bool is no int, and a rate may also be an int
@@ -282,8 +284,6 @@ class TreeConfig(NamedTuple):
             raise ValueError("max_depth must be >= 0")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.split_retries < 1:
-            raise ValueError("split_retries must be >= 1")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
@@ -330,7 +330,7 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
 
         # ceil(log2 K') for K' >= 2 classes
         m = min((len(classes) - 1).bit_length(), n)
-        for _ in range(config.split_retries):
+        for _ in range(SPLIT_RETRIES):
             best, _ = ga.evolve_maca(patterns, m, config,
                                      rng.getrandbits(32))
             buckets = distribute(best.classifier1, patterns)

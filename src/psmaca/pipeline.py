@@ -5,16 +5,18 @@ response filter mapping the base's hydropathy signal to its encoded
 structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
 
-Similarity is the cosine of k-mer count vectors.  A sequence's counts are
-held as layered k-mer sets, int bit sets over one process-wide k-mer
-numbering (layer c holds the k-mers counted more than c times), so the
-integer dot product of two count vectors is the sum of the popcounts of
-the ANDs of their layers.
+Similarity is the cosine of k-mer count vectors, with k = `KMER_SIZE` (3)
+on every route.  A sequence's counts are held as layered k-mer sets, int
+bit sets over one process-wide k-mer numbering (layer c holds the k-mers
+counted more than c times), so the integer dot product of two count
+vectors is the sum of the popcounts of the ANDs of their layers.
 
-The filter is short (9 taps by default), so its normal equations are a
-small positive definite system, built and solved in plain Python floats:
-the Gram matrix from lagged dot products, unpivoted elimination for the
-taps, and cyclic Jacobi eigenvalues for the ridge-free conditioning check.
+The filter is short (9 taps by default) with ridge weight `RIDGE`, so its
+normal equations are a small positive definite system, built and solved
+in plain Python floats: the Gram matrix from lagged dot products,
+unpivoted elimination for the taps, and cyclic Jacobi eigenvalues for the
+conditioning check that only a direct `deconvolve(..., ridge=0)` call
+makes, such as acceptance criterion 6's recovery test.
 
 A ResponseFilter, a PipelineConfig and a PredictionResult are
 `NamedTuple` records; the first two check their fields on every path that
@@ -32,7 +34,6 @@ from typing import NamedTuple
 
 from .codec import (
     DECODE_MODES,
-    HYDROPATHY_SCALE,
     check_sequence,
     hydropathy_encode,
     structure_decode,
@@ -46,6 +47,9 @@ _COND_LIMIT = 1e12
 # matrix, whose eigenvalues are then as good as the last sweep left them
 _JACOBI_SWEEPS = 50
 _EPS = sys.float_info.epsilon
+# the method's fixed k-mer length of base selection and FIR ridge weight
+KMER_SIZE = 3
+RIDGE = 1e-6
 
 
 class IllConditionedError(ValueError):
@@ -65,35 +69,20 @@ class ResponseFilter(NamedTuple):
 
 @checked
 class PipelineConfig(NamedTuple):
-    """Signal-route settings; `PipelineConfig._field_defaults` holds the
-    defaults."""
+    """Signal-route settings, set by `train --filter-length` and `predict
+    --mode`; `PipelineConfig._field_defaults` holds the defaults."""
 
     filter_length: int = 9
-    ridge: float = 1e-6
     decode_mode: str = "nearest_centroid"
-    scale_name: str = HYDROPATHY_SCALE
-    kmer_size: int = 3
 
     def _check(self):
-        for name in ("filter_length", "kmer_size"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is refused too
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.filter_length < 1:
-            raise ValueError("filter_length must be >= 1")
-        # a bound, not math.isfinite, which overflows on an int past floats
-        if type(self.ridge) not in (int, float) or not (
-                0 <= self.ridge <= sys.float_info.max):
-            raise ValueError(f"ridge must be a finite number >= 0, "
-                             f"got {self.ridge!r}")
-        if self.kmer_size < 1:
-            raise ValueError("kmer_size must be >= 1")
+        # an exact int: a bool is refused too
+        if type(self.filter_length) is not int or self.filter_length < 1:
+            raise ValueError(f"filter_length must be an int >= 1, "
+                             f"got {self.filter_length!r}")
         if self.decode_mode not in DECODE_MODES:
             raise ValueError(f"decode_mode must be one of {DECODE_MODES}, "
                              f"got {self.decode_mode!r}")
-        if self.scale_name != HYDROPATHY_SCALE:
-            raise ValueError(f"unknown hydropathy scale {self.scale_name!r}; "
-                             f"the only scale is {HYDROPATHY_SCALE!r}")
 
 
 class PredictionResult(NamedTuple):
@@ -132,9 +121,9 @@ def _kmer_vector(seq: str, k: int) -> tuple[tuple[int, ...], int]:
     k-mers counted more than c times, so a k-mer counted i times lies in
     the first i layers.  A layer is as wide as the number of distinct
     k-mers the process has seen: at most 21^k bits while one k is in use
-    (21 residue letters, X included).  Every CLI path uses k = 3, as
-    `PipelineConfig.kmer_size` has no flag, so a layer is at most 9,261
-    bits, about 1.2 KB.  The table only grows, as this cache does.
+    (21 residue letters, X included).  Every route uses k = `KMER_SIZE`,
+    3, so a layer is at most 9,261 bits, about 1.2 KB.  The table only
+    grows, as this cache does.
     """
     counts = kmer_counts(check_sequence(seq), k)
     pairs = list(zip(map(_KMER_BIT.__getitem__, counts), counts.values()))
@@ -149,7 +138,7 @@ def _kmer_vector(seq: str, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(layers), sum(v * v for v in counts.values())
 
 
-def similarity(a: str, b: str, k: int = 3) -> float:
+def similarity(a: str, b: str, k: int = KMER_SIZE) -> float:
     """Cosine similarity of k-mer count vectors, in [0, 1]."""
     (la, na), (lb, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
     # a k-mer counted i times in a and j times in b is in i*j layer pairs
@@ -160,7 +149,7 @@ def similarity(a: str, b: str, k: int = 3) -> float:
     return min(dot / math.sqrt(na * nb), 1.0)
 
 
-def select_base(target: str, training, k: int = 3):
+def select_base(target: str, training, k: int = KMER_SIZE):
     """Highest-similarity training record with a structure; ties go to the
     lexicographically smallest id.  Returns (record, score)."""
     candidates = [r for r in training if r.structure is not None]
@@ -290,12 +279,11 @@ def convolve(input, f: ResponseFilter) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _base_filter(sequence: str, structure: str, L: int,
-                 ridge: float) -> ResponseFilter:
+def _base_filter(sequence: str, structure: str, L: int) -> ResponseFilter:
     """The response filter of one base record, fitted once per (sequence,
-    structure, L, ridge) per process, however many targets choose it."""
+    structure, L) per process, however many targets choose it."""
     return deconvolve(structure_encode(structure), hydropathy_encode(sequence),
-                      L, ridge)
+                      L, RIDGE)
 
 
 def predict_structure(target: str, training,
@@ -310,9 +298,8 @@ def predict_structure(target: str, training,
     if not long_enough:
         raise ValueError("no training sequence is at least filter_length="
                          f"{cfg.filter_length} residues long")
-    base, score = select_base(target, long_enough, cfg.kmer_size)
-    response = _base_filter(base.sequence, base.structure, cfg.filter_length,
-                            cfg.ridge)
+    base, score = select_base(target, long_enough, KMER_SIZE)
+    response = _base_filter(base.sequence, base.structure, cfg.filter_length)
 
     trace = convolve(hydropathy_encode(target), response)
     predicted = structure_decode(trace, cfg.decode_mode)

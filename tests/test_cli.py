@@ -375,6 +375,11 @@ class TestTrain:
         assert cli._tree_config(args) == TreeConfig()
         assert args.filter_length == PipelineConfig().filter_length
 
+    def test_every_config_field_has_a_flag(self):
+        assert set(cli._TREE_FLAGS.values()) == set(TreeConfig._fields)
+        # train --filter-length and predict --mode
+        assert PipelineConfig._fields == ("filter_length", "decode_mode")
+
     def test_ga_config_is_tree_config_plus_seed(self, tmp_path, toy_files,
                                                 capsys):
         _, data, _ = toy_files
@@ -529,7 +534,8 @@ class TestPredict:
         (lambda doc: doc.pop("window"), "lacks window"),
         (lambda doc: doc["pipeline"].update(kmer_size=0), "kmer_size"),
         (lambda doc: doc["pipeline"].update(decode_mode="zzz"), "decode_mode"),
-        (lambda doc: doc["pipeline"].update(scale_name="zzz"), "scale 'zzz'"),
+        (lambda doc: doc["pipeline"].update(scale_name="zzz"),
+         "pipeline scale_name must be 'kyte_doolittle', got 'zzz'"),
         (lambda doc: doc.update(training_fingerprint=5), "training_fingerprint"),
         (lambda doc: doc.update(ga_config=[]), "ga_config"),
         (lambda doc: doc["tree"]["config"].update(max_depth=-3), "max_depth"),
@@ -570,6 +576,14 @@ class TestPredict:
          "ga_config rng_seed"),
         (lambda doc: doc["ga_config"].update(elitism_count=2.0),
          "ga_config elitism_count"),
+        (lambda doc: doc["tree"]["config"].update(split_retries=3),
+         "tree.config split_retries must be 5, got 3"),
+        (lambda doc: doc["pipeline"].update(kmer_size=2),
+         "pipeline kmer_size must be 3, got 2"),
+        (lambda doc: doc["pipeline"].update(ridge=0.0),
+         "pipeline ridge must be 1e-06, got 0.0"),
+        (lambda doc: doc["pipeline"].update(ridge=1e-05),
+         "pipeline ridge must be 1e-06, got 1e-05"),
     ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
             "fingerprint-int", "ga-config-list", "max-depth-negative",
             "population-size-1", "population-size-str", "mutation-rate-1.5",
@@ -580,7 +594,8 @@ class TestPredict:
             "ds-bare-string", "children-list", "ga-config-empty",
             "ga-config-population-size-1", "rng-seed-str",
             "format-version-true", "format-version-float", "rng-seed-negative",
-            "ga-config-echo-float"])
+            "ga-config-echo-float", "split-retries-3", "kmer-size-2",
+            "ridge-0", "ridge-1e-05"])
     def test_malformed_model_is_data_error(self, tmp_path, toy_files, capsys,
                                            edit, problem):
         _, data, fasta = toy_files
@@ -687,8 +702,8 @@ def test_output_overwriting_a_file_is_data_error(tmp_path, toy_files, capsys,
 
 
 class TestScaleName:
-    """A model's scale_name must be kyte_doolittle: a path, absolute or
-    relative, to a valid scale file is a data error."""
+    """A model's scale_name must be kyte_doolittle: any other name, or a
+    path, absolute or relative, to a valid scale file is a data error."""
 
     @pytest.fixture
     def outside_scale(self, tmp_path):
@@ -715,8 +730,18 @@ class TestScaleName:
                         "--train-data", str(data)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"unknown hydropathy scale {scale_name!r}" in err
+        assert f"must be 'kyte_doolittle', got {scale_name!r}" in err
         assert not (tmp_path / "report.tsv").exists()
+
+    def test_other_name_is_refused_at_load(self, tmp_path, toy_files):
+        model = train(tmp_path, toy_files[1])
+        for name in ("no_such_scale", "data/kyte_doolittle",
+                     "kyte_doolittle.tsv", "", None, ["kyte_doolittle"]):
+            edit_model(model, lambda doc: doc["pipeline"].update(
+                scale_name=name))
+            with pytest.raises(dataio.ModelFormatError) as e:
+                dataio.load_model(model)
+            assert f"must be 'kyte_doolittle', got {name!r}" in str(e.value)
 
 
 # stands for nesting deeper than the JSON parser takes; the edited file

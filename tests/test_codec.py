@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psmaca import codec
-from psmaca.pipeline import PipelineConfig
 
 from tuple_bits import pack, unpack
 
@@ -48,21 +47,7 @@ class TestHydropathyScale:
         assert codec.hydropathy_encode(codec.AMINO_ACIDS + "X") == [
             1.8, 2.5, -3.5, -3.5, 2.8, -0.4, -3.2, 4.5, -3.9, 3.8,
             1.9, -3.5, -1.6, -3.5, -4.5, -0.8, -0.7, 4.2, -0.9, -1.3, 0.0]
-
-    def test_unknown_scale_name(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(scale_name="no_such_scale")
-
-    def test_only_bundled_names_load(self, tmp_path):
-        path = tmp_path / "scale.tsv"
-        path.write_text("".join(f"{aa}\t1.0\n" for aa in codec.AMINO_ACIDS))
-        for name in (str(path.with_suffix("")), str(path),
-                     "../data/kyte_doolittle", "data/kyte_doolittle",
-                     "kyte_doolittle.tsv", "", None, ["kyte_doolittle"]):
-            with pytest.raises(ValueError, match="unknown hydropathy scale"):
-                PipelineConfig(scale_name=name)
         assert codec.HYDROPATHY_SCALE == "kyte_doolittle"
-        assert PipelineConfig().scale_name == codec.HYDROPATHY_SCALE
 
     def test_x_maps_to_zero(self):
         assert codec.hydropathy_encode("XXX") == [0.0, 0.0, 0.0]

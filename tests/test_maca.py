@@ -471,10 +471,16 @@ class TestBuildTree:
         tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=2)
         assert all(maca.classify(tree, code) == label for code, label in pats)
 
-    def test_conflicting_duplicates_become_majority_leaf(self):
+    def test_conflicting_duplicates_become_majority_leaf(self, monkeypatch):
+        # one code under two labels: no dependency string splits it, so the
+        # GA runs `maca.SPLIT_RETRIES` times, 5, before the node gives up
+        calls, real = [], ga.evolve_maca
+        monkeypatch.setattr(ga, "evolve_maca",
+                            lambda *args: calls.append(args) or real(*args))
         pats = [(0b10, "A")] * 2 + [(0b10, "B")]
         tree = maca.build_tree(pats, 2, SMALL_GA, rng_seed=3)
-        assert maca.classify(tree, 0b10) == "A"
+        assert len(calls) == 5
+        assert tree.root.is_leaf and maca.classify(tree, 0b10) == "A"
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
@@ -525,7 +531,7 @@ class TestBuildTree:
 class TestTreeConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_depth", -1), ("min_samples", 0), ("min_samples", -1),
-        ("split_retries", 0), ("population_size", 1), ("elitism_count", 30),
+        ("population_size", 1), ("elitism_count", 30),
         ("elitism_count", 0), ("mutation_rate", 1.5), ("crossover_rate", -0.1),
         ("generations", 0), ("population_size", "10"), ("generations", 2.5),
         ("max_depth", True), ("mutation_rate", "0.1"),
@@ -541,9 +547,9 @@ class TestTreeConfig:
                               field: value}.values())
 
     def test_smallest_values_accepted(self):
-        TreeConfig(max_depth=0, min_samples=1, split_retries=1,
-                   population_size=2, generations=1, elitism_count=1,
-                   crossover_rate=0, mutation_rate=1)
+        TreeConfig(max_depth=0, min_samples=1, population_size=2,
+                   generations=1, elitism_count=1, crossover_rate=0,
+                   mutation_rate=1)
 
 
 class TestTreeNode:
