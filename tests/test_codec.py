@@ -1,12 +1,15 @@
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmaca import codec
+from psmaca import codec, dataio, maca
+from psmaca.pipeline import PipelineConfig
 
 from tuple_bits import pack, unpack
 
@@ -41,6 +44,29 @@ def per_residue_windows(seq, w):
     return patterns
 
 
+def load_with_scale_name(path, name):
+    """Load the model file at `path` with its pipeline scale_name set to
+    `name`; the scale name lives only in model files."""
+    with open(path) as f:
+        doc = json.load(f)
+    doc["pipeline"]["scale_name"] = name
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    return dataio.load_model(path)
+
+
+@pytest.fixture
+def model_path(tmp_path):
+    # window 1: one residue, so 5-bit patterns
+    pats = [(0b00000, "C"), (0b11000, "H"), (0b01000, "H"), (0b10000, "C")]
+    tree = maca.build_tree(pats, 5, maca.TreeConfig(population_size=10,
+                                                    generations=10), rng_seed=3)
+    path = tmp_path / "model.json"
+    dataio.save_model(dataio.ModelFile(tree, 1, PipelineConfig(), 3,
+                                       dataio.fingerprint("x")), path)
+    return path
+
+
 class TestHydropathyScale:
     def test_bundled_scale_covers_alphabet(self):
         # Kyte & Doolittle (1982), in AMINO_ACIDS order, then 'X'
@@ -48,6 +74,26 @@ class TestHydropathyScale:
             1.8, 2.5, -3.5, -3.5, 2.8, -0.4, -3.2, 4.5, -3.9, 3.8,
             1.9, -3.5, -1.6, -3.5, -4.5, -0.8, -0.7, 4.2, -0.9, -1.3, 0.0]
         assert codec.HYDROPATHY_SCALE == "kyte_doolittle"
+
+    def test_unknown_scale_name(self, model_path):
+        with pytest.raises(ValueError):
+            load_with_scale_name(model_path, "no_such_scale")
+
+    def test_only_bundled_names_load(self, model_path, tmp_path):
+        with open(model_path) as f:
+            assert (json.load(f)["pipeline"]["scale_name"]
+                    == codec.HYDROPATHY_SCALE)
+        path = tmp_path / "scale.tsv"
+        path.write_text("".join(f"{aa}\t1.0\n" for aa in codec.AMINO_ACIDS))
+        for name in (str(path.with_suffix("")), str(path),
+                     "../data/kyte_doolittle", "data/kyte_doolittle",
+                     "kyte_doolittle.tsv", "", None, ["kyte_doolittle"]):
+            with pytest.raises(dataio.ModelFormatError,
+                               match=f"scale_name must be 'kyte_doolittle', "
+                                     f"got {re.escape(repr(name))}$"):
+                load_with_scale_name(model_path, name)
+        assert (load_with_scale_name(model_path, codec.HYDROPATHY_SCALE)
+                .pipeline == PipelineConfig())
 
     def test_x_maps_to_zero(self):
         assert codec.hydropathy_encode("XXX") == [0.0, 0.0, 0.0]
