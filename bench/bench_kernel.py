@@ -30,7 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline  # noqa: E402
 
-OUT = ROOT / "BENCH_31.json"
+OUT = ROOT / "BENCH_35.json"
 PROCESSES = 5
 REPEAT = 5
 IMPORTS = 5  # after each process: 25 interpreters in all
@@ -61,6 +61,7 @@ records = cache(lambda: dataio.make_toy_dataset(40, 60, seed=1).records)
 windows = cache(lambda: pairs(records()))
 tree = cache(lambda: maca.build_tree(windows(), N_BITS, TRAIN_GA, rng_seed=1))
 bases = cache(lambda: dataio.make_toy_dataset(150, 150, seed=3).records)
+many_bases = cache(lambda: dataio.make_toy_dataset(1000, 150, seed=3).records)
 targets = cache(lambda: [
     r.sequence for r in dataio.make_toy_dataset(100, 300, seed=4).records])
 predicted = cache(lambda: dataio.make_toy_dataset(500, 200, seed=2).records)
@@ -135,6 +136,14 @@ def kmer_vectors_cold():
         return [pipeline._kmer_vector(s, pipeline.KMER_SIZE)
                 for s in sequences]
     return once(call, lambda built: len(built) == 250, len(sequences))
+
+
+def select_base_cold():
+    def call():  # what one `evaluate` op pays; the k-mer numbering stays
+        pipeline._kmer_vector.cache_clear()
+        pipeline._base_index.cache_clear()
+        return [pipeline.select_base(t, bases())[0].id for t in targets()]
+    return warm(call, len(targets()))
 
 
 def importtime_s() -> float:
@@ -220,6 +229,14 @@ LAYERS = [
     Layer("pipeline.select_base[per target]", lambda: warm(
         lambda ts=targets(), bs=bases():
         [pipeline.select_base(t, bs)[0].id for t in ts], len(targets()))),
+    # the same, both memos cleared at each call
+    Layer("pipeline.select_base[per target, cold]", select_base_cold),
+    # those targets against 1,000 bases, k-mers memoized
+    Layer("pipeline.select_base[per target, 1,000 bases]", lambda: warm(
+        lambda ts=targets(), bs=many_bases():
+        [pipeline.select_base(t, bs)[0].id for t in ts], len(targets()))),
+    # every target-base pair; off the hot path, as `select_base` scores
+    # every base from its index and calls this once per target
     Layer("pipeline.similarity[per pair]", lambda: warm(
         lambda both=[(t, b.sequence) for t in targets() for b in bases()]:
         [pipeline.similarity(a, b) for a, b in both],
@@ -279,7 +296,8 @@ def main() -> None:
         "windows": "make_toy_dataset(40, 60, seed=1), window 5, n=25; "
                    "default-config builds: (40, 120) and (126, 185), seed 1",
         "pipeline": "targets make_toy_dataset(100, 300, seed=4), "
-                    "bases make_toy_dataset(150, 150, seed=3)",
+                    "bases make_toy_dataset(150, 150, seed=3) and "
+                    "make_toy_dataset(1000, 150, seed=3)",
         "layers": layers,
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import repeat
 
 # Canonical residues in alphabetical order; the position is the residue's
 # 5-bit code.  'X' (unknown) and window padding share code 20.
@@ -97,13 +98,12 @@ def structure_decode(values, mode: str = "nearest_centroid") -> str:
         raise ValueError("signal must be non-empty")
     if mode not in DECODE_MODES:
         raise ValueError(f"mode must be one of {DECODE_MODES}, got {mode!r}")
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"non-finite trace value {bad!r}")
     edges, labels = _DECODE_BANDS[mode]
-    out = []
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite trace value {v!r}")
-        out.append(labels[bisect_left(edges, v)])
-    return "".join(out)
+    return "".join(map(labels.__getitem__,
+                       map(bisect_left, repeat(edges), values)))
 
 
 def window_patterns(seq: str, w: int) -> list[int]:

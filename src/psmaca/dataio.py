@@ -23,7 +23,6 @@ from typing import NamedTuple
 from . import codec, maca
 from .codec import (AMINO_ACIDS, RESIDUE_BITS, STRUCTURE_LABELS,
                     check_sequence, check_structure, check_window)
-from .maca import _below
 from .pipeline import KMER_SIZE, RIDGE, PipelineConfig
 from .record import checked
 
@@ -451,10 +450,18 @@ def _residues(length: int, rng: random.Random) -> str:
 def _label_runs(length: int, rng: random.Random) -> str:
     """`length` H/E/C labels in runs of 2-4, closer to real secondary
     structure than independent draws.  A run makes the draws of
-    `rng.choice("HEC") * rng.randint(2, 4)`."""
+    `rng.choice("HEC") * rng.randint(2, 4)`: each is `maca._below(rng, 3)`
+    inline, `getrandbits(2)` drawn again until it is not 3."""
+    getrandbits = rng.getrandbits
     labels = ""
     while len(labels) < length:
-        labels += "HEC"[_below(rng, 3)] * (2 + _below(rng, 3))
+        label = getrandbits(2)
+        while label == 3:
+            label = getrandbits(2)
+        run = getrandbits(2)
+        while run == 3:
+            run = getrandbits(2)
+        labels += "HEC"[label] * (2 + run)
     return labels[:length]
 
 

@@ -71,8 +71,8 @@ def _check_seed(seed) -> int:
 
 def _below(rng: random.Random, n: int) -> int:
     # rng.randrange(n)'s value and draws: CPython's _randbelow_with_getrandbits
-    # (`ga` and `dataio`'s toy data both draw with it; it lives here because
-    # `predict` and `evaluate` load `dataio` and must not load `ga`)
+    # (`ga` draws with it, and `dataio._label_runs` makes its n = 3 draws
+    # inline)
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:

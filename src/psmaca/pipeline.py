@@ -6,10 +6,12 @@ structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
 
 Similarity is the cosine of k-mer count vectors, with k = `KMER_SIZE` (3)
-on every route.  A sequence's counts are held as layered k-mer sets, int
-bit sets over one process-wide k-mer numbering (layer c holds the k-mers
-counted more than c times), so the integer dot product of two count
-vectors is the sum of the popcounts of the ANDs of their layers.
+on every route.  A sequence's counts are held as its k-mer occurrences,
+one id per occurrence in one process-wide k-mer numbering.  Base selection
+scores every base at once from a posting index of the bases (k-mer id ->
+the bases holding it, one entry per occurrence, as in the word-hit table
+of BLAST, Altschul et al. 1990): a target touches only the occurrences it
+shares with them.
 
 The filter is short (9 taps by default) with ridge weight `RIDGE`, so its
 normal equations are a small positive definite system, built and solved
@@ -29,7 +31,8 @@ import math
 import sys
 from collections import Counter
 from functools import lru_cache
-from operator import mul
+from itertools import chain, compress, repeat
+from operator import attrgetter, ge, mul, truediv
 from typing import NamedTuple
 
 from .codec import (
@@ -97,52 +100,61 @@ def kmer_counts(seq: str, k: int) -> Counter:
         raise ValueError(f"k-mer size must be an int >= 1, got {k!r}")
     if len(seq) < k:
         raise ValueError(f"sequence shorter than k-mer size {k}")
-    return Counter(seq[i:i + k] for i in range(len(seq) - k + 1))
+    return Counter(map("".join, zip(*[seq[i:] for i in range(k)])))
 
 
 class _KmerIds(dict):
-    """k-mer -> bit id, the next free id given on first sight."""
+    """k-mer -> id, the next free id given on first sight."""
 
     def __missing__(self, kmer: str) -> int:
-        self[kmer] = bit = len(self)
-        return bit
+        self[kmer] = kmer_id = len(self)
+        return kmer_id
 
 
-# one bit numbering for every k-mer set in the process; it only grows
-_KMER_BIT = _KmerIds()
+# one k-mer numbering for every vector in the process; it only grows
+_KMER_ID = _KmerIds()
 
 
 @lru_cache(maxsize=None)
 def _kmer_vector(seq: str, k: int) -> tuple[tuple[int, ...], int]:
-    """k-mer counts of a checked sequence as layered bit sets, and their
-    squared norm, computed once per (sequence, k) per process.
+    """k-mer occurrences of a checked sequence and their squared norm,
+    computed once per (sequence, k) per process.
 
-    Layer c is an int whose set bits (numbered by `_KMER_BIT`) are the
-    k-mers counted more than c times, so a k-mer counted i times lies in
-    the first i layers.  A layer is as wide as the number of distinct
-    k-mers the process has seen: at most 21^k bits while one k is in use
-    (21 residue letters, X included).  Every route uses k = `KMER_SIZE`,
-    3, so a layer is at most 9,261 bits, about 1.2 KB.  The table only
-    grows, as this cache does.
+    The occurrences are ids in the `_KMER_ID` numbering, one per
+    occurrence, so a k-mer counted c times gives c ids and a `Counter` of
+    the ids is `kmer_counts` under the numbering.  The squared norm is the
+    sum of the squared counts.  The numbering only grows, as this cache
+    does.
     """
     counts = kmer_counts(check_sequence(seq), k)
-    pairs = list(zip(map(_KMER_BIT.__getitem__, counts), counts.values()))
-    size = (len(_KMER_BIT) + 7) >> 3
-    layers = []
-    while pairs:
-        layer = bytearray(size)
-        for bit, _ in pairs:
-            layer[bit >> 3] |= 1 << (bit & 7)
-        layers.append(int.from_bytes(layer, "little"))
-        pairs = [(bit, n - 1) for bit, n in pairs if n > 1]
-    return tuple(layers), sum(v * v for v in counts.values())
+    return (tuple(map(_KMER_ID.__getitem__, counts.elements())),
+            sum(v * v for v in counts.values()))
+
+
+# one entry per training set in use; each holds a posting per base k-mer
+# occurrence, so a few cover every route without growing with the process
+@lru_cache(maxsize=4)
+def _base_index(sequences: tuple[str, ...],
+                k: int) -> tuple[dict[int, list[int]], list[int]]:
+    """Posting index of the base sequences: k-mer id -> positions in
+    `sequences` of the bases holding it (one entry per occurrence), and
+    each base's squared norm.  The vectors are made in order, so the first
+    bad sequence is the one named."""
+    postings: dict[int, list[int]] = {}
+    norms = []
+    for pos, seq in enumerate(sequences):
+        ids, norm = _kmer_vector(seq, k)
+        norms.append(norm)
+        for kmer_id in ids:
+            postings.setdefault(kmer_id, []).append(pos)
+    return postings, norms
 
 
 def similarity(a: str, b: str, k: int = KMER_SIZE) -> float:
     """Cosine similarity of k-mer count vectors, in [0, 1]."""
-    (la, na), (lb, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
-    # a k-mer counted i times in a and j times in b is in i*j layer pairs
-    dot = sum((x & y).bit_count() for x in la for y in lb)
+    (ia, na), (ib, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
+    # each occurrence in a meets every occurrence of its k-mer in b
+    dot = sum(map(Counter(ib).get, ia, repeat(0)))
     if dot == 0:
         return 0.0
     # integer product under one sqrt keeps similarity(x, x) exactly 1.0
@@ -155,16 +167,25 @@ def select_base(target: str, training, k: int = KMER_SIZE):
     candidates = [r for r in training if r.structure is not None]
     if not candidates:
         raise ValueError("training set has no records with structures")
-    best, best_score = None, -1.0
-    for record in sorted(candidates, key=lambda r: r.id):
-        if len(record.sequence) < k:
-            continue
-        score = similarity(target, record.sequence, k)
-        if score > best_score:
-            best, best_score = record, score
-    if best is None:
+    bases = [r for r in sorted(candidates, key=attrgetter("id"))
+             if len(r.sequence) >= k]
+    if not bases:
         raise ValueError(f"no training sequence is at least {k} residues long")
-    return best, best_score
+    ids, norm = _kmer_vector(target, k)
+    postings, norms = _base_index(tuple(r.sequence for r in bases), k)
+    # the integer dot product of each base sharing a k-mer with the target,
+    # in one counting pass; a base sharing none scores 0.0
+    dots = Counter(chain.from_iterable(map(postings.get, ids, repeat(()))))
+    # their scores before the clamp to 1.0; clamping only the maximum picks
+    # the same bases, as every score at or past 1.0 clamps to 1.0
+    raw = list(map(truediv, dots.values(), map(math.sqrt, map(
+        mul, repeat(norm), map(norms.__getitem__, dots)))))
+    best_score = min(max(raw, default=0.0), 1.0)
+    # the first maximum in id order: the smallest position scoring it
+    best = bases[min(compress(dots, map(ge, raw, repeat(best_score))),
+                     default=0)]
+    # the same score, from the one definition of it
+    return best, similarity(target, best.sequence, k)
 
 
 def _condition_number(A: list[list[float]]) -> float:

@@ -162,6 +162,10 @@ class TestStructureDecode:
             codec.structure_decode([float("nan")])
         with pytest.raises(ValueError):
             codec.structure_decode([float("inf")], "paper_bands")
+        # the first non-finite value is the one named
+        with pytest.raises(ValueError,
+                           match="^non-finite trace value -inf$"):
+            codec.structure_decode([100.0, float("-inf"), float("nan")])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="^signal must be non-empty$"):

@@ -157,9 +157,20 @@ class TestKmerMemo:
 REPEATS = ("A" * 12, "AC" * 8, "ACD" * 6)
 
 
+def assert_ids_are_the_counts(seq, k=3):
+    """A k-mer counted c times gives c ids in the process-wide numbering,
+    and the norm is the sum of the squared counts."""
+    ids, norm = pipeline._kmer_vector(seq, k)
+    counts = pipeline.kmer_counts(seq, k)
+    assert Counter(ids) == {pipeline._KMER_ID[kmer]: c
+                            for kmer, c in counts.items()}
+    assert len(ids) == len(seq) - k + 1
+    assert norm == sum(c * c for c in counts.values())
+
+
 class TestKmerBitSets:
-    """The bit-set dot product at real sizes: sets wider than a machine
-    word and many layers, checked exactly against the recount."""
+    """The k-mer id vectors at real sizes, long sequences and repeat-heavy
+    ones, checked exactly against the recount."""
 
     @pytest.fixture(scope="class")
     def toy(self):
@@ -170,13 +181,13 @@ class TestKmerBitSets:
         for i, a in enumerate(toy):
             for b in toy[i:]:
                 assert pipeline.similarity(a, b) == recount_similarity(a, b)
-        layers = [pipeline._kmer_vector(s, 3)[0] for s in toy]
-        assert max(x.bit_length() for ls in layers for x in ls) > 64
-        assert max(map(len, layers)) >= 2
+        for seq in toy:
+            assert_ids_are_the_counts(seq)
 
     def test_repeat_heavy_sequences(self, toy):
         for seq in REPEATS:
-            assert len(pipeline._kmer_vector(seq, 3)[0]) >= 3
+            assert_ids_are_the_counts(seq)
+        assert len(set(pipeline._kmer_vector(REPEATS[0], 3)[0])) == 1
         pool = REPEATS + ("ACDAC", toy[0] + REPEATS[2], toy[-1])
         for a in pool:
             for b in pool:
@@ -234,6 +245,36 @@ class TestSelectBase:
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
             pipeline.select_base("ACDEFG", [ProteinRecord("a", "ACDEFG")])
+
+    def test_matches_recount_at_real_sizes(self):
+        # `evaluate_pipeline`'s sizes, plus copies of a third of the bases
+        # under ids sorting before theirs and of a third after, and targets
+        # equal to bases, so exact ties must go to the smallest id
+        bases = list(make_toy_dataset(150, 150, seed=3).records)
+        training = bases + [r._replace(id=prefix + r.id)
+                            for prefix, copied in (("a", bases[::3]),
+                                                   ("zz", bases[1::3]))
+                            for r in copied]
+        targets = [r.sequence for r in
+                   make_toy_dataset(100, 300, seed=4).records[:20]]
+        targets += [r.sequence for r in bases[:6]]
+        chosen = []
+        for target in targets:
+            base, score = pipeline.select_base(target, training)
+            expected = recount_select_base(target, training)
+            assert (base.id, score) == (expected[0].id, expected[1])
+            chosen.append(base.id)
+        assert {"atoy00", "toy01", "toy02", "atoy03"} <= set(chosen)
+
+    def test_one_index_for_many_targets(self):
+        bases = make_toy_dataset(150, 150, seed=3).records
+        targets = [r.sequence for r in
+                   make_toy_dataset(100, 300, seed=4).records[:10]]
+        pipeline._base_index.cache_clear()
+        for target in targets:
+            pipeline.select_base(target, bases)
+        info = pipeline._base_index.cache_info()
+        assert (info.misses, info.hits) == (1, len(targets) - 1)
 
 
 class TestDeconvolve:
