@@ -16,7 +16,7 @@ from functools import partial
 
 from . import ca, dataio, maca
 from .codec import DECODE_MODES, RESIDUE_BITS, check_window, window_patterns
-from .pipeline import PipelineConfig, predict_structure
+from .pipeline import PipelineConfig, predict_structure, prepare_bases
 
 # train flag -> TreeConfig field; each flag's default is the field's
 _TREE_FLAGS = {
@@ -184,18 +184,20 @@ def _load_training(model, path, no_verify):
     return dataio.parse_paired(text)
 
 
-def _route(args, bases, outputs=(), inputs=()):
+def _route(args, base_file, outputs=(), inputs=()):
     """Check the route flags and the (flag, path) outputs against the
     inputs, load the model, and return its route as a
     `record -> (structure, notes)` function: the tree, or the signal
-    pipeline over the `bases` file.  A record that fails is named."""
+    pipeline over the bases of `base_file`, prepared here once, so a
+    training set without a usable base fails before any target is read.
+    A record that fails is named."""
     # flags that only the signal route reads would be ignored by the tree
     for flag, given in (("--mode", args.mode is not None),
                         ("--train-data", args.train_data is not None),
                         ("--no-verify", args.no_verify)):
         if given and not args.pipeline:
             raise UsageError(f"{flag} requires --pipeline")
-    if args.pipeline and bases is None:
+    if args.pipeline and base_file is None:
         raise UsageError("--pipeline requires --train-data")
     _check_outputs(outputs, inputs)
     model = dataio.load_model(args.model)
@@ -207,12 +209,13 @@ def _route(args, bases, outputs=(), inputs=()):
             return ("".join(map(partial(maca.classify, model.tree), codes)),
                     ["method: tree"])
     else:
-        training = _load_training(model, bases, args.no_verify)
-        cfg = model.pipeline._replace(
-            decode_mode=args.mode or model.pipeline.decode_mode)
+        bases = prepare_bases(
+            _load_training(model, base_file, args.no_verify),
+            model.pipeline._replace(
+                decode_mode=args.mode or model.pipeline.decode_mode))
 
         def predict(sequence):
-            result = predict_structure(sequence, training, cfg)
+            result = predict_structure(sequence, bases)
             return result.predicted, [
                 f"method: pipeline base={result.base_id} "
                 f"similarity={result.similarity_score:.4f}"]

@@ -6,12 +6,14 @@ structure signal (regularized least squares), apply that filter to the
 target's hydropathy signal, and band-decode the result.
 
 Similarity is the cosine of k-mer count vectors, with k = `KMER_SIZE` (3)
-on every route.  A sequence's counts are held as its k-mer occurrences,
-one id per occurrence in one process-wide k-mer numbering.  Base selection
-scores every base at once from a posting index of the bases (k-mer id ->
-the bases holding it, one entry per occurrence, as in the word-hit table
-of BLAST, Altschul et al. 1990): a target touches only the occurrences it
-shares with them.
+on every route.  `prepare_bases` turns a training set into the bases of
+one route, once: the eligible records in id order, each one's k-mer
+counts and squared norm, and a posting index of the bases (k-mer -> the
+bases holding it, one entry per occurrence, as in the word-hit table of
+BLAST, Altschul et al. 1990).  Base selection scores every base at once
+from that index, so a target touches only the occurrences it shares with
+the bases.  Each chosen base's filter is fitted once per prepared value,
+and nothing outlives the value.
 
 The filter is short (9 taps by default) with ridge weight `RIDGE`, so its
 normal equations are a small positive definite system, built and solved
@@ -20,7 +22,7 @@ unpivoted elimination for the taps, and cyclic Jacobi eigenvalues for the
 conditioning check that only a direct `deconvolve(..., ridge=0)` call
 makes, such as acceptance criterion 6's recovery test.
 
-A ResponseFilter, a PipelineConfig and a PredictionResult are
+A ResponseFilter, a PipelineConfig, a PredictionResult and a Bases are
 `NamedTuple` records; the first two check their fields on every path that
 builds one (`record.checked`).
 """
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import attrgetter, ge, mul, truediv
 from typing import NamedTuple
@@ -103,89 +104,78 @@ def kmer_counts(seq: str, k: int) -> Counter:
     return Counter(map("".join, zip(*[seq[i:] for i in range(k)])))
 
 
-class _KmerIds(dict):
-    """k-mer -> id, the next free id given on first sight."""
-
-    def __missing__(self, kmer: str) -> int:
-        self[kmer] = kmer_id = len(self)
-        return kmer_id
+def _squared_norm(counts: Counter) -> int:
+    return sum(v * v for v in counts.values())
 
 
-# one k-mer numbering for every vector in the process; it only grows
-_KMER_ID = _KmerIds()
+class Bases(NamedTuple):
+    """A training set prepared for the signal route by `prepare_bases`."""
+
+    records: tuple  # the eligible ProteinRecords, in id order
+    counts: tuple[Counter, ...]  # each one's `kmer_counts`
+    norms: tuple[int, ...]  # and their squared norms
+    # k-mer -> positions of the bases holding it, one entry per occurrence
+    postings: dict[str, list[int]]
+    cfg: PipelineConfig
+    filters: dict  # base record -> its ResponseFilter, fitted on first choice
 
 
-@lru_cache(maxsize=None)
-def _kmer_vector(seq: str, k: int) -> tuple[tuple[int, ...], int]:
-    """k-mer occurrences of a checked sequence and their squared norm,
-    computed once per (sequence, k) per process.
-
-    The occurrences are ids in the `_KMER_ID` numbering, one per
-    occurrence, so a k-mer counted c times gives c ids and a `Counter` of
-    the ids is `kmer_counts` under the numbering.  The squared norm is the
-    sum of the squared counts.  The numbering only grows, as this cache
-    does.
-    """
-    counts = kmer_counts(check_sequence(seq), k)
-    return (tuple(map(_KMER_ID.__getitem__, counts.elements())),
-            sum(v * v for v in counts.values()))
-
-
-# one entry per training set in use; each holds a posting per base k-mer
-# occurrence, so a few cover every route without growing with the process
-@lru_cache(maxsize=4)
-def _base_index(sequences: tuple[str, ...],
-                k: int) -> tuple[dict[int, list[int]], list[int]]:
-    """Posting index of the base sequences: k-mer id -> positions in
-    `sequences` of the bases holding it (one entry per occurrence), and
-    each base's squared norm.  The vectors are made in order, so the first
-    bad sequence is the one named."""
-    postings: dict[int, list[int]] = {}
-    norms = []
-    for pos, seq in enumerate(sequences):
-        ids, norm = _kmer_vector(seq, k)
-        norms.append(norm)
-        for kmer_id in ids:
-            postings.setdefault(kmer_id, []).append(pos)
-    return postings, norms
+def prepare_bases(training, cfg: PipelineConfig = PipelineConfig()) -> Bases:
+    """The bases of `training` under `cfg`: the records with a structure
+    and at least `cfg.filter_length` and `KMER_SIZE` residues, in id order,
+    counted and indexed once for every target."""
+    # deconvolve fits filter_length taps, so a shorter base cannot be used
+    long_enough = [r for r in training
+                   if len(r.sequence) >= cfg.filter_length]
+    if not long_enough:
+        raise ValueError("no training sequence is at least filter_length="
+                         f"{cfg.filter_length} residues long")
+    candidates = [r for r in long_enough if r.structure is not None]
+    if not candidates:
+        raise ValueError("training set has no records with structures")
+    records = tuple(r for r in sorted(candidates, key=attrgetter("id"))
+                    if len(r.sequence) >= KMER_SIZE)
+    if not records:
+        raise ValueError(
+            f"no training sequence is at least {KMER_SIZE} residues long")
+    counts = tuple(kmer_counts(r.sequence, KMER_SIZE) for r in records)
+    postings: dict[str, list[int]] = {}
+    for pos, base in enumerate(counts):
+        for kmer in base.elements():
+            postings.setdefault(kmer, []).append(pos)
+    return Bases(records, counts, tuple(map(_squared_norm, counts)),
+                 postings, cfg, {})
 
 
-def similarity(a: str, b: str, k: int = KMER_SIZE) -> float:
-    """Cosine similarity of k-mer count vectors, in [0, 1]."""
-    (ia, na), (ib, nb) = _kmer_vector(a, k), _kmer_vector(b, k)
-    # each occurrence in a meets every occurrence of its k-mer in b
-    dot = sum(map(Counter(ib).get, ia, repeat(0)))
+def similarity(a: Counter, b: Counter) -> float:
+    """Cosine of two k-mer count vectors, in [0, 1]."""
+    if len(a) > len(b):  # the dot product walks the shorter vector
+        a, b = b, a
+    dot = sum(map(mul, a.values(), map(b.get, a, repeat(0))))
     if dot == 0:
         return 0.0
     # integer product under one sqrt keeps similarity(x, x) exactly 1.0
-    return min(dot / math.sqrt(na * nb), 1.0)
+    return min(dot / math.sqrt(_squared_norm(a) * _squared_norm(b)), 1.0)
 
 
-def select_base(target: str, training, k: int = KMER_SIZE):
-    """Highest-similarity training record with a structure; ties go to the
-    lexicographically smallest id.  Returns (record, score)."""
-    candidates = [r for r in training if r.structure is not None]
-    if not candidates:
-        raise ValueError("training set has no records with structures")
-    bases = [r for r in sorted(candidates, key=attrgetter("id"))
-             if len(r.sequence) >= k]
-    if not bases:
-        raise ValueError(f"no training sequence is at least {k} residues long")
-    ids, norm = _kmer_vector(target, k)
-    postings, norms = _base_index(tuple(r.sequence for r in bases), k)
+def select_base(target: str, bases: Bases):
+    """Highest-similarity prepared base; ties go to the lexicographically
+    smallest id.  Returns (record, score)."""
+    counts = kmer_counts(check_sequence(target), KMER_SIZE)
+    norm = _squared_norm(counts)
     # the integer dot product of each base sharing a k-mer with the target,
     # in one counting pass; a base sharing none scores 0.0
-    dots = Counter(chain.from_iterable(map(postings.get, ids, repeat(()))))
+    dots = Counter(chain.from_iterable(
+        map(bases.postings.get, counts.elements(), repeat(()))))
     # their scores before the clamp to 1.0; clamping only the maximum picks
     # the same bases, as every score at or past 1.0 clamps to 1.0
     raw = list(map(truediv, dots.values(), map(math.sqrt, map(
-        mul, repeat(norm), map(norms.__getitem__, dots)))))
+        mul, repeat(norm), map(bases.norms.__getitem__, dots)))))
     best_score = min(max(raw, default=0.0), 1.0)
     # the first maximum in id order: the smallest position scoring it
-    best = bases[min(compress(dots, map(ge, raw, repeat(best_score))),
-                     default=0)]
+    best = min(compress(dots, map(ge, raw, repeat(best_score))), default=0)
     # the same score, from the one definition of it
-    return best, similarity(target, best.sequence, k)
+    return bases.records[best], similarity(counts, bases.counts[best])
 
 
 def _condition_number(A: list[list[float]]) -> float:
@@ -299,31 +289,18 @@ def convolve(input, f: ResponseFilter) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _base_filter(sequence: str, structure: str, L: int) -> ResponseFilter:
-    """The response filter of one base record, fitted once per (sequence,
-    structure, L) per process, however many targets choose it."""
-    return deconvolve(structure_encode(structure), hydropathy_encode(sequence),
-                      L, RIDGE)
-
-
-def predict_structure(target: str, training,
-                      cfg: PipelineConfig | None = None) -> PredictionResult:
-    """Run the full base-selection / deconvolution / convolution pipeline."""
-    cfg = cfg or PipelineConfig()
-    check_sequence(target)
-
-    # deconvolve fits filter_length taps, so a shorter base cannot be used
-    long_enough = [r for r in training
-                   if len(r.sequence) >= cfg.filter_length]
-    if not long_enough:
-        raise ValueError("no training sequence is at least filter_length="
-                         f"{cfg.filter_length} residues long")
-    base, score = select_base(target, long_enough, KMER_SIZE)
-    response = _base_filter(base.sequence, base.structure, cfg.filter_length)
+def predict_structure(target: str, bases: Bases) -> PredictionResult:
+    """Run the base-selection / deconvolution / convolution pipeline for
+    one target against prepared bases."""
+    base, score = select_base(target, bases)
+    response = bases.filters.get(base)
+    if response is None:
+        response = bases.filters[base] = deconvolve(
+            structure_encode(base.structure), hydropathy_encode(base.sequence),
+            bases.cfg.filter_length, RIDGE)
 
     trace = convolve(hydropathy_encode(target), response)
-    predicted = structure_decode(trace, cfg.decode_mode)
+    predicted = structure_decode(trace, bases.cfg.decode_mode)
     return PredictionResult(
         predicted=predicted,
         trace=tuple(trace),

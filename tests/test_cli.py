@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from psmaca import cli, codec, dataio, maca
 from psmaca.cli import run_cli
 from psmaca.maca import TreeConfig
-from psmaca.pipeline import PipelineConfig, predict_structure
+from psmaca.pipeline import PipelineConfig, predict_structure, prepare_bases
 
 
 def write_toy_files(folder):
@@ -518,7 +518,8 @@ class TestPredict:
                         "--mode", mode]) == 0
         [record] = dataio.parse_paired(capsys.readouterr().out)
         cfg = dataio.load_model(model).pipeline
-        trace = predict_structure(record.sequence, dataset.records, cfg).trace
+        trace = predict_structure(record.sequence,
+                                  prepare_bases(dataset.records, cfg)).trace
         assert record.structure == codec.structure_decode(trace, mode)
         # the target holds coil, which only nearest_centroid round-trips
         target = dataset.records[2].structure
@@ -653,6 +654,35 @@ def test_signal_route_error_names_the_record(tmp_path, toy_files, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "data error: record 'a': sequence shorter than k-mer size 3\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_training_set_error_comes_before_any_target(tmp_path, toy_files,
+                                                    capsys, monkeypatch,
+                                                    command):
+    dataset, data, fasta = toy_files
+    longest = max(len(r.sequence) for r in dataset.records)
+    model = train(tmp_path, data, capsys,
+                  extra=["--filter-length", str(longest + 1)])
+    targets = {"predict": fasta, "evaluate": tmp_path / "targets.txt"}[command]
+    targets.write_text({"predict": fasta.read_text(),
+                        "evaluate": data.read_text()}[command])
+    report = tmp_path / "report.tsv"
+    argv = {"predict": ["predict", "--fasta", str(targets)],
+            "evaluate": ["evaluate", "--data", str(targets), "--report",
+                         str(report)]}[command]
+    read = []
+    real = dataio.read_text
+    monkeypatch.setattr(dataio, "read_text",
+                        lambda path: read.append(path) or real(path))
+    assert run_cli([*argv, "--model", str(model), "--pipeline",
+                    "--train-data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("data error: no training sequence is at least "
+                   f"filter_length={longest + 1} residues long\n")
+    assert str(targets) not in map(str, read)
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv, clash", [

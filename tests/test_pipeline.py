@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -48,6 +50,15 @@ def recount_select_base(target, training, k=3):
     return best, best_score
 
 
+def prepare(records, filter_length=1):
+    """Bases limited only by k and structure, unless a filter is given."""
+    return pipeline.prepare_bases(records, PipelineConfig(filter_length))
+
+
+def counts(seq, k=3):
+    return pipeline.kmer_counts(seq, k)
+
+
 # a small alphabet makes shared k-mers, equal scores and repeats common
 memo_sequences = st.text(alphabet="ACW", min_size=1, max_size=12)
 
@@ -69,28 +80,28 @@ class TestSimilarity:
         rng = random.Random(0)
         for _ in range(10):
             seq = random_sequence(rng, rng.randint(3, 30))
-            assert pipeline.similarity(seq, seq, 3) == 1.0
+            assert pipeline.similarity(counts(seq), counts(seq)) == 1.0
 
     def test_no_shared_kmers(self):
-        assert pipeline.similarity("AAAA", "WWWW", 3) == 0.0
+        assert pipeline.similarity(counts("AAAA"), counts("WWWW")) == 0.0
 
     def test_symmetry(self):
         rng = random.Random(1)
         for _ in range(20):
-            a = random_sequence(rng, rng.randint(4, 20))
-            b = random_sequence(rng, rng.randint(4, 20))
+            a = counts(random_sequence(rng, rng.randint(4, 20)))
+            b = counts(random_sequence(rng, rng.randint(4, 20)))
             assert pipeline.similarity(a, b) == pipeline.similarity(b, a)
 
     def test_bounds(self):
         rng = random.Random(2)
         for _ in range(50):
-            a = random_sequence(rng, rng.randint(3, 15))
-            b = random_sequence(rng, rng.randint(3, 15))
+            a = counts(random_sequence(rng, rng.randint(3, 15)))
+            b = counts(random_sequence(rng, rng.randint(3, 15)))
             assert 0.0 <= pipeline.similarity(a, b) <= 1.0
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
-            pipeline.similarity("AC", "ACDEF", 3)
+            pipeline.similarity(counts("AC"), counts("ACDEF"))
 
 
 class TestKmerMemo:
@@ -99,78 +110,88 @@ class TestKmerMemo:
     def test_similarity_matches_recount(self, a, b, k):
         if min(len(a), len(b)) < k:
             with pytest.raises(ValueError, match="shorter than k-mer size"):
-                pipeline.similarity(a, b, k)
+                pipeline.similarity(counts(a, k), counts(b, k))
             return
-        assert pipeline.similarity(a, b, k) == recount_similarity(a, b, k)
+        assert (pipeline.similarity(counts(a, k), counts(b, k))
+                == recount_similarity(a, b, k))
 
     @settings(max_examples=200, deadline=None)
-    @given(training=training_sets(), target=memo_sequences,
-           k=st.integers(1, 4))
-    def test_select_base_matches_recount(self, training, target, k):
+    @given(training=training_sets(), target=memo_sequences)
+    def test_select_base_matches_recount(self, training, target):
         try:
-            expected = recount_select_base(target, training, k)
+            expected = recount_select_base(target, training)
         except ValueError as e:
             with pytest.raises(ValueError, match=str(e)):
-                pipeline.select_base(target, training, k)
+                pipeline.select_base(target, prepare(training))
             return
-        base, score = pipeline.select_base(target, training, k)
+        base, score = pipeline.select_base(target, prepare(training))
         assert (base.id, score) == (expected[0].id, expected[1])
 
-    def test_one_count_per_distinct_sequence(self, monkeypatch):
+    def test_one_count_per_base_and_per_target(self, monkeypatch):
         dataset = make_impulse_dataset(10, 9, seed=7)
         rng = random.Random(8)
         targets = [random_sequence(rng, 12) for _ in range(5)]
-        pipeline._kmer_vector.cache_clear()
-        calls = Counter()
+        calls = []
         real = pipeline.kmer_counts
 
         def counting(seq, k):
-            calls[seq, k] += 1
+            calls.append((seq, k))
             return real(seq, k)
 
         monkeypatch.setattr(pipeline, "kmer_counts", counting)
+        bases = pipeline.prepare_bases(dataset.records)
+        assert calls == [(r.sequence, 3) for r in bases.records]
+        assert len(bases.records) == len(dataset.records)
+        calls.clear()
         for _ in range(2):
             for target in targets:
-                pipeline.predict_structure(target, dataset.records)
-        distinct = {(s, 3) for s in targets + [r.sequence for r in dataset.records]}
-        assert set(calls) == distinct
-        assert set(calls.values()) == {1}
+                pipeline.predict_structure(target, bases)
+        assert calls == [(t, 3) for t in targets] * 2
 
-    @pytest.mark.parametrize("a, b, k, problem", [
-        ("ACZDE", "ACDEF", 3, "illegal residue 'Z'"),
-        ("ACDEF", "AC", 3, "shorter than k-mer size 3"),
+    @pytest.mark.parametrize("a, b, problem", [
+        ("ACZDE", "ACDEF", "illegal residue 'Z'"),
+        ("AC", "ACDEF", "shorter than k-mer size 3"),
     ], ids=["illegal-residue", "shorter-than-k"])
-    def test_errors_are_not_cached(self, a, b, k, problem):
+    def test_errors_are_not_cached(self, a, b, problem):
+        bases = prepare([ProteinRecord("b", b, "C" * len(b))])
         for _ in range(2):
             with pytest.raises(ValueError, match=problem):
-                pipeline.similarity(a, b, k)
+                pipeline.select_base(a, bases)
 
     def test_returned_counts_are_not_shared(self):
         a, b = "ACDEFGACD", "ACDWWW"
-        before = pipeline.similarity(a, b)
-        counts = pipeline.kmer_counts(a, 3)
-        counts["ACD"] += 100
-        counts["WWW"] = 7
-        assert pipeline.similarity(a, b) == before == recount_similarity(a, b)
+        bases = prepare([ProteinRecord("b", b, "C" * len(b))])
+        before = pipeline.select_base(a, bases)
+        mine = counts(a)
+        mine["ACD"] += 100
+        mine["WWW"] = 7
+        assert pipeline.select_base(a, bases) == before
+        assert before[1] == recount_similarity(a, b)
 
 
 REPEATS = ("A" * 12, "AC" * 8, "ACD" * 6)
 
 
-def assert_ids_are_the_counts(seq, k=3):
-    """A k-mer counted c times gives c ids in the process-wide numbering,
-    and the norm is the sum of the squared counts."""
-    ids, norm = pipeline._kmer_vector(seq, k)
-    counts = pipeline.kmer_counts(seq, k)
-    assert Counter(ids) == {pipeline._KMER_ID[kmer]: c
-                            for kmer, c in counts.items()}
-    assert len(ids) == len(seq) - k + 1
-    assert norm == sum(c * c for c in counts.values())
+def assert_postings_are_the_counts(seqs, k=3):
+    """Each base's postings are its k-mer counts, one entry per occurrence,
+    and its norm is the sum of its squared counts."""
+    bases = prepare([ProteinRecord(f"s{i:03}", seq, "C" * len(seq))
+                     for i, seq in enumerate(seqs)])
+    held = [Counter() for _ in seqs]
+    for kmer, positions in bases.postings.items():
+        for pos in positions:
+            held[pos][kmer] += 1
+    for seq, base_counts, norm, got in zip(seqs, bases.counts, bases.norms,
+                                           held):
+        assert got == base_counts == counts(seq, k)
+        assert got.total() == len(seq) - k + 1
+        assert norm == sum(c * c for c in got.values())
+    return bases
 
 
 class TestKmerBitSets:
-    """The k-mer id vectors at real sizes, long sequences and repeat-heavy
-    ones, checked exactly against the recount."""
+    """The prepared k-mer counts at real sizes, long sequences and
+    repeat-heavy ones, checked exactly against the recount."""
 
     @pytest.fixture(scope="class")
     def toy(self):
@@ -180,71 +201,87 @@ class TestKmerBitSets:
     def test_every_pair_of_toy_records(self, toy):
         for i, a in enumerate(toy):
             for b in toy[i:]:
-                assert pipeline.similarity(a, b) == recount_similarity(a, b)
-        for seq in toy:
-            assert_ids_are_the_counts(seq)
+                assert (pipeline.similarity(counts(a), counts(b))
+                        == recount_similarity(a, b))
+        assert_postings_are_the_counts(toy)
 
     def test_repeat_heavy_sequences(self, toy):
-        for seq in REPEATS:
-            assert_ids_are_the_counts(seq)
-        assert len(set(pipeline._kmer_vector(REPEATS[0], 3)[0])) == 1
+        bases = assert_postings_are_the_counts(REPEATS)
+        assert bases.postings["AAA"] == [0] * 10
         pool = REPEATS + ("ACDAC", toy[0] + REPEATS[2], toy[-1])
         for a in pool:
             for b in pool:
-                assert pipeline.similarity(a, b) == recount_similarity(a, b)
+                assert (pipeline.similarity(counts(a), counts(b))
+                        == recount_similarity(a, b))
 
-    def test_mixed_k_before_and_after_cache_clear(self, toy):
+    def test_mixed_k(self, toy):
         seqs = REPEATS + tuple(toy[::7])
         cases = [(a, b, k) for k in (3, 1, 5, 2, 4)
                  for a in seqs for b in seqs]
-        before = [pipeline.similarity(a, b, k) for a, b, k in cases]
-        pipeline._kmer_vector.cache_clear()
-        after = [pipeline.similarity(a, b, k) for a, b, k in reversed(cases)]
-        expected = [recount_similarity(a, b, k) for a, b, k in cases]
-        assert before == expected == after[::-1]
+        got = [pipeline.similarity(counts(a, k), counts(b, k))
+               for a, b, k in cases]
+        assert got == [recount_similarity(a, b, k) for a, b, k in cases]
 
 
 @pytest.mark.parametrize("k", [0, -1, 1.5])
 def test_kmer_size_must_be_a_positive_int(k):
-    # a sequence no other test memoizes, so each call reaches the check
-    seq = "MKWVTFISLLFLFSSAYS"
     message = re.escape(f"k-mer size must be an int >= 1, got {k!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        pipeline.kmer_counts(seq, k)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        pipeline.similarity(seq, seq[::-1], k)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        pipeline.select_base(seq, [ProteinRecord("a", seq[1:], "C" * 17)], k)
+        pipeline.kmer_counts("MKWVTFISLLFLFSSAYS", k)
+
+
+def test_no_module_level_state():
+    """Many training sets prepared in one process leave nothing behind."""
+    assert not [name for name, value in vars(pipeline).items()
+                if hasattr(value, "cache_clear")]
+    target = make_toy_dataset(1, 300, seed=4).records[0].sequence
+
+    def predict_with(seed):
+        training = make_toy_dataset(150, 150, seed=seed).records
+        pipeline.predict_structure(target, pipeline.prepare_bases(training))
+
+    predict_with(1000)  # warm up whatever the first call sets up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for seed in range(40):
+            predict_with(seed)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert left < 0.5 * 2**20
 
 
 class TestSelectBase:
     def test_exact_match_wins(self):
         records = [ProteinRecord("a", "ACDEFG", "HHHHHH"),
                    ProteinRecord("b", "WWYYWW", "CCCCCC")]
-        base, score = pipeline.select_base("ACDEFG", records)
+        base, score = pipeline.select_base("ACDEFG", prepare(records))
         assert base.id == "a"
         assert score == 1.0
 
     def test_single_record(self):
         records = [ProteinRecord("only", "MKLVFF", "CCCCCC")]
-        base, _ = pipeline.select_base("AAAAAA", records)
+        base, _ = pipeline.select_base("AAAAAA", prepare(records))
         assert base.id == "only"
 
     def test_tie_breaks_to_smaller_id(self):
         records = [ProteinRecord("z", "ACDEFG", "HHHHHH"),
                    ProteinRecord("a", "ACDEFG", "CCCCCC")]
-        base, _ = pipeline.select_base("ACDEFG", records)
+        base, _ = pipeline.select_base("ACDEFG", prepare(records))
         assert base.id == "a"
 
     def test_records_without_structure_ignored(self):
         records = [ProteinRecord("a", "ACDEFG"),
                    ProteinRecord("b", "WWYYWW", "CCCCCC")]
-        base, _ = pipeline.select_base("ACDEFG", records)
+        base, _ = pipeline.select_base("ACDEFG", prepare(records))
         assert base.id == "b"
 
     def test_empty_training_rejected(self):
-        with pytest.raises(ValueError):
-            pipeline.select_base("ACDEFG", [ProteinRecord("a", "ACDEFG")])
+        with pytest.raises(ValueError, match="no records with structures"):
+            prepare([ProteinRecord("a", "ACDEFG")])
 
     def test_matches_recount_at_real_sizes(self):
         # `evaluate_pipeline`'s sizes, plus copies of a third of the bases
@@ -258,23 +295,14 @@ class TestSelectBase:
         targets = [r.sequence for r in
                    make_toy_dataset(100, 300, seed=4).records[:20]]
         targets += [r.sequence for r in bases[:6]]
+        prepared = pipeline.prepare_bases(training)
         chosen = []
         for target in targets:
-            base, score = pipeline.select_base(target, training)
+            base, score = pipeline.select_base(target, prepared)
             expected = recount_select_base(target, training)
             assert (base.id, score) == (expected[0].id, expected[1])
             chosen.append(base.id)
         assert {"atoy00", "toy01", "toy02", "atoy03"} <= set(chosen)
-
-    def test_one_index_for_many_targets(self):
-        bases = make_toy_dataset(150, 150, seed=3).records
-        targets = [r.sequence for r in
-                   make_toy_dataset(100, 300, seed=4).records[:10]]
-        pipeline._base_index.cache_clear()
-        for target in targets:
-            pipeline.select_base(target, bases)
-        info = pipeline._base_index.cache_info()
-        assert (info.misses, info.hits) == (1, len(targets) - 1)
 
 
 class TestDeconvolve:
@@ -480,34 +508,38 @@ class TestRoundTrip:
 class TestPredictStructure:
     def test_impulse_self_consistency(self):
         dataset = make_impulse_dataset(8, 9, seed=0)
+        bases = pipeline.prepare_bases(dataset.records)
         for record in dataset.records:
-            result = pipeline.predict_structure(record.sequence, dataset.records)
+            result = pipeline.predict_structure(record.sequence, bases)
             assert result.base_id == record.id
             assert result.similarity_score == 1.0
             assert result.predicted == record.structure
 
     def test_lengths_match_target(self):
         dataset = make_impulse_dataset(6, 9, seed=1)
+        bases = pipeline.prepare_bases(dataset.records)
         rng = random.Random(5)
         for _ in range(5):
             target = random_sequence(rng, rng.randint(9, 40))
-            result = pipeline.predict_structure(target, dataset.records)
+            result = pipeline.predict_structure(target, bases)
             assert len(result.predicted) == len(target)
             assert len(result.trace) == len(target)
 
     def test_deterministic(self):
         dataset = make_impulse_dataset(6, 9, seed=2)
         target = random_sequence(random.Random(6), 20)
-        r1 = pipeline.predict_structure(target, dataset.records)
-        r2 = pipeline.predict_structure(target, dataset.records)
+        r1 = pipeline.predict_structure(
+            target, pipeline.prepare_bases(dataset.records))
+        r2 = pipeline.predict_structure(
+            target, pipeline.prepare_bases(dataset.records))
         assert r1 == r2
 
     def test_one_fit_per_chosen_base(self, monkeypatch):
         records = make_toy_dataset(6, 30, seed=1).records
         targets = [records[0].sequence, records[0].sequence[:20]]
-        assert {pipeline.select_base(t, records)[0].id
+        bases = pipeline.prepare_bases(records)
+        assert {pipeline.select_base(t, bases)[0].id
                 for t in targets} == {records[0].id}
-        pipeline._base_filter.cache_clear()
         fits = Counter()
         real = pipeline.deconvolve
 
@@ -516,32 +548,39 @@ class TestPredictStructure:
             return real(output, input, L, ridge)
 
         monkeypatch.setattr(pipeline, "deconvolve", counting)
-        cached = [pipeline.predict_structure(t, records) for t in targets]
+        first = [pipeline.predict_structure(t, bases) for t in targets]
         assert list(fits.values()) == [1]
-        pipeline._base_filter.cache_clear()
-        assert pipeline.predict_structure(targets[1], records) == cached[1]
+        assert list(bases.filters) == [records[0]]
+        # a new prepared value fits its own filter, and the same one
+        again = pipeline.prepare_bases(records)
+        assert pipeline.predict_structure(targets[1], again) == first[1]
         assert list(fits.values()) == [2]
+        assert again.filters == bases.filters
 
     def test_base_shorter_than_filter_is_skipped(self):
         # a_short shares more 3-mers with the target, but the 9-tap filter
         # cannot be fitted on its 6 residues
         a_short = ProteinRecord("a_short", "ACDEFG", "HHHEEE")
         b_long = ProteinRecord("b_long", "ACDEFGHIKLMNPQRS", "HHHHEEEECCCCHHHH")
-        assert pipeline.select_base("ACDEFGH", [a_short, b_long])[0] is a_short
-        result = pipeline.predict_structure("ACDEFGH", [a_short, b_long])
+        assert pipeline.select_base(
+            "ACDEFGH", prepare([a_short, b_long]))[0] is a_short
+        bases = pipeline.prepare_bases([a_short, b_long])
+        assert bases.records == (b_long,)
+        result = pipeline.predict_structure("ACDEFGH", bases)
         assert result.base_id == "b_long"
         assert len(result.predicted) == 7
 
     def test_no_base_as_long_as_the_filter(self):
         a_short = ProteinRecord("a_short", "ACDEFG", "HHHEEE")
         with pytest.raises(ValueError, match="filter_length=9"):
-            pipeline.predict_structure("ACDEFGH", [a_short])
+            pipeline.prepare_bases([a_short])
 
     def test_band_mode_config(self):
         dataset = make_impulse_dataset(6, 9, seed=3)
         cfg = PipelineConfig(decode_mode="paper_bands")
-        result = pipeline.predict_structure(dataset.records[0].sequence,
-                                            dataset.records, cfg)
+        result = pipeline.predict_structure(
+            dataset.records[0].sequence,
+            pipeline.prepare_bases(dataset.records, cfg))
         assert set(result.predicted) <= set("HEC")
 
     def test_config_validation(self):
