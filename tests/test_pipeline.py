@@ -127,7 +127,9 @@ class TestKmerMemo:
         base, score = pipeline.select_base(target, prepare(training))
         assert (base.id, score) == (expected[0].id, expected[1])
 
-    def test_one_count_per_base_and_per_target(self, monkeypatch):
+    def test_one_count_per_distinct_sequence(self, monkeypatch):
+        # each base is counted once, at preparation, and each target once
+        # per prediction; nothing is held between predictions
         dataset = make_impulse_dataset(10, 9, seed=7)
         rng = random.Random(8)
         targets = [random_sequence(rng, 12) for _ in range(5)]
@@ -303,6 +305,29 @@ class TestSelectBase:
             assert (base.id, score) == (expected[0].id, expected[1])
             chosen.append(base.id)
         assert {"atoy00", "toy01", "toy02", "atoy03"} <= set(chosen)
+
+    def test_one_index_for_many_targets(self, monkeypatch):
+        # the posting index is built at preparation; selecting a base for
+        # many targets counts only the targets and leaves the index as built
+        training = make_toy_dataset(150, 150, seed=3).records
+        targets = [r.sequence for r in
+                   make_toy_dataset(100, 300, seed=4).records[:10]]
+        prepared = pipeline.prepare_bases(training)
+        postings = prepared.postings
+        built = {kmer: list(ids) for kmer, ids in postings.items()}
+        calls = []
+        real = pipeline.kmer_counts
+
+        def counting(seq, k):
+            calls.append(seq)
+            return real(seq, k)
+
+        monkeypatch.setattr(pipeline, "kmer_counts", counting)
+        for target in targets:
+            pipeline.select_base(target, prepared)
+        assert calls == targets
+        assert prepared.postings is postings
+        assert postings == built
 
 
 class TestDeconvolve:
