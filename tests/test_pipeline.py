@@ -441,6 +441,21 @@ class TestNumpyOracle:
                 kept += 1
         assert raised >= 30 and kept >= 30
 
+    @pytest.mark.parametrize("e, refused", [(0.95e-12, True), (1.05e-12, False)],
+                             ids=["cond-1.05e12", "cond-9.5e11"])
+    def test_condition_limit_margin(self, e, refused):
+        # x = [sqrt(e), 0, 1] at L = 2 gives X^T X = diag(1 + e, e), whose
+        # condition number (1 + e) / e lies 5% to either side of the limit
+        x = [math.sqrt(e), 0.0, 1.0]
+        X = convolution_matrix(x, 2)
+        assert (np.linalg.cond(X.T @ X) > pipeline._COND_LIMIT) == refused
+        if refused:
+            with pytest.raises(pipeline.IllConditionedError):
+                pipeline.deconvolve(x, x, 2, ridge=0.0)
+        else:
+            f = pipeline.deconvolve(x, x, 2, ridge=0.0)
+            assert f.taps == pytest.approx((1.0, 0.0), abs=1e-3)
+
     @pytest.mark.parametrize("ridge", [0.0, 1e-6, 1.0])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_is_a_value_error(self, bad, ridge):
