@@ -126,6 +126,44 @@ class TestFitness:
             ga.fitness(ch, maca.pattern_set([], 2))
 
 
+@st.composite
+def conflicted_nodes(draw):
+    """A node of n <= 8 bits: (code, label) pairs drawn from a few codes,
+    so that one code often carries two or three labels."""
+    n = draw(st.integers(1, 8))
+    codes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(codes),
+                                    st.sampled_from("HEC")),
+                          min_size=1, max_size=24))
+    return n, pairs
+
+
+def node_ceiling(pairs):
+    """The sum over distinct codes of each code's majority count, over the
+    node's size: no split can part the patterns of one code."""
+    by_code = {}
+    for code, label in pairs:
+        by_code.setdefault(code, Counter())[label] += 1
+    return sum(max(labels.values()) for labels in by_code.values()) / len(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=conflicted_nodes(), seed=st.integers(0, 2**32 - 1))
+def test_node_ceiling_is_the_identity_split(node, seed):
+    # the oracle for stopping a GA run at its node's ceiling: the identity
+    # split (n one-bit segments) reaches it, and no random split passes it
+    n, pairs = node
+    training = maca.pattern_set(pairs, n)
+    ceiling = node_ceiling(pairs)
+    identity = ga.Chromosome(DependencyString((1 << n) - 1, (1,) * n), 1)
+    assert ga.fitness(identity, training) == ceiling
+    rng = random.Random(seed)
+    for _ in range(10):
+        ch = ga.random_chromosome(n, rng.randint(1, n), rng)
+        assert ga.fitness(ch, training) <= ceiling
+
+
 class TestCrossover:
     def test_self_cross_preserves_ds(self):
         rng = random.Random(7)
