@@ -17,10 +17,15 @@ and nothing outlives the value.
 
 The filter is short (9 taps by default) with ridge weight `RIDGE`, so its
 normal equations are a small positive definite system, built and solved
-in plain Python floats: the Gram matrix from lagged dot products,
-unpivoted elimination for the taps, and cyclic Jacobi eigenvalues for the
-conditioning check that only a direct `deconvolve(..., ridge=0)` call
-makes, such as acceptance criterion 6's recovery test.
+in plain Python floats: the Gram matrix from lagged dot products and
+unpivoted elimination for the taps.  Only a direct `deconvolve(...,
+ridge=0)` call, such as acceptance criterion 6's recovery test, checks
+the conditioning, by one more elimination: of A - (F / 1e12) I, with F
+the Frobenius norm of the L x L normal matrix A, refused at a pivot <= 0.
+By Sylvester's criterion the pivots stay positive exactly when the matrix
+is positive definite (Higham 2002, ch. 10), and A's largest eigenvalue
+lies in [F / sqrt(L), F], so every A whose condition number is above 1e12
+is refused, none below 1e12 / sqrt(L), and some between.
 
 A ResponseFilter, a PipelineConfig, a PredictionResult and a Bases are
 `NamedTuple` records; the first two check their fields on every path that
@@ -30,7 +35,6 @@ builds one (`record.checked`).
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import attrgetter, ge, mul, truediv
@@ -45,12 +49,9 @@ from .codec import (
 )
 from .record import checked
 
-# ill-conditioning threshold for the unregularized normal matrix
+# the unregularized normal matrix is refused at a condition number above
+# this, and may be from this / sqrt(L) up (see the module docstring)
 _COND_LIMIT = 1e12
-# Jacobi sweeps converge quadratically; the cap only bounds a pathological
-# matrix, whose eigenvalues are then as good as the last sweep left them
-_JACOBI_SWEEPS = 50
-_EPS = sys.float_info.epsilon
 # the method's fixed k-mer length of base selection and FIR ridge weight
 KMER_SIZE = 3
 RIDGE = 1e-6
@@ -178,54 +179,13 @@ def select_base(target: str, bases: Bases):
     return bases.records[best], similarity(counts, bases.counts[best])
 
 
-def _condition_number(A: list[list[float]]) -> float:
-    """2-norm condition number max|lambda| / min|lambda| of the symmetric
-    matrix A, its eigenvalues found by cyclic Jacobi rotations; inf when A
-    is singular or not finite."""
-    if not all(math.isfinite(v) for row in A for v in row):
-        return math.inf
-    # A is scaled to unit diagonal maximum, so no rotation overflows
-    scale = max(abs(row[i]) for i, row in enumerate(A))
-    if scale == 0.0:
-        return math.inf
-    a = [[v / scale for v in row] for row in A]
-    L = len(a)
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(L - 1):
-            for q in range(p + 1, L):
-                apq = a[p][q]
-                # rotate off any entry not negligible against its diagonal
-                # pair, which keeps small eigenvalues to high relative accuracy
-                if abs(apq) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
-                    continue
-                rotated = True
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for r in range(L):
-                    if r != p and r != q:
-                        arp, arq = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = c * arp - s * arq
-                        a[r][q] = a[q][r] = s * arp + c * arq
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-        if not rotated:
-            break
-    eigen = [abs(row[i]) for i, row in enumerate(a)]
-    return max(eigen) / min(eigen) if min(eigen) > 0.0 else math.inf
-
-
 def _solve(A: list[list[float]], b: list[float]) -> list[float]:
     """Solve A t = b in place, A symmetric positive definite, by elimination
     without pivoting, which is stable for such A (Higham 2002, ch. 10)."""
     L = len(b)
     for k in range(L):
         pivot = A[k]
-        if pivot[k] == 0.0:
+        if pivot[k] <= 0.0:
             raise IllConditionedError(
                 "normal matrix is singular; increase the ridge weight")
         for i in range(k + 1, L):
@@ -268,10 +228,17 @@ def deconvolve(output, input, L: int, ridge: float = 0.0) -> ResponseFilter:
             A[i][j] = A[j][i] = A[i - 1][j - 1] - x[n - i] * x[n - j]
     b = [sum(map(mul, x, y[j:])) for j in range(L)]
     if ridge == 0.0:
-        cond = _condition_number(A)
-        if not math.isfinite(cond) or cond > _COND_LIMIT:
-            raise IllConditionedError(
-                "normal matrix is singular at ridge=0; increase the ridge weight")
+        # shift: A's Frobenius norm over _COND_LIMIT, each entry scaled
+        # before the sum so that no finite A overflows it
+        shift = math.hypot(*[v / _COND_LIMIT for v in chain.from_iterable(A)])
+        try:
+            if not math.isfinite(shift):
+                raise IllConditionedError
+            _solve([[v - shift if i == j else v for j, v in enumerate(row)]
+                    for i, row in enumerate(A)], [0.0] * L)
+        except IllConditionedError:
+            raise IllConditionedError("normal matrix is singular at ridge=0; "
+                                      "increase the ridge weight") from None
     for i in range(L):
         A[i][i] += ridge
     return ResponseFilter(tuple(_solve(A, b)))

@@ -356,9 +356,10 @@ class TestDeconvolve:
     def test_singular_at_zero_ridge_raises(self):
         with pytest.raises(pipeline.IllConditionedError):
             pipeline.deconvolve([0.0] * 20, [0.0] * 20, 4, ridge=0.0)
-        # the solver itself refuses a zero pivot
-        with pytest.raises(pipeline.IllConditionedError, match="singular"):
-            pipeline._solve([[0.0]], [1.0])
+        # the solver itself refuses a zero or negative pivot
+        for A in ([[0.0]], [[-1.0]]):
+            with pytest.raises(pipeline.IllConditionedError, match="singular"):
+                pipeline._solve(A, [1.0])
 
     def test_ridge_shrinks_taps(self):
         rng = np.random.default_rng(2)
