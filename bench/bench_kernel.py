@@ -30,7 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline  # noqa: E402
 
-OUT = ROOT / "BENCH_36.json"
+OUT = ROOT / "BENCH_38.json"
 PROCESSES = 5
 REPEAT = 5
 IMPORTS = 5  # after each process: 25 interpreters in all
@@ -103,7 +103,8 @@ def evolve_at_root():
     assert len(maca.label_counts(training)) == 3
     seed = random.Random(1).getrandbits(32)
     return once(partial(ga.evolve_maca, training, 2, TRAIN_GA, seed),
-                lambda run: run[0].classifier1 == tree().root.ds)
+                lambda run: maca.DependencyString(run[0].bits, run[0].widths)
+                == tree().root.ds)
 
 
 def breed(operator, m: int):
@@ -114,8 +115,9 @@ def breed(operator, m: int):
     def call():
         rng = random.Random(1)
         return [operator(a, b, rng) for a, b in args]
-    return once(call, lambda chs: all(ch.classifier1.n == N_BITS for ch in chs),
-                len(args))
+    return once(call, lambda chs: all(
+        maca.DependencyString(ch.bits, ch.widths).n == N_BITS for ch in chs),
+        len(args))
 
 
 def load_model():
@@ -146,7 +148,8 @@ def importtime_s() -> float:
 
 
 LAYERS = [
-    # one m = 2 chromosome on the first N `train` windows, as a pattern set
+    # one m = 2 chromosome on the first N `train` windows, as a pattern set;
+    # each call builds the chromosome's dependency string
     *(Layer(f"ga.fitness[N={n}]", lambda n=n: once(
         partial(ga.fitness, ga.random_chromosome(N_BITS, 2, random.Random(0)),
                 maca.pattern_set(windows()[:n], N_BITS)),
@@ -167,10 +170,12 @@ LAYERS = [
           partial(default_build, 126, 185), slow=True),
     # the one GA run (10 generations) of the `train` build at its root
     Layer("ga.evolve_maca[train root]", evolve_at_root),
-    # per call, 30 from one generator (m = 1: every two-class node asks for it)
+    # per call, 30 from one generator (m = 1: every two-class node asks for
+    # it); the GA operators build no dependency string
     *(Layer(f"ga.random_chromosome[n={N_BITS}, m={m}]", lambda m=m: once(
         partial(population, m, 0),
-        lambda chs: all(c.classifier1.m == m for c in chs), POPULATION))
+        lambda chs: all(maca.DependencyString(c.bits, c.widths).m == m
+                        for c in chs), POPULATION))
       for m in (1, 2)),
     # per call over a seeded population of 30, the default mutation rate
     *(Layer(f"ga.mutate[n={N_BITS}, m={m}]", partial(breed, ga.mutate, m))
@@ -180,11 +185,10 @@ LAYERS = [
       for m in (2, 4)),
     # per object, over the (bits, widths) of a seeded population of 30
     Layer(f"maca.DependencyString[construct, n={N_BITS}]", lambda: once(
-        lambda fields=[(c.classifier1.bits, c.classifier1.widths)
-                       for c in population(2, 2)]:
+        lambda fields=[(c.bits, c.widths) for c in population(2, 2)]:
         [maca.DependencyString(bits, widths) for bits, widths in fields],
-        lambda built: built == [c.classifier1 for c in population(2, 2)],
-        POPULATION)),
+        lambda built: [(ds.bits, ds.widths) for ds in built] ==
+        [(c.bits, c.widths) for c in population(2, 2)], POPULATION)),
     # the 500 x 200 residues `predict_tree` predicts at seed 1
     Layer("dataio.make_toy_dataset[500x200]", lambda: once(
         partial(dataio.make_toy_dataset, 500, 200, 2),

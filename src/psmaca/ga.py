@@ -1,30 +1,21 @@
 """Genetic algorithm over MACA chromosomes.
 
-A chromosome pairs a dependency string over n bits (classifier #1, the part
-that actually classifies) with an m-bit dependency vector (classifier #2,
-carried through evolution but with no assigned role).  It is a plain
-`NamedTuple`, checked once, by its `DependencyString`: the operators below
-build every `classifier2` nonzero and within m bits, and no file or flag
-holds a chromosome.
+A chromosome is a plain `NamedTuple` of ints: a dependency string over n
+bits (classifier #1, the part that actually classifies) as its `bits` and
+`widths`, plus an m-bit dependency vector (classifier #2, carried through
+evolution but with no assigned role).  The operators compute on those ints
+and keep every segment and `classifier2` nonzero and within its width;
+`fitness` builds the dependency string, and so checks it where it is
+scored.  No file or flag holds a chromosome.
 Fitness is training-set accuracy under majority-labeled basins, on a
 `maca.PatternSet`.  Nothing in psmaca builds a `maca.LabeledPattern` or
 passes `fitness` a list: its branch for (code, label) pairs, like that
 type, stays only for `perfbench/test_perfbench.py::TestWrappers`, which
 scores a list of them, until the benchmark drops that call.  It reads
-only classifier #1, so `evolve_maca` memoizes it per run: a dict from a
-dependency string's (bits, widths) to score means each distinct dependency
-string is scored once, however often selection, elitism or a no-op mutation
-brings it back (a plain tuple key hashes faster than a `DependencyString`).
-The memo changes no RNG draw, score or history.
-
-The operators reuse what did not change, which is safe because chromosomes
-and dependency strings are immutable.  `mutate` returns its input when no
-bit flipped and no boundary moved, and keeps its dependency string when
-only classifier #2 changed; `crossover` gives the child a parent's
-dependency string when the child's bits and widths equal that parent's.
-Reuse skips only object construction: every operator makes the same RNG
-draws in the same order as one that builds a new chromosome on every call,
-so a seed gives the same run, history and model bytes.
+only classifier #1, so `evolve_maca` memoizes it per run: a dict from
+(bits, widths) to score means each distinct dependency string is built
+and scored once, however often selection, elitism or a no-op mutation
+brings it back.  The memo changes no RNG draw, score or history.
 
 Every integer draw goes through `maca._below`, which calls `getrandbits`
 as `randrange` does, without its argument handling: the same draws, so
@@ -42,7 +33,8 @@ from .maca import (DependencyString, PatternSet, TreeConfig, _below,
 
 
 class Chromosome(NamedTuple):
-    classifier1: DependencyString
+    bits: int
+    widths: tuple[int, ...]
     classifier2: int
 
 
@@ -67,21 +59,22 @@ def random_chromosome(n: int, m: int, rng: random.Random) -> Chromosome:
     bits = 0
     for width in widths:
         bits = bits << width | 1 + _below(rng, (1 << width) - 1)
-    return Chromosome(DependencyString(bits, widths),
-                      1 + _below(rng, (1 << m) - 1))
+    return Chromosome(bits, widths, 1 + _below(rng, (1 << m) - 1))
 
 
 def fitness(ch: Chromosome, training) -> float:
     """Training accuracy when each basin predicts its majority class, on a
-    pattern set or on (code, label) pairs, which are made a set first."""
+    pattern set or on (code, label) pairs, which are made a set first.
+    Building the dependency string checks it: a bad one raises here."""
+    ds = DependencyString(ch.bits, ch.widths)
     if not isinstance(training, PatternSet):
-        training = pattern_set(training, ch.classifier1.n)
+        training = pattern_set(training, ds.n)
     total = len(training)
     if not total:
         raise ValueError("training set must be non-empty")
     label_masks = training.labels.values()
     correct = 0
-    for bucket in distribute(ch.classifier1, training).values():
+    for bucket in distribute(ds, training).values():
         # the majority class's count: the most members under one label
         correct += max(map(int.bit_count, map(bucket.members.__and__,
                                               label_masks)))
@@ -90,30 +83,24 @@ def fitness(ch: Chromosome, training) -> float:
 
 def crossover(a: Chromosome, b: Chromosome, rng: random.Random) -> Chromosome:
     """Recombine at segment boundaries: a prefix of a's segments plus a
-    suffix of b's, with the straddling gap re-randomized to a fresh DV.  A
-    child whose dependency string equals a parent's gets that parent's."""
-    ds_a, ds_b = a.classifier1, b.classifier1
-    if ds_b.n != ds_a.n:
+    suffix of b's, with the straddling gap re-randomized to a fresh DV, and
+    a fresh `classifier2`."""
+    n = sum(a.widths)
+    if sum(b.widths) != n:
         raise ValueError("parents must cover the same pattern length")
-    k = _below(rng, ds_a.m + 1)
-    low = ds_a.n - sum(ds_a.widths[:k])  # the bits below a's prefix
-    j, tail = ds_b.m, 0  # b's segments j.. fit in the low `tail` bits
-    while j and tail + ds_b.widths[j - 1] <= low:
+    k = _below(rng, len(a.widths) + 1)
+    low = n - sum(a.widths[:k])  # the bits below a's prefix
+    j, tail = len(b.widths), 0  # b's segments j.. fit in the low `tail` bits
+    while j and tail + b.widths[j - 1] <= low:
         j -= 1
-        tail += ds_b.widths[j]
-    bits = ds_a.bits >> low << low | ds_b.bits & ((1 << tail) - 1)
-    widths = ds_a.widths[:k] + ds_b.widths[j:]
+        tail += b.widths[j]
+    bits = a.bits >> low << low | b.bits & ((1 << tail) - 1)
+    widths = a.widths[:k] + b.widths[j:]
     gap = low - tail
     if gap:  # a fresh DV fills the bits between prefix and suffix
         bits |= (1 + _below(rng, (1 << gap) - 1)) << tail
-        widths = ds_a.widths[:k] + (gap,) + ds_b.widths[j:]
-    if bits == ds_a.bits and widths == ds_a.widths:
-        ds = ds_a
-    elif bits == ds_b.bits and widths == ds_b.widths:
-        ds = ds_b
-    else:
-        ds = DependencyString(bits, widths)
-    return Chromosome(ds, 1 + _below(rng, (1 << len(widths)) - 1))
+        widths = a.widths[:k] + (gap,) + b.widths[j:]
+    return Chromosome(bits, widths, 1 + _below(rng, (1 << len(widths)) - 1))
 
 
 def _repair(bits: int, low: int, width: int, rng: random.Random) -> int:
@@ -125,14 +112,13 @@ def _repair(bits: int, low: int, width: int, rng: random.Random) -> int:
 
 def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
     """Independent bit flips at `rate`, zero-DV repair, and (with
-    probability `rate`) a +-1 shift of one segment boundary.  Returns `ch`
-    itself when nothing changed, and keeps its dependency string when only
-    `classifier2` did."""
+    probability `rate`) a +-1 shift of one segment boundary, then the same
+    flips and repair on `classifier2`."""
     if not 0 <= rate <= 1:
         raise ValueError("mutation rate must lie in [0, 1]")
     random_ = rng.random
-    ds = ch.classifier1
-    bits, widths, low = ds.bits, ds.widths, ds.n
+    bits, widths, classifier2 = ch
+    n = low = sum(widths)
     for width in widths:
         # flip each bit of the segment at `rate`, top bit first
         top, low = low - 1, low - width
@@ -151,21 +137,15 @@ def mutate(ch: Chromosome, rate: float, rng: random.Random) -> Chromosome:
         if widths[giver] >= 2:
             widths[giver] -= 1
             widths[2 * i + 1 - giver] += 1
-        low = ds.n - sum(widths[:i + 2])  # the bottom of segment i+1
+        low = n - sum(widths[:i + 2])  # the bottom of segment i+1
         bits = _repair(bits, low + widths[i + 1], widths[i], rng)
         bits = _repair(bits, low, widths[i + 1], rng)
         widths = tuple(widths)
 
-    classifier2 = ch.classifier2
     for i in range(m - 1, -1, -1):
         if random_() < rate:
             classifier2 ^= 1 << i
-    classifier2 = _repair(classifier2, 0, m, rng)
-    if bits != ds.bits or widths != ds.widths:
-        return Chromosome(DependencyString(bits, widths), classifier2)
-    if classifier2 != ch.classifier2:
-        return Chromosome(ds, classifier2)
-    return ch
+    return Chromosome(bits, widths, _repair(classifier2, 0, m, rng))
 
 
 def evolve_maca(training: PatternSet, m: int, config: TreeConfig,
@@ -177,7 +157,7 @@ def evolve_maca(training: PatternSet, m: int, config: TreeConfig,
     memo: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def score(ch: Chromosome) -> float:
-        key = ch.classifier1.bits, ch.classifier1.widths
+        key = ch.bits, ch.widths
         value = memo.get(key)
         if value is None:
             value = memo[key] = fitness(ch, training)

@@ -94,7 +94,7 @@ class DependencyString(Frozen):
 
     def __init__(self, bits: int, widths: tuple[int, ...]):
         # exact types: a float or bool is no bits, and only a tuple of
-        # widths can key the GA's fitness memo
+        # widths hashes, as equality and hashing read it
         if type(bits) is not int:
             raise ValueError(f"bits must be an int, got {bits!r}")
         if type(widths) is not tuple:
@@ -333,7 +333,8 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
         for _ in range(SPLIT_RETRIES):
             best, _ = ga.evolve_maca(patterns, m, config,
                                      rng.getrandbits(32))
-            buckets = distribute(best.classifier1, patterns)
+            ds = DependencyString(best.bits, best.widths)
+            buckets = distribute(ds, patterns)
             if len(buckets) > 1:
                 break
         else:
@@ -342,7 +343,7 @@ def build_tree(training, n: int, config: TreeConfig | None = None,
 
         children = {sig: grow(bucket, depth + 1)
                     for sig, bucket in buckets.items()}
-        return TreeNode(label=majority, ds=best.classifier1, children=children)
+        return TreeNode(label=majority, ds=ds, children=children)
 
     return PsmacaTree(root=grow(training, 0), n=n, config=config)
 

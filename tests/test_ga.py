@@ -14,15 +14,17 @@ from tuple_bits import pack
 
 
 def check_invariants(ch, n):
-    assert ch.classifier1.n == n
-    assert all("1" in seg for seg in ch.classifier1.bit_strings())
-    assert 0 < ch.classifier2 < 1 << ch.classifier1.m
+    ds = DependencyString(ch.bits, ch.widths)
+    assert ds.n == n
+    assert all("1" in seg for seg in ds.bit_strings())
+    assert 0 < ch.classifier2 < 1 << ds.m
 
 
 def pinned_json(ch):
     """The text the pinned runs below were recorded in."""
-    return json.dumps({"classifier1": ch.classifier1.bit_strings(),
-                       "classifier2": f"{ch.classifier2:0{ch.classifier1.m}b}"},
+    ds = DependencyString(ch.bits, ch.widths)
+    return json.dumps({"classifier1": ds.bit_strings(),
+                       "classifier2": f"{ch.classifier2:0{ds.m}b}"},
                       sort_keys=True, separators=(",", ":"))
 
 
@@ -65,7 +67,7 @@ class TestRandomPartition:
 class TestRandomChromosome:
     def test_minimal(self):
         ch = ga.random_chromosome(1, 1, random.Random(0))
-        assert ch.classifier1 == DependencyString(1, (1,))
+        assert DependencyString(ch.bits, ch.widths) == DependencyString(1, (1,))
         assert ch.classifier2 == 1
 
     def test_invariants_over_many_draws(self):
@@ -82,16 +84,15 @@ class TestRandomChromosome:
 
 
 class TestChromosome:
-    def test_is_a_pair(self):
-        ds = DependencyString(0b1011, (2, 2))
-        ch = ga.Chromosome(ds, 1)
-        assert ch == (ds, 1)
-        assert hash(ch) == hash((ds, 1))
-        classifier1, classifier2 = ch
-        assert (classifier1, classifier2) == (ch.classifier1, ch.classifier2)
+    def test_is_a_named_tuple_of_ints(self):
+        ch = ga.Chromosome(0b1011, (2, 2), 1)
+        assert ch == (0b1011, (2, 2), 1)
+        assert hash(ch) == hash((0b1011, (2, 2), 1))
+        bits, widths, classifier2 = ch
+        assert (bits, widths, classifier2) == \
+            (ch.bits, ch.widths, ch.classifier2)
         # the form the tracer and the logs show
-        assert repr(ch) == ("Chromosome(classifier1=DependencyString("
-                            "bits=11, widths=(2, 2)), classifier2=1)")
+        assert repr(ch) == "Chromosome(bits=11, widths=(2, 2), classifier2=1)"
 
 
 class TestFitness:
@@ -104,12 +105,12 @@ class TestFitness:
     def test_matching_dv_is_perfect(self):
         mask = (1, 0, 1, 0)
         training = maca.pattern_set(parity_patterns(4, mask, 40, seed=1), 4)
-        ch = ga.Chromosome(DependencyString(pack(mask), (4,)), 1)
+        ch = ga.Chromosome(pack(mask), (4,), 1)
         assert ga.fitness(ch, training) == 1.0
 
     def test_conflicting_duplicates(self):
         training = maca.pattern_set([(0b10, "A"), (0b10, "B")], 2)
-        ch = ga.Chromosome(DependencyString(0b11, (2,)), 1)
+        ch = ga.Chromosome(0b11, (2,), 1)
         assert ga.fitness(ch, training) == 0.5
 
     def test_permutation_invariance(self):
@@ -124,6 +125,13 @@ class TestFitness:
         ch = ga.random_chromosome(2, 1, random.Random(0))
         with pytest.raises(ValueError):
             ga.fitness(ch, maca.pattern_set([], 2))
+
+    def test_bad_dependency_string_rejected_where_scored(self):
+        # the operators build no dependency string; fitness builds and so
+        # checks the one it scores
+        patterns = maca.pattern_set([(0b101, "A"), (0b011, "B")], 3)
+        with pytest.raises(ValueError, match="all-zero segment"):
+            ga.fitness(ga.Chromosome(0, (3,), 1), patterns)
 
 
 @st.composite
@@ -156,7 +164,7 @@ def test_node_ceiling_is_the_identity_split(node, seed):
     n, pairs = node
     training = maca.pattern_set(pairs, n)
     ceiling = node_ceiling(pairs)
-    identity = ga.Chromosome(DependencyString((1 << n) - 1, (1,) * n), 1)
+    identity = ga.Chromosome((1 << n) - 1, (1,) * n, 1)
     assert ga.fitness(identity, training) == ceiling
     rng = random.Random(seed)
     for _ in range(10):
@@ -169,7 +177,7 @@ class TestCrossover:
         rng = random.Random(7)
         a = ga.random_chromosome(10, 3, rng)
         child = ga.crossover(a, a, rng)
-        assert child.classifier1 is a.classifier1
+        assert (child.bits, child.widths) == (a.bits, a.widths)
 
     def test_child_invariants(self):
         rng = random.Random(8)
@@ -197,7 +205,7 @@ class TestCrossover:
 class TestMutate:
     def test_rate_zero_is_identity(self):
         ch = ga.random_chromosome(9, 3, random.Random(1))
-        assert ga.mutate(ch, 0.0, random.Random(2)) is ch
+        assert ga.mutate(ch, 0.0, random.Random(2)) == ch
 
     def test_invariants_at_high_rate(self):
         rng = random.Random(4)
@@ -207,9 +215,10 @@ class TestMutate:
             check_invariants(ga.mutate(ch, 0.8, rng), n)
 
     def test_single_bit_segment_repairs_to_one(self):
-        ch = ga.Chromosome(DependencyString(1, (1,)), 1)
+        ch = ga.Chromosome(1, (1,), 1)
         out = ga.mutate(ch, 1.0, random.Random(5))
-        assert out.classifier1 == DependencyString(1, (1,))
+        assert DependencyString(out.bits, out.widths) == \
+            DependencyString(1, (1,))
         assert out.classifier2 == 1
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5])
@@ -221,7 +230,13 @@ class TestMutate:
 
 # The operators as they ran when every call built a new chromosome, kept as
 # the oracle for their RNG draws: the ga versions must return an equal
-# chromosome and leave the generator in the same state.
+# chromosome and leave the generator in the same state.  The oracles build
+# each dependency string, so a bad one fails here.
+
+def oracle_chromosome(bits, widths, classifier2):
+    ds = DependencyString(bits, widths)
+    return ga.Chromosome(ds.bits, ds.widths, classifier2)
+
 
 def oracle_random_chromosome(n, m, rng):
     cuts = sorted(rng.sample(range(1, n), m - 1))
@@ -230,12 +245,12 @@ def oracle_random_chromosome(n, m, rng):
     bits = 0
     for width in widths:
         bits = bits << width | rng.randrange(1, 1 << width)
-    return ga.Chromosome(DependencyString(bits, widths),
-                         rng.randrange(1, 1 << m))
+    return oracle_chromosome(bits, widths, rng.randrange(1, 1 << m))
 
 
 def oracle_crossover(a, b, rng):
-    ds_a, ds_b = a.classifier1, b.classifier1
+    ds_a = DependencyString(a.bits, a.widths)
+    ds_b = DependencyString(b.bits, b.widths)
     k = rng.randrange(ds_a.m + 1)
     low = ds_a.n - sum(ds_a.widths[:k])
     j, tail = ds_b.m, 0
@@ -248,8 +263,7 @@ def oracle_crossover(a, b, rng):
     if gap:
         bits |= rng.randrange(1, 1 << gap) << tail
         widths = ds_a.widths[:k] + (gap,) + ds_b.widths[j:]
-    return ga.Chromosome(DependencyString(bits, widths),
-                         rng.randrange(1, 1 << len(widths)))
+    return oracle_chromosome(bits, widths, rng.randrange(1, 1 << len(widths)))
 
 
 def oracle_repair(bits, low, width, rng):
@@ -266,7 +280,7 @@ def oracle_mutate_segment(bits, low, width, rate, rng):
 
 
 def oracle_mutate(ch, rate, rng):
-    ds = ch.classifier1
+    ds = DependencyString(ch.bits, ch.widths)
     bits, widths, low = ds.bits, list(ds.widths), ds.n
     for width in widths:
         low -= width
@@ -281,7 +295,7 @@ def oracle_mutate(ch, rate, rng):
         bits = oracle_repair(bits, low + widths[i + 1], widths[i], rng)
         bits = oracle_repair(bits, low, widths[i + 1], rng)
     classifier2 = oracle_mutate_segment(ch.classifier2, 0, ds.m, rate, rng)
-    return ga.Chromosome(DependencyString(bits, tuple(widths)), classifier2)
+    return oracle_chromosome(bits, tuple(widths), classifier2)
 
 
 def oracle_evolve_maca(training, m, config, rng_seed):
@@ -338,9 +352,7 @@ def parent_pairs(draw):
     if kind == "same":
         return a, a
     if kind == "equal":
-        return a, ga.Chromosome(DependencyString(a.classifier1.bits,
-                                                 a.classifier1.widths),
-                                a.classifier2)
+        return a, ga.Chromosome(*a)
     return a, draw(chromosomes(n))
 
 
@@ -368,22 +380,13 @@ class TestSameDraws:
     @given(ch=st.integers(1, 40).flatmap(chromosomes),
            rate=st.sampled_from(RATES), seed=seeds)
     def test_mutate(self, ch, rate, seed):
-        out = same_draws(seed, ga.mutate, oracle_mutate, ch, rate)
-        # what did not change is the input's own object
-        if out.classifier1 == ch.classifier1:
-            assert out.classifier1 is ch.classifier1
-            assert out is ch or out.classifier2 != ch.classifier2
+        same_draws(seed, ga.mutate, oracle_mutate, ch, rate)
 
     @settings(max_examples=400, deadline=None)
     @given(parents=parent_pairs(), seed=seeds)
     def test_crossover(self, parents, seed):
         a, b = parents
-        out = same_draws(seed, ga.crossover, oracle_crossover, a, b)
-        # a child equal to a parent holds that parent's dependency string
-        if out.classifier1 == a.classifier1:
-            assert out.classifier1 is a.classifier1
-        elif out.classifier1 == b.classifier1:
-            assert out.classifier1 is b.classifier1
+        same_draws(seed, ga.crossover, oracle_crossover, a, b)
 
     @pytest.mark.parametrize("rate", RATES)
     def test_seeded_breeding_chain(self, rate):
@@ -511,7 +514,7 @@ class TestFitnessMemo:
         real = ga.fitness
 
         def counting(ch, training):
-            calls[ch.classifier1] += 1
+            calls[ch.bits, ch.widths] += 1
             return real(ch, training)
 
         monkeypatch.setattr(ga, "fitness", counting)

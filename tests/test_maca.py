@@ -323,8 +323,8 @@ class TestBitSlicedOracle:
         ds, _ = data.draw(dependency_strings())
         patterns = data.draw(labeled_patterns(ds.n))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
-        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n),
-                                     rng).classifier1
+        ch = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
+        child = DependencyString(ch.bits, ch.widths)
         buckets = maca.distribute(ds, maca.pattern_set(patterns, ds.n))
         assert masks(buckets) == \
             loop_members(ds, patterns, range(len(patterns)))
@@ -339,7 +339,7 @@ class TestBitSlicedOracle:
         patterns = data.draw(labeled_patterns(ds.n, min_size=1))
         correct = sum(max(Counter(label for _, label in bucket).values())
                       for _, bucket in loop_distribute(ds, patterns))
-        ch = ga.Chromosome(ds, 1)
+        ch = ga.Chromosome(ds.bits, ds.widths, 1)
         assert ga.fitness(ch, maca.pattern_set(patterns, ds.n)) == \
             ga.fitness(ch, patterns) == correct / len(patterns)
 
@@ -349,18 +349,18 @@ class TestBitSlicedOracle:
         ds, _ = data.draw(dependency_strings())
         patterns = data.draw(labeled_patterns(ds.n))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
-        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
+        ch = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
+        child = DependencyString(ch.bits, ch.widths)
         training = maca.pattern_set(patterns, ds.n)
         for bucket in maca.distribute(ds, training).values():
             picked = indices(bucket.members)
             members = [patterns[i] for i in picked]
-            from_bucket = maca.distribute(child.classifier1, bucket)
-            from_list = maca.distribute(child.classifier1,
-                                        maca.pattern_set(members, ds.n))
+            from_bucket = maca.distribute(child, bucket)
+            from_list = maca.distribute(child, maca.pattern_set(members, ds.n))
             assert masks(from_bucket) == \
-                loop_members(child.classifier1, patterns, picked)
+                loop_members(child, patterns, picked)
             assert masks(from_list) == \
-                loop_members(child.classifier1, members, range(len(members)))
+                loop_members(child, members, range(len(members)))
             assert {sig: maca.label_counts(b)
                     for sig, b in from_bucket.items()} == \
                 {sig: maca.label_counts(b) for sig, b in from_list.items()}
@@ -383,8 +383,8 @@ class TestBitSlicedOracle:
         ds, _ = data.draw(dependency_strings())
         patterns = data.draw(labeled_patterns(ds.n, min_size=1))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
-        child = ga.random_chromosome(ds.n, rng.randint(1, ds.n),
-                                     rng).classifier1
+        ch = ga.random_chromosome(ds.n, rng.randint(1, ds.n), rng)
+        child = DependencyString(ch.bits, ch.widths)
         training = maca.pattern_set(patterns, ds.n)
         for bucket in maca.distribute(ds, training).values():
             for cut in [bucket, *maca.distribute(child, bucket).values()]:
@@ -404,7 +404,7 @@ class TestBitSlicedOracle:
         assert plain.byte_xors == named.byte_xors
         assert masks(maca.distribute(ds, plain)) == \
             masks(maca.distribute(ds, named))
-        ch = ga.Chromosome(ds, 1)
+        ch = ga.Chromosome(ds.bits, ds.widths, 1)
         assert ga.fitness(ch, pairs) == ga.fitness(ch, patterns)
 
     def test_labeled_pattern_is_a_pair(self):
@@ -415,16 +415,18 @@ class TestBitSlicedOracle:
     def test_codes_outside_n_bits_rejected(self):
         ds = DependencyString(0b11, (2,))
         patterns = [(-1, "A"), (0b100, "B")]
-        for call in (lambda: ga.fitness(ga.Chromosome(ds, 1), patterns),
+        for call in (lambda: ga.fitness(ga.Chromosome(ds.bits, ds.widths, 1),
+                                        patterns),
                      lambda: maca.pattern_set(patterns, 2)):
             with pytest.raises(ValueError, match="unsigned 2-bit"):
                 call()
 
     def test_set_of_another_width_rejected(self):
         training = maca.pattern_set([(0b11, "A")], 2)
-        ch = ga.Chromosome(DependencyString(0b111, (3,)), 1)
+        ds = DependencyString(0b111, (3,))
+        ch = ga.Chromosome(ds.bits, ds.widths, 1)
         with pytest.raises(ValueError, match="2-bit codes, not 3-bit"):
-            maca.distribute(ch.classifier1, training)
+            maca.distribute(ds, training)
         with pytest.raises(ValueError, match="2-bit codes, not 3-bit"):
             ga.fitness(ch, training)
 
@@ -526,6 +528,29 @@ class TestBuildTree:
         tree = maca.build_tree(pats, 6, SMALL_GA, rng_seed=2)
         assert not tree.root.is_leaf
         assert calls == [6]
+
+    def test_one_dependency_string_per_score_and_per_ga_run(self, monkeypatch):
+        # the GA's operators build none: `fitness` builds the string it
+        # scores, and the build the one each GA run returns
+        counts = Counter()
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(DependencyString, "__init__", counting(
+            "built", DependencyString.__init__))
+        monkeypatch.setattr(ga, "fitness", counting("fitness", ga.fitness))
+        monkeypatch.setattr(ga, "evolve_maca", counting("runs",
+                                                        ga.evolve_maca))
+        pats = [(code, "HEC"[code % 3]) for code in range(1 << 5)] + \
+            [(0b10, "E")]  # a conflict that no split can part
+        maca.build_tree(pats, 5, TreeConfig(population_size=6,
+                                            generations=4), rng_seed=4)
+        assert counts["runs"] > 1
+        assert counts["built"] == counts["fitness"] + counts["runs"]
 
 
 class TestTreeConfig:
