@@ -35,6 +35,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # a flag is spelled whole: a prefix would pass for another flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -56,6 +60,8 @@ def build_parser() -> _Parser:
                         help="paired training data for --pipeline")
     routed.add_argument("--no-verify", action="store_true",
                         help="skip training-data fingerprint verification")
+    routed.add_argument("--mode", choices=DECODE_MODES, default=None,
+                        help="band decode mode for --pipeline")
 
     p = sub.add_parser("simulate", parents=[automaton],
                        help="print a CA space-time grid")
@@ -81,8 +87,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", parents=[routed],
                        help="predict structures for FASTA input")
     p.add_argument("--fasta", required=True)
-    p.add_argument("--mode", choices=DECODE_MODES, default=None,
-                   help="band decode mode for --pipeline")
     p.set_defaults(run=cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[routed],
@@ -92,8 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--comparison", default=None,
                    help="write a method-comparison table skeleton here")
-    # evaluate decodes in the model's own mode
-    p.set_defaults(run=cmd_evaluate, mode=None)
+    p.set_defaults(run=cmd_evaluate)
     return parser
 
 
@@ -210,12 +213,11 @@ def _route(args, base_file, outputs=(), inputs=()):
                     ["method: tree"])
     else:
         bases = prepare_bases(
-            _load_training(model, base_file, args.no_verify),
-            model.pipeline._replace(
-                decode_mode=args.mode or model.pipeline.decode_mode))
+            _load_training(model, base_file, args.no_verify), model.pipeline)
+        mode = args.mode or DECODE_MODES[0]
 
         def predict(sequence):
-            result = predict_structure(sequence, bases)
+            result = predict_structure(sequence, bases, mode)
             return result.predicted, [
                 f"method: pipeline base={result.base_id} "
                 f"similarity={result.similarity_score:.4f}"]

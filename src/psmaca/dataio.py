@@ -292,7 +292,8 @@ _GA_FIELDS = ("population_size", "generations", "crossover_rate",
 # the constant it must hold
 _FIXED = {maca.TreeConfig: {"split_retries": maca.SPLIT_RETRIES},
           PipelineConfig: {"ridge": RIDGE, "kmer_size": KMER_SIZE,
-                           "scale_name": codec.HYDROPATHY_SCALE}}
+                           "scale_name": codec.HYDROPATHY_SCALE,
+                           "decode_mode": codec.DECODE_MODES[0]}}
 _LABELS = tuple(STRUCTURE_LABELS)  # `in` on the string would accept "HE"
 
 

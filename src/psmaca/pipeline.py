@@ -41,7 +41,6 @@ from operator import attrgetter, ge, mul, truediv
 from typing import NamedTuple
 
 from .codec import (
-    DECODE_MODES,
     check_sequence,
     hydropathy_encode,
     structure_decode,
@@ -74,25 +73,20 @@ class ResponseFilter(NamedTuple):
 
 @checked
 class PipelineConfig(NamedTuple):
-    """Signal-route settings, set by `train --filter-length` and `predict
-    --mode`; `PipelineConfig._field_defaults` holds the defaults."""
+    """The signal-route setting that `train --filter-length` writes;
+    `PipelineConfig._field_defaults` holds the default."""
 
     filter_length: int = 9
-    decode_mode: str = "nearest_centroid"
 
     def _check(self):
         # an exact int: a bool is refused too
         if type(self.filter_length) is not int or self.filter_length < 1:
             raise ValueError(f"filter_length must be an int >= 1, "
                              f"got {self.filter_length!r}")
-        if self.decode_mode not in DECODE_MODES:
-            raise ValueError(f"decode_mode must be one of {DECODE_MODES}, "
-                             f"got {self.decode_mode!r}")
 
 
 class PredictionResult(NamedTuple):
     predicted: str
-    trace: tuple[float, ...]
     base_id: str
     similarity_score: float
 
@@ -256,9 +250,10 @@ def convolve(input, f: ResponseFilter) -> list[float]:
     return out
 
 
-def predict_structure(target: str, bases: Bases) -> PredictionResult:
+def predict_structure(target: str, bases: Bases,
+                      mode: str = "nearest_centroid") -> PredictionResult:
     """Run the base-selection / deconvolution / convolution pipeline for
-    one target against prepared bases."""
+    one target against prepared bases, band-decoding in `mode`."""
     base, score = select_base(target, bases)
     response = bases.filters.get(base)
     if response is None:
@@ -266,11 +261,9 @@ def predict_structure(target: str, bases: Bases) -> PredictionResult:
             structure_encode(base.structure), hydropathy_encode(base.sequence),
             bases.cfg.filter_length, RIDGE)
 
-    trace = convolve(hydropathy_encode(target), response)
-    predicted = structure_decode(trace, bases.cfg.decode_mode)
     return PredictionResult(
-        predicted=predicted,
-        trace=tuple(trace),
+        predicted=structure_decode(
+            convolve(hydropathy_encode(target), response), mode),
         base_id=base.id,
         similarity_score=score,
     )

@@ -78,8 +78,8 @@ CLI_SURFACE = {
     "predict": ({"--model", "--fasta"},
                 {"--pipeline", "--mode", "--train-data", "--no-verify"}),
     "evaluate": ({"--model", "--data", "--report"},
-                 {"--json", "--comparison", "--pipeline", "--train-data",
-                  "--no-verify"}),
+                 {"--json", "--comparison", "--pipeline", "--mode",
+                  "--train-data", "--no-verify"}),
 }
 
 
@@ -112,6 +112,19 @@ def test_each_missing_required_flag_is_usage_error(capsys, command):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error: ") and missing in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "m", "--fasta", "f", "--pipe", "--train", "t"],
+    ["evaluate", "--pipeline", "--mod", "paper_bands", "--model", "m",
+     "--data", "d", "--report", "r"],
+], ids=["predict-pipe", "evaluate-mod"])
+def test_flag_prefix_is_usage_error(capsys, argv):
+    # a prefix of a flag is no flag, even when it names only one
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments: --")
 
 
 class TestSimulate:
@@ -377,8 +390,8 @@ class TestTrain:
 
     def test_every_config_field_has_a_flag(self):
         assert set(cli._TREE_FLAGS.values()) == set(TreeConfig._fields)
-        # train --filter-length and predict --mode
-        assert PipelineConfig._fields == ("filter_length", "decode_mode")
+        # train --filter-length; the decode mode is chosen per run
+        assert PipelineConfig._fields == ("filter_length",)
 
     def test_ga_config_is_tree_config_plus_seed(self, tmp_path, toy_files,
                                                 capsys):
@@ -403,6 +416,13 @@ class TestTrain:
                         *flags]) == 2
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not model.exists()
+
+
+# the flags that only the signal route reads, by test id
+ROUTE_FLAGS = {"mode-paper-bands": ("--mode", "paper_bands"),
+               "mode-nearest-centroid": ("--mode", "nearest_centroid"),
+               "train-data": ("--train-data", "DATA"),
+               "no-verify": ("--no-verify",)}
 
 
 def edit_model(path, edit):
@@ -454,21 +474,25 @@ class TestPredict:
         assert run_cli(["predict", "--model", str(model), "--fasta", str(fasta),
                         "--pipeline"]) == 1
 
-    @pytest.mark.parametrize("flags", [
-        ("--mode", "paper_bands"), ("--mode", "nearest_centroid"),
-        ("--train-data", "DATA"), ("--no-verify",),
-    ], ids=["mode-paper-bands", "mode-nearest-centroid", "train-data",
-            "no-verify"])
+    @pytest.mark.parametrize("command, flags", [
+        (command, flags) for command in ("predict", "evaluate")
+        for flags in ROUTE_FLAGS.values()
+    ], ids=[prefix + name for prefix in ("", "evaluate-")
+            for name in ROUTE_FLAGS])
     def test_route_flag_requires_pipeline(self, tmp_path, toy_files, capsys,
-                                          flags):
+                                          command, flags):
         _, data, fasta = toy_files
         model = train(tmp_path, data, capsys)
         flags = [str(data) if f == "DATA" else f for f in flags]
-        assert run_cli(["predict", "--model", str(model), "--fasta",
-                        str(fasta), *flags]) == 1
+        report = tmp_path / "r.tsv"
+        inputs = {"predict": ["--fasta", str(fasta)],
+                  "evaluate": ["--data", str(data), "--report", str(report)]}
+        assert run_cli([command, "--model", str(model), *inputs[command],
+                        *flags]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{flags[0]} requires --pipeline" in err
+        assert not report.exists()
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, toy_files, capsys):
         dataset, data, fasta = toy_files
@@ -517,10 +541,10 @@ class TestPredict:
                         "--pipeline", "--train-data", str(data),
                         "--mode", mode]) == 0
         [record] = dataio.parse_paired(capsys.readouterr().out)
-        cfg = dataio.load_model(model).pipeline
-        trace = predict_structure(record.sequence,
-                                  prepare_bases(dataset.records, cfg)).trace
-        assert record.structure == codec.structure_decode(trace, mode)
+        bases = prepare_bases(dataset.records,
+                              dataio.load_model(model).pipeline)
+        assert record.structure == predict_structure(
+            record.sequence, bases, mode).predicted
         # the target holds coil, which only nearest_centroid round-trips
         target = dataset.records[2].structure
         assert (record.structure == target) == (mode == "nearest_centroid")
@@ -535,6 +559,8 @@ class TestPredict:
         (lambda doc: doc.pop("window"), "lacks window"),
         (lambda doc: doc["pipeline"].update(kmer_size=0), "kmer_size"),
         (lambda doc: doc["pipeline"].update(decode_mode="zzz"), "decode_mode"),
+        (lambda doc: doc["pipeline"].update(decode_mode="paper_bands"),
+         "pipeline decode_mode must be 'nearest_centroid', got 'paper_bands'"),
         (lambda doc: doc["pipeline"].update(scale_name="zzz"),
          "pipeline scale_name must be 'kyte_doolittle', got 'zzz'"),
         (lambda doc: doc.update(training_fingerprint=5), "training_fingerprint"),
@@ -585,7 +611,8 @@ class TestPredict:
          "pipeline ridge must be 1e-06, got 0.0"),
         (lambda doc: doc["pipeline"].update(ridge=1e-05),
          "pipeline ridge must be 1e-06, got 1e-05"),
-    ], ids=["no-window", "kmer-size-0", "decode-mode", "scale-name",
+    ], ids=["no-window", "kmer-size-0", "decode-mode",
+            "decode-mode-paper-bands", "scale-name",
             "fingerprint-int", "ga-config-list", "max-depth-negative",
             "population-size-1", "population-size-str", "mutation-rate-1.5",
             "filter-length-float", "filter-length-bool", "kmer-size-float",
@@ -880,16 +907,6 @@ class TestEvaluate:
         rows = report.read_text().strip().splitlines()
         assert rows[0] == "id\tq3\tqH\tqE\tqC" and len(rows) == 6
 
-    def test_train_data_requires_pipeline(self, tmp_path, toy_files, capsys):
-        _, data, _ = toy_files
-        model = train(tmp_path, data, capsys)
-        report = tmp_path / "report.tsv"
-        for flags in (["--train-data", str(data)], ["--no-verify"]):
-            assert run_cli(["evaluate", "--model", str(model), "--data",
-                            str(data), "--report", str(report), *flags]) == 1
-            assert f"{flags[0]} requires --pipeline" in capsys.readouterr().err
-            assert not report.exists()
-
     @pytest.mark.parametrize("route", [[], ["--pipeline"]],
                              ids=["tree", "pipeline"])
     @pytest.mark.parametrize("flag", ["--report", "--json", "--comparison"])
@@ -916,7 +933,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("route", [
         [], ["--pipeline", "--train-data", "DATA"],
-    ], ids=["tree", "pipeline-train-data"])
+        ["--pipeline", "--train-data", "DATA", "--mode", "paper_bands"],
+    ], ids=["tree", "pipeline-train-data", "pipeline-paper-bands"])
     def test_report_q3_is_q3_of_predict(self, tmp_path, toy_files, capsys,
                                         route):
         _, data, _ = toy_files
@@ -940,6 +958,20 @@ class TestEvaluate:
         assert [row["q3"] for row in rows] == [
             dataio.q3(p.structure, t.structure).q3
             for p, t in zip(predicted, targets.records)]
+
+    @pytest.mark.parametrize("mode", codec.DECODE_MODES)
+    def test_mode_sets_the_decode(self, tmp_path, toy_files, capsys, mode):
+        _, data, _ = toy_files
+        model = train(tmp_path, data, capsys)
+        reports = []
+        for flags in ([], ["--mode", mode]):
+            report = tmp_path / f"report{len(reports)}.tsv"
+            assert run_cli(["evaluate", "--model", str(model), "--data",
+                            str(data), "--report", str(report), "--pipeline",
+                            *flags]) == 0
+            reports.append(report.read_text())
+        # the records hold coil, which only nearest_centroid round-trips
+        assert (reports[0] == reports[1]) == (mode == "nearest_centroid")
 
     @pytest.mark.parametrize("name", ["a\tb.txt", "a\nb.txt", "a\rb.txt"],
                              ids=["tab", "newline", "carriage-return"])

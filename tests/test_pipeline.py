@@ -564,7 +564,6 @@ class TestPredictStructure:
             target = random_sequence(rng, rng.randint(9, 40))
             result = pipeline.predict_structure(target, bases)
             assert len(result.predicted) == len(target)
-            assert len(result.trace) == len(target)
 
     def test_deterministic(self):
         dataset = make_impulse_dataset(6, 9, seed=2)
@@ -618,16 +617,17 @@ class TestPredictStructure:
 
     def test_band_mode_config(self):
         dataset = make_impulse_dataset(6, 9, seed=3)
-        cfg = PipelineConfig(decode_mode="paper_bands")
         result = pipeline.predict_structure(
             dataset.records[0].sequence,
-            pipeline.prepare_bases(dataset.records, cfg))
+            pipeline.prepare_bases(dataset.records), "paper_bands")
         assert set(result.predicted) <= set("HEC")
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="filter_length"):
             PipelineConfig(filter_length=0)
-        with pytest.raises(ValueError, match="decode_mode"):
-            PipelineConfig(decode_mode="zzz")
+        bases = pipeline.prepare_bases(
+            make_impulse_dataset(6, 9, seed=3).records)
+        with pytest.raises(ValueError, match="^mode must be one of .*'zzz'$"):
+            pipeline.predict_structure(bases.records[0].sequence, bases, "zzz")
         with pytest.raises(ValueError, match="filter_length"):
             PipelineConfig._make([0])
