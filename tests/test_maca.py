@@ -302,6 +302,15 @@ def labeled_patterns(n, min_size=0):
                     min_size=min_size, max_size=40)
 
 
+sized_patterns = st.integers(1, 70).flatmap(
+    lambda n: st.tuples(st.just(n), labeled_patterns(n)))
+
+
+def loop_column(patterns, b):
+    """Column b pattern by pattern: bit i is bit b of code i."""
+    return sum((code >> b & 1) << i for i, (code, _) in enumerate(patterns))
+
+
 class TestBitSlicedOracle:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -374,6 +383,19 @@ class TestBitSlicedOracle:
         # column b is the XOR table entry of bit b alone
         assert [training.byte_xors[b // 8][1 << b % 8] for b in range(2)] == \
             [0b110, 0b101]
+
+    @given(sized_patterns)
+    @example((9, []))
+    @example((5, [(0b10110, "H")]))
+    @example((13, [(0x1abc, "E"), (0x0001, "C"), (0x1000, "E")]))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_the_pattern_loop(self, drawn):
+        n, patterns = drawn
+        training = maca.pattern_set(patterns, n)
+        assert [len(table) for table in training.byte_xors] == \
+            [1 << min(8, n - low) for low in range(0, n, 8)]
+        assert [training.byte_xors[b // 8][1 << b % 8] for b in range(n)] == \
+            [loop_column(patterns, b) for b in range(n)]
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
