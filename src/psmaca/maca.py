@@ -178,16 +178,14 @@ def pattern_set(patterns, n: int) -> PatternSet:
     for code, label in patterns:
         rows.append(format(_check_code(code, n), f"0{n}b"))
         labels.append(label)
-    # character k of a row is bit n-1-k; the last pattern is each column's
-    # most significant bit
-    columns = [int("".join(bits), 2) for bits in zip(*reversed(rows))][::-1]
-    columns = columns or [0] * n
-    byte_xors = []
-    for low in range(0, n, 8):
-        table = [0]
-        for column in columns[low:low + 8]:
-            table += [x ^ column for x in table]
-        byte_xors.append(table)
+    # character k of a row is bit n-1-k, so in the rows joined last pattern
+    # first, column b is every n-th character from n-1-b
+    text = "".join(reversed(rows))
+    byte_xors = [[0] for _ in range(0, n, 8)]
+    for b in range(n):
+        column = int(text[n - 1 - b::n] or "0", 2)
+        table = byte_xors[b // 8]
+        table += [x ^ column for x in table]
     label_masks = {
         label: int("".join(["1" if x == label else "0"
                             for x in reversed(labels)]), 2)
