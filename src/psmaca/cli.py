@@ -157,6 +157,7 @@ def _check_outputs(outputs, inputs) -> None:
 
 def cmd_train(args) -> int:
     check_window(args.window)
+    maca._check_seed(args.seed)
     config = _tree_config(args)
     pipeline = PipelineConfig(filter_length=args.filter_length)
     _check_outputs([("--out", args.out)], [("--data", args.data)])

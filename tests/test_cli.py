@@ -363,7 +363,8 @@ class TestTrain:
         assert run_cli(["train", "--data", str(data), "--out", path]) == 2
         assert f"--out {path}" in capsys.readouterr().err
 
-    def test_negative_seed_rejected(self, tmp_path, toy_files, capsys):
+    def test_negative_seed_rejected(self, tmp_path, toy_files, capsys,
+                                    monkeypatch):
         # Random(-3) seeds like Random(3): the model would record -3 for
         # the tree of seed 3
         _, data, _ = toy_files
@@ -373,6 +374,12 @@ class TestTrain:
         assert "seed must be a non-negative int, got -3" in \
             capsys.readouterr().err
         assert not model.exists()
+        # checked before any file is read, as a missing --data shows
+        monkeypatch.setattr(dataio, "read_text", no_reading)
+        assert run_cli(["train", "--data", str(tmp_path / "nonexistent"),
+                        "--out", str(model), "--seed", "-1"]) == 2
+        assert "rng seed must be a non-negative int, got -1" in \
+            capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path, toy_files, capsys):
         _, data, _ = toy_files
