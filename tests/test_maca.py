@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psmaca import ga, maca
+from psmaca import ca, ga, maca
 from psmaca.maca import DependencyString, TreeConfig
 
 from tuple_bits import pack, unpack
@@ -150,6 +150,65 @@ class TestBasinSignature:
                 q = list(p)
                 q[pos] ^= 1
                 assert maca.basin_signature(ds, pack(q)) == base
+
+
+def tridiagonal_maps(n):
+    """Every tridiagonal 0/1 matrix T over GF(2) with a null boundary (cell
+    i reads cells i-1, i and i+1 only), as the list of T·s over every
+    n-cell state s, cell 0 most significant."""
+    entries = [(i, j) for i in range(n)
+               for j in range(max(0, i - 1), min(n, i + 2))]
+    for pick in range(1 << len(entries)):
+        # column j of T: the cells that cell j feeds
+        columns = [0] * n
+        for k, (i, j) in enumerate(entries):
+            if pick >> k & 1:
+                columns[j] |= 1 << (n - 1 - i)
+        # T is linear: T·s is the XOR of the columns of s's set cells
+        images = [0]
+        for j in reversed(range(n)):
+            images += [x ^ columns[j] for x in images]
+        yield images
+
+
+def power_rows(images, n):
+    """The rows of Tⁿ, each an n-bit int, cell 0 most significant."""
+    columns = []
+    for j in range(n):
+        state = 1 << (n - 1 - j)
+        for _ in range(n):
+            state = images[state]
+        columns.append(unpack(state, n))
+    return [pack(column[i] for column in columns) for i in range(n)]
+
+
+class TestNodeIsAMaca:
+    """A one-segment node is a two-attractor additive CA (ROADMAP item 21,
+    step 1): exhaustive over n <= 5 cells, one segment only."""
+
+    def test_two_attractor_cas_are_one_segment_nodes(self):
+        counts = []
+        for n in range(1, 6):
+            found = set()
+            for images in tridiagonal_maps(n):
+                basins = ca.attractor_basins(
+                    ca.StateTransitionGraph(n, tuple(images)))
+                if [len(b.attractor_cycle) for b in basins] != [1, 1]:
+                    continue
+                # rank(Tⁿ) = 1: its nonzero rows are one vector d
+                (d,) = {row for row in power_rows(images, n) if row}
+                ds = DependencyString(d, (n,))
+                # the basin of attractor 0 first: signature 0, then 1
+                assert [b.members for b in basins] == [
+                    frozenset(s for s in all_patterns(n)
+                              if maca.basin_signature(ds, s) == sig)
+                    for sig in (0, 1)]
+                found.add(d)
+            # no two adjacent zeros between the first and the last one
+            assert found == {d for d in range(1, 1 << n)
+                             if "00" not in format(d, "b").rstrip("0")}
+            counts.append(len(found))
+        assert counts == [1, 3, 7, 14, 26]
 
 
 def oracle_signature(segments, pattern):
