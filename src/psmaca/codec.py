@@ -87,7 +87,7 @@ def structure_encode(s: str) -> list[float]:
     return [_STRUCTURE_VALUE[lab] for lab in check_structure(s)]
 
 
-def structure_decode(values, mode: str = "nearest_centroid") -> str:
+def structure_decode(values, mode: str = DECODE_MODES[0]) -> str:
     """Decode a numeric trace back to H/E/C.
 
     paper_bands: v in [0, 200] -> H, v in [600, 800] -> E, else C.

@@ -41,6 +41,7 @@ from operator import attrgetter, ge, mul, truediv
 from typing import NamedTuple
 
 from .codec import (
+    DECODE_MODES,
     check_sequence,
     hydropathy_encode,
     structure_decode,
@@ -251,7 +252,7 @@ def convolve(input, f: ResponseFilter) -> list[float]:
 
 
 def predict_structure(target: str, bases: Bases,
-                      mode: str = "nearest_centroid") -> PredictionResult:
+                      mode: str = DECODE_MODES[0]) -> PredictionResult:
     """Run the base-selection / deconvolution / convolution pipeline for
     one target against prepared bases, band-decoding in `mode`."""
     base, score = select_base(target, bases)
