@@ -30,7 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from psmaca import ca, cli, codec, dataio, ga, maca, pipeline  # noqa: E402
 
-OUT = ROOT / "BENCH_38.json"
+OUT = ROOT / "BENCH_40.json"
 PROCESSES = 5
 REPEAT = 5
 IMPORTS = 5  # after each process: 25 interpreters in all
